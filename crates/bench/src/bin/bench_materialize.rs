@@ -10,6 +10,14 @@
 //! which is what the CI smoke gate (`scripts/ci.sh`, `LOF_MATERIALIZE_N=2000`)
 //! relies on.
 //!
+//! Parallel cells time step 1 through `build_table_parallel` for the kd
+//! and ball trees at one thread and at `nproc` threads, on the same
+//! points with shuffled ids (so every worker's id chunk cuts across
+//! every leaf), each recorded with `{nproc, isa, threads}`. With
+//! `nproc >= 2` the kd-tree's `nproc` cell must be at least
+//! [`MIN_PARALLEL_SPEEDUP`] times faster than its 1-thread cell, or the
+//! binary aborts.
+//!
 //! Writes `BENCH_materialize.json` (override with `BENCH_MATERIALIZE_OUT`).
 //! Run with `--release`; scale with `LOF_SCALE`, or pin the exact point
 //! count with `LOF_MATERIALIZE_N`. `LOF_OOC_N=1000000,10000000` adds the
@@ -21,8 +29,9 @@
 use lof_bench::{banner, scale, time};
 use lof_core::knn::KnnScratch;
 use lof_core::{
-    lof_range, lof_range_reference, Aggregate, Dataset, Euclidean, KnnProvider, LinearScan, Lofd,
-    MinPtsRange, Neighbor, NeighborhoodTable, SpilledNeighborhoodTable,
+    build_table_parallel, lof_range, lof_range_reference, Aggregate, Dataset, Euclidean,
+    KnnProvider, LinearScan, Lofd, MinPtsRange, Neighbor, NeighborhoodTable,
+    SpilledNeighborhoodTable,
 };
 use lof_data::paper::perf_mixture;
 use lof_index::{BallTree, KdTree};
@@ -48,6 +57,15 @@ const OOC_IDENTITY_MAX: usize = 1_000_000;
 const ROUNDS: usize = 2;
 /// Extra rounds for the (cheaper) sweep timings.
 const SWEEP_ROUNDS: usize = 3;
+/// Least rounds, and least wall time, spent on each pair of parallel
+/// cells. The speedup gate compares the fastest round of each cell; on a
+/// shared host the second core comes and goes in phases lasting seconds,
+/// so the alternating rounds must span several phases.
+const PARALLEL_MIN_ROUNDS: usize = 7;
+const PARALLEL_MIN_TIME: std::time::Duration = std::time::Duration::from_secs(5);
+/// Smallest accepted kd-tree speedup of the `nproc`-thread parallel
+/// build over the 1-thread build, when `nproc >= 2`.
+const MIN_PARALLEL_SPEEDUP: f64 = 1.4;
 
 /// Runs `f` `rounds` times and reports the fastest wall-clock duration
 /// alongside `f`'s (deterministic) result. On small machines first-touch
@@ -85,6 +103,61 @@ fn batched_materialize<P: KnnProvider>(provider: &P, n: usize) -> (Vec<Neighbor>
     let (mut flat, mut lens) = (Vec::new(), Vec::new());
     provider.batch_k_nearest(0..n, MAX_K, &mut scratch, &mut flat, &mut lens).expect("valid batch");
     (flat, lens)
+}
+
+/// The same points in a fixed pseudo-random id order (Fisher–Yates over
+/// a 64-bit LCG).
+fn shuffled(data: &Dataset) -> Dataset {
+    let mut order: Vec<usize> = (0..data.len()).collect();
+    let mut state = 0x853C49E6748FEA9Bu64;
+    for i in (1..order.len()).rev() {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        order.swap(i, (state >> 33) as usize % (i + 1));
+    }
+    let mut out = Dataset::with_capacity(data.dims(), data.len());
+    for id in order {
+        out.push(data.point(id)).expect("same dimensionality");
+    }
+    out
+}
+
+/// Times `build_table_parallel` at 1 and `nproc` threads, asserting each
+/// table equals `want` bit for bit. Returns the two cells' ns/object.
+///
+/// The two thread counts alternate round by round and each keeps its
+/// fastest round, so host speed phases hit both cells alike instead of
+/// skewing the ratio the gate checks.
+fn parallel_cells<P: KnnProvider + Sync>(
+    label: &str,
+    provider: &P,
+    want: &NeighborhoodTable,
+    nproc: usize,
+) -> [(usize, f64); 2] {
+    let mut best = [std::time::Duration::MAX; 2];
+    let start = std::time::Instant::now();
+    let mut rounds = 0;
+    while rounds < PARALLEL_MIN_ROUNDS || start.elapsed() < PARALLEL_MIN_TIME {
+        rounds += 1;
+        for (slot, threads) in [1, nproc].into_iter().enumerate() {
+            let (table, t) =
+                time(|| build_table_parallel(provider, MAX_K, threads).expect("valid table"));
+            best[slot] = best[slot].min(t);
+            for id in 0..want.len() {
+                let (got, exp) =
+                    (table.full_neighborhood(id).unwrap(), want.full_neighborhood(id).unwrap());
+                assert!(
+                    got.len() == exp.len()
+                        && got
+                            .iter()
+                            .zip(exp)
+                            .all(|(g, w)| g.id == w.id && g.dist.to_bits() == w.dist.to_bits()),
+                    "{label} parallel build (threads={threads}) diverges from the scan at id={id}"
+                );
+            }
+        }
+    }
+    let per_object = |d: std::time::Duration| d.as_nanos() as f64 / want.len() as f64;
+    [(1, per_object(best[0])), (nproc, per_object(best[1]))]
 }
 
 /// Aborts on the first bit divergence between two flat materializations.
@@ -253,6 +326,43 @@ fn main() {
     println!("kd batched join     {kd_batched_ns:10.0} ns/object ({kd_speedup:.2}x vs per-query)");
     println!("ball batched join   {ball_batched_ns:10.0} ns/object");
 
+    // Parallel step 1 on shuffled ids, gated: whole-chunk workers must
+    // scale the kd join.
+    let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let shuffled = shuffled(&data);
+    let shuffled_want =
+        NeighborhoodTable::build(&LinearScan::new(&shuffled, Euclidean), MAX_K).expect("table");
+    let kd_cells = parallel_cells("kd", &KdTree::new(&shuffled, Euclidean), &shuffled_want, nproc);
+    let ball_cells =
+        parallel_cells("ball", &BallTree::new(&shuffled, Euclidean), &shuffled_want, nproc);
+    let kd_parallel_speedup = kd_cells[0].1 / kd_cells[1].1;
+    let ball_parallel_speedup = ball_cells[0].1 / ball_cells[1].1;
+    for (tree, cells, speedup) in
+        [("kd", kd_cells, kd_parallel_speedup), ("ball", ball_cells, ball_parallel_speedup)]
+    {
+        println!(
+            "{tree:<4} parallel build {:10.0} ns/object at 1 thread, {:.0} at {nproc} \
+             ({speedup:.2}x, shuffled ids)",
+            cells[0].1, cells[1].1
+        );
+    }
+    assert!(
+        nproc < 2 || kd_parallel_speedup >= MIN_PARALLEL_SPEEDUP,
+        "kd parallel build at {nproc} threads is only {kd_parallel_speedup:.2}x the 1-thread \
+         build (gate: {MIN_PARALLEL_SPEEDUP}x)"
+    );
+    let cell_json = |cells: [(usize, f64); 2]| {
+        cells
+            .map(|(threads, ns)| {
+                format!(
+                    "{{\"nproc\": {nproc}, \"isa\": \"{}\", \"threads\": {threads}, \
+                     \"ns_per_object\": {ns:.1}}}",
+                    simd_isa.key()
+                )
+            })
+            .join(", ")
+    };
+
     // CSR arena accounting (satellite: fig10 reports the same numbers).
     let table = NeighborhoodTable::build(&kd, MAX_K).expect("valid table");
     let arena_bytes = table.memory_bytes();
@@ -309,6 +419,10 @@ fn main() {
          \"kd_batched_ns_per_object\": {kd_batched_ns:.1},\n  \
          \"kd_batched_speedup\": {kd_speedup:.3},\n  \
          \"ball_batched_ns_per_object\": {ball_batched_ns:.1},\n  \
+         \"kd_parallel_shuffled\": [{}],\n  \
+         \"kd_parallel_speedup\": {kd_parallel_speedup:.3},\n  \
+         \"ball_parallel_shuffled\": [{}],\n  \
+         \"ball_parallel_speedup\": {ball_parallel_speedup:.3},\n  \
          \"arena_bytes\": {arena_bytes},\n  \
          \"pointer_layout_bytes\": {pointer_bytes},\n  \
          \"sweep_reference_ns_per_object\": {reference_ns:.1},\n  \
@@ -316,6 +430,8 @@ fn main() {
          \"sweep_speedup\": {sweep_speedup:.3},\n  \
          \"ooc_tiers\": [{}]\n}}\n",
         simd_isa.key(),
+        cell_json(kd_cells),
+        cell_json(ball_cells),
         ooc_tiers.join(",\n                "),
     );
     let path = std::env::var("BENCH_MATERIALIZE_OUT")

@@ -230,21 +230,30 @@ pub struct KnnScratch {
     /// Blocked-kernel panel staging: surrogate squared distances of one
     /// query block × one data tile (the tile itself is L1-sized, see
     /// `TILE_BUDGET_BYTES` in the kernel; the panel is `qb` rows of it).
+    /// The kd-tree join also lands one query's exact leaf-tile distances
+    /// here.
     pub tile_sq: Vec<f64>,
+    /// kd-tree join: one candidate leaf's rows, gathered column-major for
+    /// [`crate::simd::exact_sq_columns`] and shared by every query of the
+    /// active group.
+    pub leaf_cols: Vec<f64>,
     /// Leaf-grouped batch self-join: one bounded heap per query sharing a
     /// leaf (tree providers traverse once per leaf group).
     pub heaps: Vec<BoundedMaxHeap>,
     /// Self-join grouping buffer: `(leaf, id)` pairs sorted so queries of
     /// the same leaf become contiguous.
     pub join_order: Vec<(usize, usize)>,
-    /// Self-join staging: neighborhoods in group traversal order, re-emitted
-    /// in ascending id order at the end of the batch.
+    /// Self-join group buffer: the active group's neighborhoods in group
+    /// order, before they are written to their id-ordered output slots.
     pub join_staged: Vec<Neighbor>,
-    /// Per-query neighborhood lengths in group traversal order.
+    /// Neighborhood lengths of the active group, in group order.
     pub join_lens: Vec<usize>,
-    /// Per-query `(start, len)` spans into [`KnnScratch::join_staged`],
-    /// indexed by `id - batch_start`.
+    /// Per-query `(tie overflow start, neighborhood length)`, indexed by
+    /// `id - batch_start`; the start indexes [`KnnScratch::join_ties`].
     pub join_spans: Vec<(usize, usize)>,
+    /// Self-join tie overflow: the entries past the `k`-th of every
+    /// neighborhood in the batch (empty on tie-free data).
+    pub join_ties: Vec<Neighbor>,
     /// Per-query `(range radius, heap-space radius)` pairs of the active
     /// join group (identical for true-space metrics; `(√sq, sq)` for the
     /// squared-kernel paths).

@@ -162,9 +162,10 @@ pub trait KnnProvider {
     /// pruning engine materializes surviving partitions through this — a
     /// partition's members are sorted but not contiguous.
     ///
-    /// The default is the per-id loop; tree indexes override it with the
-    /// leaf-grouped join so scattered-but-clustered id lists still share
-    /// traversals.
+    /// Every provider in this workspace uses this default, the per-id
+    /// loop. Tree indexes do not route it through their leaf-grouped
+    /// join: on the top-n engine's refine lists that override measured
+    /// both slower and with a higher peak memory.
     ///
     /// # Errors
     ///

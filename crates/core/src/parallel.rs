@@ -5,25 +5,20 @@
 //! objects, so we provide scoped-thread versions. Results are bit-identical
 //! to the serial code — property tests assert this.
 //!
-//! Coordination is lock-free on the hot path: workers march through their
-//! chunk in sub-batches (step 1 uses the provider's
-//! [`KnnProvider::batch_k_nearest`], so the blocked kernel amortizes work
-//! within each sub-batch) and poll a relaxed [`AtomicBool`] stop flag
-//! between sub-batches. The error mutex is touched exactly once, by the
-//! first worker that fails; everyone else sees the flag and exits.
+//! Step 1 gives each worker one contiguous id chunk in a **single**
+//! [`KnnProvider::batch_k_nearest`] call. A tree's leaf-grouped join then
+//! sees the whole chunk, so each leaf forms at most one query group per
+//! worker; splitting a chunk into smaller id batches would cut those
+//! groups apart (on shuffled ids, down to about one query per group) and
+//! pay a full tree traversal per fragment. Workers share nothing while
+//! they run; their outputs are joined in chunk order, and the first error
+//! in chunk order is the one reported.
 
 use crate::error::{LofError, Result};
 use crate::knn::KnnScratch;
 use crate::materialize::NeighborhoodTable;
 use crate::neighbors::{KnnProvider, Neighbor};
 use crate::range::{LofRangeResult, MinPtsRange};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
-
-/// Ids per step-1 sub-batch: large enough that the blocked kernel fills
-/// whole query blocks and the stop-flag poll is noise, small enough that
-/// a failing run stops promptly.
-const STEP1_SUB_BATCH: usize = 64;
 
 /// Clamps a requested thread count to something sensible for
 /// `work_items`. A request of `0` is clamped to 1 (serial), *not*
@@ -34,23 +29,13 @@ fn effective_threads(threads: usize, work_items: usize) -> usize {
     threads.max(1).min(work_items.max(1))
 }
 
-/// Records `err` as the run's first error (if none is recorded yet) and
-/// raises the stop flag. Called off the hot path only.
-fn record_error(stop: &AtomicBool, slot: &Mutex<Option<LofError>>, err: LofError) {
-    let mut guard = slot.lock().expect("error mutex poisoned");
-    if guard.is_none() {
-        *guard = Some(err);
-    }
-    stop.store(true, Ordering::Relaxed);
-}
-
 /// Builds the materialization table with `threads` worker threads, splitting
 /// the objects into contiguous chunks (step 1 in parallel).
 ///
 /// # Errors
 ///
-/// Same as [`NeighborhoodTable::build`]; the first error any worker hits is
-/// reported.
+/// Same as [`NeighborhoodTable::build`]; of the chunks that fail, the
+/// first in id order reports its error.
 pub fn build_table_parallel<P>(
     provider: &P,
     max_k: usize,
@@ -69,58 +54,36 @@ where
     }
 
     let chunk = n.div_ceil(threads);
-    let stop = AtomicBool::new(false);
-    let first_error: Mutex<Option<LofError>> = Mutex::new(None);
-    // Per-chunk flat outputs, joined in chunk order below so the
-    // assembled table is byte-identical to the serial build.
-    let chunk_results = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..n)
+    let parts = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..n)
             .step_by(chunk)
             .map(|start| {
-                let end = (start + chunk).min(n);
-                let (stop, first_error) = (&stop, &first_error);
-                s.spawn(move || {
+                let ids = start..(start + chunk).min(n);
+                s.spawn(move || -> Result<(Vec<Neighbor>, Vec<usize>)> {
                     let mut scratch = KnnScratch::new();
-                    let mut out: Vec<Neighbor> = Vec::new();
-                    let mut lens: Vec<usize> = Vec::new();
-                    let mut sub = start;
-                    while sub < end {
-                        if stop.load(Ordering::Relaxed) {
-                            return None; // another worker already failed
-                        }
-                        let sub_end = (sub + STEP1_SUB_BATCH).min(end);
-                        if let Err(e) = provider.batch_k_nearest(
-                            sub..sub_end,
-                            max_k,
-                            &mut scratch,
-                            &mut out,
-                            &mut lens,
-                        ) {
-                            record_error(stop, first_error, e);
-                            return None;
-                        }
-                        sub = sub_end;
-                    }
+                    let mut out = Vec::new();
+                    let mut lens = Vec::with_capacity(ids.len());
+                    provider.batch_k_nearest(ids, max_k, &mut scratch, &mut out, &mut lens)?;
                     // Flush this worker's kernel counters before the
                     // scratch dies with the thread.
                     scratch.stats.publish_and_reset();
-                    Some((out, lens))
+                    Ok((out, lens))
                 })
             })
             .collect();
-        handles
+        workers
             .into_iter()
-            .map(|h| h.join().expect("materialization worker panicked"))
-            .collect::<Vec<_>>()
-    });
+            .map(|w| w.join().expect("materialization worker panicked"))
+            .collect::<Result<Vec<_>>>()
+    })?;
 
-    if let Some(e) = first_error.into_inner().expect("error mutex poisoned") {
-        return Err(e);
-    }
-    let mut neighbors = Vec::with_capacity(n * max_k);
+    // Providers write neighborhoods straight into `out` (the tree joins
+    // stage only tie overflow), so the chunk outputs and the table below
+    // are the only full copies of the neighborhoods held at once.
+    let total = parts.iter().map(|(out, _)| out.len()).sum();
+    let mut neighbors = Vec::with_capacity(total);
     let mut lens = Vec::with_capacity(n);
-    for part in chunk_results {
-        let (part_out, part_lens) = part.expect("no error recorded, so every chunk completed");
+    for (part_out, part_lens) in parts {
         neighbors.extend_from_slice(&part_out);
         lens.extend_from_slice(&part_lens);
     }
@@ -222,21 +185,5 @@ mod tests {
         let table = build_table_parallel(&scan, 4, 10_000).unwrap();
         let res = lof_range_parallel(&table, MinPtsRange::new(2, 4).unwrap(), 10_000).unwrap();
         assert_eq!(res.len(), ds.len());
-    }
-
-    #[test]
-    fn worker_chunks_exceeding_sub_batch_still_match_serial() {
-        // > STEP1_SUB_BATCH ids per worker chunk so the sub-batch loop
-        // takes more than one lap.
-        let rows: Vec<[f64; 1]> = (0..(2 * STEP1_SUB_BATCH + 7))
-            .map(|i| [((i * 37) % 100) as f64 + (i as f64) * 1e-3])
-            .collect();
-        let ds = Dataset::from_rows(&rows).unwrap();
-        let scan = LinearScan::new(&ds, Euclidean);
-        let serial = NeighborhoodTable::build(&scan, 6).unwrap();
-        let par = build_table_parallel(&scan, 6, 2).unwrap();
-        for id in 0..serial.len() {
-            assert_eq!(par.full_neighborhood(id).unwrap(), serial.full_neighborhood(id).unwrap());
-        }
     }
 }

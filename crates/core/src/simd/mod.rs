@@ -319,6 +319,48 @@ pub fn surrogate_gather(
     }
 }
 
+/// Column-stride alignment of [`exact_sq_columns`] tiles: the widest
+/// target's f64 lanes, so every target runs whole vectors with no tail.
+pub const COLUMN_ALIGN: usize = 4;
+
+/// Exact squared Euclidean distances from `q` to every lane of a
+/// column-major tile: `out[j] = Σ_c (q[c] − cols[c·m + j])²` with
+/// `m = out.len()` a multiple of [`COLUMN_ALIGN`].
+///
+/// Unlike the surrogate kernels this is **exact**: each lane takes one
+/// subtract, one multiply and one add per dimension, summed forward from
+/// `0.0` — the operations and order of
+/// [`crate::distance::squared_euclidean`], with no fused multiply-add.
+/// Vector lanes only run different point pairs side by side, so every
+/// target returns the scalar reference's bits.
+///
+/// # Panics
+///
+/// Panics on a misaligned stride or a tile of the wrong size: the vector
+/// kernels read whole lanes, so these checks keep them in bounds.
+pub fn exact_sq_columns(isa: Isa, q: &[f64], cols: &[f64], out: &mut [f64]) {
+    assert_eq!(out.len() % COLUMN_ALIGN, 0, "tile stride must be lane-aligned");
+    assert_eq!(cols.len(), q.len() * out.len(), "tile size mismatch");
+    // Every kernel below reads lanes `j..j + lanes` of each column with
+    // `j + lanes <= out.len()` (lanes divide the aligned stride), inside
+    // `cols` by the asserts above.
+    match runnable(isa) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `runnable` verified the features via `available()`;
+        // reads stay in bounds as noted above.
+        Isa::Avx2Fma => unsafe { x86::exact_sq_columns_avx2(q, cols, out) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: SSE2 is part of the x86-64 baseline; reads stay in
+        // bounds as noted above.
+        Isa::Sse2 => unsafe { x86::exact_sq_columns_sse2(q, cols, out) },
+        #[cfg(target_arch = "aarch64")]
+        // SAFETY: NEON is part of the aarch64 baseline; reads stay in
+        // bounds as noted above.
+        Isa::Neon => unsafe { neon::exact_sq_columns_neon(q, cols, out) },
+        _ => scalar::exact_sq_columns(q, cols, out),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,6 +450,37 @@ mod tests {
                         "{}: d={d} cand {ci} (id {j})",
                         isa.key()
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn exact_columns_match_the_scalar_distance_bit_for_bit() {
+        for &isa in available() {
+            for d in 1..=9 {
+                let rows = fixture(d);
+                let m = rows.len() / d;
+                let stride = m.next_multiple_of(COLUMN_ALIGN);
+                let mut cols = vec![0.0; d * stride];
+                for j in 0..m {
+                    for c in 0..d {
+                        cols[c * stride + j] = rows[j * d + c];
+                    }
+                }
+                let mut out = vec![0.0; stride];
+                for qi in 0..m {
+                    let q = &rows[qi * d..][..d];
+                    exact_sq_columns(isa, q, &cols, &mut out);
+                    for j in 0..m {
+                        let want = squared_euclidean(q, &rows[j * d..][..d]);
+                        assert_eq!(
+                            out[j].to_bits(),
+                            want.to_bits(),
+                            "{}: d={d} ({qi},{j})",
+                            isa.key()
+                        );
+                    }
                 }
             }
         }

@@ -200,3 +200,25 @@ pub(super) unsafe fn next_hit_block_neon(buf: &[f64], from: usize, accept: f64) 
     }
     i
 }
+
+/// Exact column-tile distances, 2 lanes per vector; see
+/// [`super::exact_sq_columns`]. Separate `sub`, `mul` and `add` (no
+/// `vfmaq_f64`) keep each lane's rounding identical to the scalar
+/// reference.
+///
+/// # Safety
+///
+/// `out.len()` must be even and `cols.len() == q.len() * out.len()`.
+#[target_feature(enable = "neon")]
+pub(super) unsafe fn exact_sq_columns_neon(q: &[f64], cols: &[f64], out: &mut [f64]) {
+    let m = out.len();
+    let base = cols.as_ptr();
+    for j in (0..m).step_by(2) {
+        let mut acc = vdupq_n_f64(0.0);
+        for (c, &qc) in q.iter().enumerate() {
+            let delta = vsubq_f64(vdupq_n_f64(qc), vld1q_f64(base.add(c * m + j)));
+            acc = vaddq_f64(acc, vmulq_f64(delta, delta));
+        }
+        vst1q_f64(out.as_mut_ptr().add(j), acc);
+    }
+}

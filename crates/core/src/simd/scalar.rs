@@ -109,3 +109,17 @@ pub(super) fn surrogate_gather(
 ) {
     mono_d!(d, gather_impl, (q, qn, coords, norms, d, cands, out));
 }
+
+/// Exact column-tile distances one lane at a time: the
+/// [`crate::distance::squared_euclidean`] loop over a column-major tile.
+pub(super) fn exact_sq_columns(q: &[f64], cols: &[f64], out: &mut [f64]) {
+    let m = out.len();
+    for (j, slot) in out.iter_mut().enumerate() {
+        let mut acc = 0.0;
+        for (c, &qc) in q.iter().enumerate() {
+            let delta = qc - cols[c * m + j];
+            acc += delta * delta;
+        }
+        *slot = acc;
+    }
+}

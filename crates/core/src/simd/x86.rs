@@ -463,3 +463,44 @@ pub(super) unsafe fn next_hit_block_sse2(buf: &[f64], from: usize, accept: f64) 
     }
     i
 }
+
+/// Exact column-tile distances, 4 lanes per vector; see
+/// [`super::exact_sq_columns`]. Separate `sub`, `mul` and `add` keep each
+/// lane's rounding identical to the scalar reference.
+///
+/// # Safety
+///
+/// AVX2 must be present, `out.len()` a multiple of 4 and `cols.len() ==
+/// q.len() * out.len()`.
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn exact_sq_columns_avx2(q: &[f64], cols: &[f64], out: &mut [f64]) {
+    let m = out.len();
+    let base = cols.as_ptr();
+    for j in (0..m).step_by(4) {
+        let mut acc = _mm256_setzero_pd();
+        for (c, &qc) in q.iter().enumerate() {
+            let delta = _mm256_sub_pd(_mm256_set1_pd(qc), _mm256_loadu_pd(base.add(c * m + j)));
+            acc = _mm256_add_pd(acc, _mm256_mul_pd(delta, delta));
+        }
+        _mm256_storeu_pd(out.as_mut_ptr().add(j), acc);
+    }
+}
+
+/// SSE2 variant of [`exact_sq_columns_avx2`]: 2 lanes per vector.
+///
+/// # Safety
+///
+/// `out.len()` must be even and `cols.len() == q.len() * out.len()`.
+#[target_feature(enable = "sse2")]
+pub(super) unsafe fn exact_sq_columns_sse2(q: &[f64], cols: &[f64], out: &mut [f64]) {
+    let m = out.len();
+    let base = cols.as_ptr();
+    for j in (0..m).step_by(2) {
+        let mut acc = _mm_setzero_pd();
+        for (c, &qc) in q.iter().enumerate() {
+            let delta = _mm_sub_pd(_mm_set1_pd(qc), _mm_loadu_pd(base.add(c * m + j)));
+            acc = _mm_add_pd(acc, _mm_mul_pd(delta, delta));
+        }
+        _mm_storeu_pd(out.as_mut_ptr().add(j), acc);
+    }
+}

@@ -39,10 +39,16 @@ pub(crate) fn widen_sq(r_sq: f64) -> f64 {
 /// `process_group` exactly once — that is where the tree traverses once
 /// per group instead of once per query. For every `(leaf, id)` pair of
 /// its group, **in the given order**, `process_group` must append the
-/// id's canonically sorted neighborhood to the staging buffer (3rd
-/// argument) and push the neighborhood's length (4th argument). The
-/// driver re-emits the staged neighborhoods in ascending id order, which
-/// is the `batch_k_nearest` contract.
+/// id's canonically sorted neighborhood to the group buffer (3rd
+/// argument) and push the neighborhood's length (4th argument).
+///
+/// The driver writes each neighborhood straight into `out` in ascending
+/// id order, the `batch_k_nearest` contract, without staging the whole
+/// batch: `k < n` guarantees every neighborhood at least `k` entries, so
+/// id `i` owns a fixed `k`-entry slot of `out`, and only the tie overflow
+/// beyond the `k`-th entry is staged. One backward pass then splices the
+/// overflow in (see [`splice_tie_overflow`]). A batch holds each
+/// neighborhood once in `out`, never a second full copy in staging.
 ///
 /// All staging lives in the caller's [`lof_core::KnnScratch`], so a
 /// warmed-up scratch makes the whole batch allocation-free.
@@ -77,15 +83,19 @@ where
     // Take the staging buffers out of the scratch so `process_group` can
     // borrow the rest of it (heaps, tile buffers) without conflicts.
     let mut order = std::mem::take(&mut scratch.join_order);
-    let mut staged = std::mem::take(&mut scratch.join_staged);
-    let mut glens = std::mem::take(&mut scratch.join_lens);
+    let mut group_out = std::mem::take(&mut scratch.join_staged);
+    let mut group_lens = std::mem::take(&mut scratch.join_lens);
     let mut spans = std::mem::take(&mut scratch.join_spans);
+    let mut ties = std::mem::take(&mut scratch.join_ties);
     order.clear();
-    staged.clear();
-    glens.clear();
-    order.extend(ids.clone().map(|id| (leaf_of[id], id)));
+    order.extend(ids.map(|id| (leaf_of[id], id)));
     order.sort_unstable();
+    spans.clear();
+    spans.resize(count, (0, 0));
+    ties.clear();
 
+    let slots = out.len();
+    out.resize(slots + count * k, lof_core::Neighbor::new(0, 0.0));
     let mut g = 0;
     while g < order.len() {
         let leaf = order[g].0;
@@ -93,32 +103,62 @@ where
         while h < order.len() && order[h].0 == leaf {
             h += 1;
         }
-        process_group(&order[g..h], scratch, &mut staged, &mut glens);
+        group_out.clear();
+        group_lens.clear();
+        process_group(&order[g..h], scratch, &mut group_out, &mut group_lens);
+        debug_assert_eq!(group_lens.len(), h - g, "one neighborhood length per query");
+        let mut cursor = 0;
+        for (&(_, qid), &len) in order[g..h].iter().zip(group_lens.iter()) {
+            debug_assert!(len >= k, "k < n leaves every neighborhood at least k entries");
+            let list = &group_out[cursor..cursor + len];
+            let slot = slots + (qid - base) * k;
+            out[slot..slot + k].copy_from_slice(&list[..k]);
+            spans[qid - base] = (ties.len(), len);
+            ties.extend_from_slice(&list[k..]);
+            cursor += len;
+        }
+        debug_assert_eq!(cursor, group_out.len(), "lengths must cover the group buffer");
         g = h;
     }
-    debug_assert_eq!(glens.len(), count, "one neighborhood length per query");
-
-    // Map the traversal-order spans back to ascending id order.
-    spans.clear();
-    spans.resize(count, (0, 0));
-    let mut cursor = 0;
-    for (i, &(_, qid)) in order.iter().enumerate() {
-        spans[qid - base] = (cursor, glens[i]);
-        cursor += glens[i];
-    }
-    debug_assert_eq!(cursor, staged.len(), "lengths must cover the staging buffer");
-    out.reserve(staged.len());
-    for id in ids {
-        let (start, len) = spans[id - base];
-        out.extend_from_slice(&staged[start..start + len]);
-        lens.push(len);
-    }
+    lens.extend(spans.iter().map(|&(_, len)| len));
+    splice_tie_overflow(out, slots, k, &spans, &ties);
 
     scratch.join_order = order;
-    scratch.join_staged = staged;
-    scratch.join_lens = glens;
+    scratch.join_staged = group_out;
+    scratch.join_lens = group_lens;
     scratch.join_spans = spans;
+    scratch.join_ties = ties;
     Ok(())
+}
+
+/// Moves fixed-stride neighborhood slots into their packed positions.
+///
+/// `out[slots..]` holds one `k`-entry slot per query, in id order;
+/// `spans[j] = (start, len)` locates query `j`'s `len - k` overflow
+/// entries in `ties`. Query `j` moves up by the overflow of every query
+/// before it, so walking from the last query down never overwrites a slot
+/// still to be read, and the walk stops as soon as no query at or below
+/// the current one overflowed (at once on tie-free data).
+fn splice_tie_overflow(
+    out: &mut Vec<lof_core::Neighbor>,
+    slots: usize,
+    k: usize,
+    spans: &[(usize, usize)],
+    ties: &[lof_core::Neighbor],
+) {
+    let mut end = out.len() + ties.len();
+    out.resize(end, lof_core::Neighbor::new(0, 0.0));
+    for (j, &(start, len)) in spans.iter().enumerate().rev() {
+        let slot = slots + j * k;
+        if end == slot + k {
+            break;
+        }
+        let extra = len - k;
+        end -= extra;
+        out[end..end + extra].copy_from_slice(&ties[start..start + extra]);
+        end -= k;
+        out.copy_within(slot..slot + k, end);
+    }
 }
 
 /// How many times larger than the typical (90th-percentile) leaf hull a

@@ -14,7 +14,7 @@
 
 use crate::common::{impl_knn_provider, widen_sq};
 use lof_core::distance::BlockedForm;
-use lof_core::{BlockKernel, BoundedMaxHeap, Dataset, KnnScratch, Metric, Neighbor};
+use lof_core::{simd, BlockKernel, BoundedMaxHeap, Dataset, KnnScratch, Metric, Neighbor};
 
 const LEAF_SIZE: usize = 16;
 
@@ -237,10 +237,11 @@ impl<'a, M: Metric> KdTree<'a, M> {
 
     /// Leaf-blocked batch self-join (see [`crate::common::leaf_grouped_batch`]):
     /// queries are grouped by containing leaf, each group traverses the
-    /// tree once with shared node pruning, and candidate leaves are
-    /// evaluated through the norm-form surrogate kernel where the metric
-    /// has a squared-Euclidean form. Produces bit-identical neighborhoods
-    /// to the per-id `k_nearest_into` loop.
+    /// tree once with shared node pruning, and where the metric has a
+    /// squared-Euclidean form candidate leaves are evaluated as
+    /// lane-parallel tiles of exact distances (the norm-form surrogate
+    /// kernel filters only the tie-shell pass). Produces bit-identical
+    /// neighborhoods to the per-id `k_nearest_into` loop.
     fn batch_self_join(
         &self,
         ids: std::ops::Range<usize>,
@@ -280,7 +281,9 @@ impl<'a, M: Metric> KdTree<'a, M> {
         if scratch.block_pairs.len() < gn {
             scratch.block_pairs.resize_with(gn, Vec::new);
         }
-        let KnnScratch { heaps, tile_sq, block_pairs, join_radii, join_lost, stats, .. } = scratch;
+        let KnnScratch {
+            heaps, tile_sq, leaf_cols, block_pairs, join_radii, join_lost, stats, ..
+        } = scratch;
         stats.bump_join_groups(1);
         let heaps = &mut heaps[..gn];
         for h in heaps.iter_mut() {
@@ -296,7 +299,8 @@ impl<'a, M: Metric> KdTree<'a, M> {
 
         if let Some(kernel) = &self.kernel {
             let sqrt_form = self.metric.blocked_form() == BlockedForm::Euclidean;
-            self.group_knn_sq(self.root, leaf, group, heaps, join_lost);
+            let mut tile = LeafTile { isa: kernel.isa(), cols: leaf_cols, dists: tile_sq };
+            self.group_knn_sq(self.root, leaf, group, heaps, join_lost, &mut tile);
             for (gi, heap) in heaps.iter().enumerate() {
                 let kth_sq = heap.kth_dist().expect("validated: at least k candidates exist");
                 let radius = if sqrt_form { kth_sq.sqrt() } else { kth_sq };
@@ -352,19 +356,24 @@ impl<'a, M: Metric> KdTree<'a, M> {
     /// pruned once per group against the loosest per-query bound using the
     /// rect-to-rect lower bound (valid for every query inside the group's
     /// leaf rect); per-query `min_dist_to_rect_sq` tests run only at the
-    /// leaves. Candidates are offered at the exact scalar
-    /// `squared_euclidean` — the same values the single-query descent
-    /// offers, so the resulting k-distances are bit-identical. (No
-    /// surrogate filter here: while heap bounds are loose nearly every
-    /// candidate would survive the widened cutoff and be evaluated twice;
-    /// the filter earns its keep only in the thin-window shell pass.)
+    /// leaves.
+    ///
+    /// Each candidate leaf is evaluated as a lane-parallel tile: its rows
+    /// are gathered column-major once per group ([`LeafTile`]), and every
+    /// query that survives the leaf's rect test gets all its exact squared
+    /// distances from one [`simd::exact_sq_columns`] call — the same bits
+    /// as the scalar `squared_euclidean` the single-query descent offers,
+    /// so the resulting k-distances are bit-identical.
     ///
     /// Both prunes are widened by [`widen_sq`] so that every point whose
     /// emitted distance could tie a final k-distance is *offered* (extra
     /// offers of worse candidates cannot change the k smallest, so heap
-    /// contents stay bit-identical). Together with the per-heap lost-
-    /// candidate minimum this makes "no lost distance ties a radius" a
-    /// proof that the shell pass is unnecessary.
+    /// contents stay bit-identical). The same widened cutoff filters the
+    /// tile: a candidate beyond `widen_sq(bound)` would be rejected by the
+    /// heap, and its distance lies far enough past the final k-distance
+    /// that it cannot tie it. Together with the per-heap lost-candidate
+    /// minimum this makes "no lost distance ties a radius" a proof that
+    /// the shell pass is unnecessary.
     fn group_knn_sq(
         &self,
         node_id: usize,
@@ -372,6 +381,7 @@ impl<'a, M: Metric> KdTree<'a, M> {
         group: &[(usize, usize)],
         heaps: &mut [BoundedMaxHeap],
         lost: &mut [f64],
+        tile: &mut LeafTile<'_>,
     ) {
         let node = &self.nodes[node_id];
         let group_bound = heaps.iter().fold(0.0f64, |m, h| m.max(h.bound()));
@@ -380,19 +390,22 @@ impl<'a, M: Metric> KdTree<'a, M> {
         }
         match node.children {
             None => {
+                let members = &self.ids[node.start..node.end];
+                let mut gathered = false;
                 for (gi, &(_, qid)) in group.iter().enumerate() {
                     let q = self.data.point(qid);
-                    let bound = heaps[gi].bound();
-                    if self.metric.min_dist_to_rect_sq(q, &node.lo, &node.hi) > widen_sq(bound) {
+                    let mut cutoff = widen_sq(heaps[gi].bound());
+                    if self.metric.min_dist_to_rect_sq(q, &node.lo, &node.hi) > cutoff {
                         continue;
                     }
-                    for &id in &self.ids[node.start..node.end] {
-                        if id != qid {
-                            heaps[gi].offer_tracking(
-                                id,
-                                lof_core::distance::squared_euclidean(q, self.data.point(id)),
-                                &mut lost[gi],
-                            );
+                    if !gathered {
+                        tile.gather(self.data, members);
+                        gathered = true;
+                    }
+                    for (&id, &sq) in members.iter().zip(tile.distances(q)) {
+                        if sq <= cutoff && id != qid {
+                            heaps[gi].offer_tracking(id, sq, &mut lost[gi]);
+                            cutoff = widen_sq(heaps[gi].bound());
                         }
                     }
                 }
@@ -411,8 +424,8 @@ impl<'a, M: Metric> KdTree<'a, M> {
                     &self.nodes[right].hi,
                 );
                 let (first, second) = if dl <= dr { (left, right) } else { (right, left) };
-                self.group_knn_sq(first, leaf, group, heaps, lost);
-                self.group_knn_sq(second, leaf, group, heaps, lost);
+                self.group_knn_sq(first, leaf, group, heaps, lost, tile);
+                self.group_knn_sq(second, leaf, group, heaps, lost, tile);
             }
         }
     }
@@ -571,6 +584,42 @@ impl<'a, M: Metric> KdTree<'a, M> {
                 self.group_range_generic(right, group, radii, pairs);
             }
         }
+    }
+}
+
+/// One candidate leaf of the kd join, gathered column-major so a query's
+/// exact distances to all its points come from one lane-parallel
+/// [`simd::exact_sq_columns`] call. Both buffers are borrowed from the
+/// [`KnnScratch`]: the tree itself keeps no second copy of the
+/// coordinates, so a memory-mapped dataset stays out of RAM.
+struct LeafTile<'s> {
+    isa: simd::Isa,
+    /// `dims × stride` coordinates; lanes past the leaf's points are zero
+    /// padding up to the [`simd::COLUMN_ALIGN`]-aligned stride.
+    cols: &'s mut Vec<f64>,
+    /// One query's distances to every lane.
+    dists: &'s mut Vec<f64>,
+}
+
+impl LeafTile<'_> {
+    fn gather(&mut self, data: &Dataset, members: &[usize]) {
+        let stride = members.len().next_multiple_of(simd::COLUMN_ALIGN);
+        self.cols.clear();
+        self.cols.resize(data.dims() * stride, 0.0);
+        for (j, &id) in members.iter().enumerate() {
+            for (c, &v) in data.point(id).iter().enumerate() {
+                self.cols[c * stride + j] = v;
+            }
+        }
+        self.dists.clear();
+        self.dists.resize(stride, 0.0);
+    }
+
+    /// Exact squared distances from `q` to the gathered lanes, in member
+    /// order (followed by the padding lanes).
+    fn distances(&mut self, q: &[f64]) -> &[f64] {
+        simd::exact_sq_columns(self.isa, q, self.cols, self.dists);
+        self.dists
     }
 }
 

@@ -165,8 +165,13 @@ proptest! {
         let serial = NeighborhoodTable::build(&scan, k).unwrap();
         let parallel = build_table_parallel(&scan, k, threads).unwrap();
 
+        // A per-call sequence number keeps concurrent runs of this test in
+        // one process (the test harness may run it on several threads)
+        // from sharing files.
+        static CALL: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let call = CALL.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let dir = std::env::temp_dir();
-        let unique = format!("{}_{}_{}", std::process::id(), data.len(), threads);
+        let unique = format!("{}_{call}_{}_{}", std::process::id(), data.len(), threads);
         let serial_path = dir.join(format!("lof_bc_serial_{unique}.lofm"));
         let parallel_path = dir.join(format!("lof_bc_parallel_{unique}.lofm"));
         serial.save(&serial_path).unwrap();
@@ -328,4 +333,122 @@ fn generic_metric_batches_are_bit_identical() {
     check_subrange("kdtree/manhattan-sub", &kd, 17..83, 6);
     check_subrange("balltree/manhattan-sub", &ball, 17..83, 6);
     check_subrange("kdtree/manhattan-empty", &kd, 5..5, 6);
+}
+
+/// Thread counts of the parallel-materialization identity cases: serial,
+/// even and odd splits, and more workers than most leaves have points.
+const PARALLEL_THREADS: [usize; 4] = [1, 2, 3, 7];
+
+/// Fisher–Yates shuffle of `rows` from a fixed LCG seed, so ids carry no
+/// spatial order and every worker chunk cuts across every leaf.
+fn shuffled<T>(mut rows: Vec<T>, seed: u64) -> Vec<T> {
+    let mut state = seed;
+    for i in (1..rows.len()).rev() {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        rows.swap(i, (state >> 33) as usize % (i + 1));
+    }
+    rows
+}
+
+/// Asserts two tables hold the same neighborhoods: same ids, same
+/// distance bits.
+fn assert_tables_identical(label: &str, got: &NeighborhoodTable, want: &NeighborhoodTable) {
+    assert_eq!(got.len(), want.len(), "{label}: table sizes diverge");
+    for id in 0..want.len() {
+        assert_bit_identical(
+            &format!("{label} (id={id})"),
+            got.full_neighborhood(id).unwrap(),
+            want.full_neighborhood(id).unwrap(),
+        );
+    }
+}
+
+/// kd and ball `build_table_parallel` at every [`PARALLEL_THREADS`] count
+/// must equal the serial build over the same tree and the brute-force
+/// scan's table, bit for bit.
+fn assert_parallel_tree_tables(name: &str, data: &Dataset, k: usize) {
+    let want = NeighborhoodTable::build(&LinearScan::new(data, Euclidean), k).unwrap();
+    let kd = KdTree::new(data, Euclidean);
+    let ball = BallTree::new(data, Euclidean);
+    for (tree, provider) in [("kd", &kd as &(dyn KnnProvider + Sync)), ("ball", &ball)] {
+        let serial = NeighborhoodTable::build(provider, k).unwrap();
+        assert_tables_identical(&format!("{name}/{tree} serial vs scan, k={k}"), &serial, &want);
+        for threads in PARALLEL_THREADS {
+            let par = build_table_parallel(provider, k, threads).unwrap();
+            let label = format!("{name}/{tree} threads={threads} vs scan, k={k}");
+            assert_tables_identical(&label, &par, &want);
+        }
+    }
+}
+
+#[test]
+fn parallel_tree_tables_match_on_shuffled_ids() {
+    let mut state = 0xD1B54A32D192ED03u64;
+    let mut next = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let rows: Vec<[f64; 3]> = (0..600)
+        .map(|i| {
+            let center = [0.0, 20.0, 45.0][i % 3];
+            let spread = [1.0, 0.3, 4.0][i % 3];
+            [center + spread * next(), center + spread * next(), spread * next()]
+        })
+        .collect();
+    let data = Dataset::from_rows(&shuffled(rows, 7)).unwrap();
+    for k in [1, 5, 20] {
+        assert_parallel_tree_tables("shuffled", &data, k);
+    }
+}
+
+#[test]
+fn parallel_tree_tables_match_on_lattice_ties() {
+    // A shuffled 8x8x8 unit lattice: interior points have 6 axis
+    // neighbors tied at distance 1 and 12 diagonal ones at sqrt(2), so
+    // k = 4 and k = 7 cut through tie groups and the heaps drop tied
+    // candidates.
+    let rows: Vec<[f64; 3]> =
+        (0..512).map(|i| [(i % 8) as f64, ((i / 8) % 8) as f64, (i / 64) as f64]).collect();
+    let data = Dataset::from_rows(&shuffled(rows, 11)).unwrap();
+    for k in [4, 7] {
+        assert_parallel_tree_tables("lattice", &data, k);
+    }
+    #[cfg(feature = "obs")]
+    {
+        let mut scratch = KnnScratch::new();
+        let (mut out, mut lens) = (Vec::new(), Vec::new());
+        let kd = KdTree::new(&data, Euclidean);
+        kd.batch_k_nearest(0..data.len(), 4, &mut scratch, &mut out, &mut lens).unwrap();
+        assert!(scratch.stats.shell_passes > 0, "lattice ties must take the shell pass");
+    }
+}
+
+#[test]
+fn parallel_tree_tables_match_with_an_oversized_leaf() {
+    // 40 copies of one point exceed the kd leaf size (16) and cannot be
+    // split, so they form one oversized leaf; each copy's neighborhood
+    // holds all 39 others at distance 0, far past k.
+    let mut rows: Vec<[f64; 2]> = vec![[3.0, -1.0]; 40];
+    rows.extend((0..60).map(|i| [(i % 10) as f64 * 0.7, (i / 10) as f64 * 1.3 + 5.0]));
+    let data = Dataset::from_rows(&shuffled(rows, 13)).unwrap();
+    for k in [3, 16, 45] {
+        assert_parallel_tree_tables("oversized-leaf", &data, k);
+    }
+}
+
+#[test]
+fn parallel_tree_tables_report_the_serial_error_when_k_reaches_n() {
+    let rows: Vec<[f64; 2]> = (0..30).map(|i| [(i * 7 % 11) as f64, (i / 3) as f64]).collect();
+    let data = Dataset::from_rows(&rows).unwrap();
+    let kd = KdTree::new(&data, Euclidean);
+    let ball = BallTree::new(&data, Euclidean);
+    for k in [data.len(), data.len() + 5] {
+        for (tree, provider) in [("kd", &kd as &(dyn KnnProvider + Sync)), ("ball", &ball)] {
+            let want = NeighborhoodTable::build(provider, k).unwrap_err();
+            for threads in PARALLEL_THREADS {
+                let got = build_table_parallel(provider, k, threads).unwrap_err();
+                assert_eq!(got, want, "{tree}: k={k} threads={threads}");
+            }
+        }
+    }
 }

@@ -1,13 +1,14 @@
 //! Ground-truth tests for the batched join's observability counters
-//! (PR 4, obs builds only). The tie-shell recovery counter must fire
+//! (obs builds only). The tie-shell recovery counter must fire
 //! *exactly* on the duplicate-distance fixtures from
-//! `batch_consistency.rs` — nonzero there, zero on tie-free data — and
-//! heap offers on a single-leaf tree must equal the instrumented naive
-//! scan's n·(n−1) candidate evaluations.
+//! `batch_consistency.rs` — nonzero there, zero on tie-free data — heap
+//! offers on a single-leaf tree must stay within the naive scan's
+//! n·(n−1) candidate evaluations, and parallel materialization must keep
+//! the kd join's leaf groups whole.
 #![cfg(feature = "obs")]
 
 use lof_core::knn::KnnScratch;
-use lof_core::{Dataset, Euclidean, KernelStats, KnnProvider};
+use lof_core::{build_table_parallel, Dataset, Euclidean, KernelStats, KnnProvider};
 use lof_index::{BallTree, KdTree};
 
 /// Runs the leaf-grouped batch join over every id, returning the
@@ -29,21 +30,97 @@ fn spread_dataset(n: usize) -> Dataset {
 }
 
 #[test]
-fn single_leaf_offers_match_the_naive_scan() {
-    // n = 12 <= LEAF_SIZE: the whole tree is one leaf, so the group
-    // descent offers every other point to every query's heap — exactly
-    // the n*(n-1) distance evaluations of a naive scan, no more (the
-    // shell pass never offers; it collects by range).
-    let n = 12;
+fn single_leaf_offers_stay_within_the_naive_scan() {
+    // n = 12 <= LEAF_SIZE: the whole tree is one leaf. The ball tree
+    // offers every other point to every query's heap — exactly the
+    // n*(n-1) distance evaluations of a naive scan (the shell pass never
+    // offers; it collects by range). The kd-tree evaluates the same
+    // n*(n-1) distances as one lane-parallel tile per query but offers
+    // only candidates inside the widened heap bound: every heap still
+    // receives at least k offers, and strictly fewer than the scan's.
+    let (n, k) = (12, 3);
     let data = spread_dataset(n);
-    for (name, stats) in [
-        ("kdtree", join_stats(&KdTree::new(&data, Euclidean), n, 3)),
-        ("balltree", join_stats(&BallTree::new(&data, Euclidean), n, 3)),
-    ] {
-        assert_eq!(stats.heap_offers, (n * (n - 1)) as u64, "{name}: offers == naive scan");
+    let ball = join_stats(&BallTree::new(&data, Euclidean), n, k);
+    assert_eq!(ball.heap_offers, (n * (n - 1)) as u64, "balltree: offers == naive scan");
+    let kd = join_stats(&KdTree::new(&data, Euclidean), n, k);
+    assert!(
+        kd.heap_offers >= (n * k) as u64 && kd.heap_offers < (n * (n - 1)) as u64,
+        "kdtree: bound-filtered offers, got {}",
+        kd.heap_offers
+    );
+    for (name, stats) in [("kdtree", kd), ("balltree", ball)] {
         assert_eq!(stats.join_groups, 1, "{name}: one leaf, one group");
         assert_eq!(stats.shell_passes, 0, "{name}: tie-free data needs no shell recovery");
     }
+}
+
+/// Deterministic uniform and normal draws from a 64-bit LCG.
+struct Lcg(u64);
+
+impl Lcg {
+    /// Uniform in `(0, 1)`.
+    fn unit(&mut self) -> f64 {
+        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        ((self.0 >> 11) as f64 + 0.5) / (1u64 << 53) as f64
+    }
+
+    /// Standard normal (Box–Muller).
+    fn normal(&mut self) -> f64 {
+        (-2.0 * self.unit().ln()).sqrt() * (std::f64::consts::TAU * self.unit()).cos()
+    }
+}
+
+/// The geometry of the `batch` benchmark workload: 2,000 points at d=8,
+/// four Gaussian clusters at `25·e_i` with standard deviations 1, 0.5, 2
+/// and 0.25 plus 1% uniform outliers, with the ids shuffled so they carry
+/// no spatial order.
+fn shuffled_density_mixture() -> Dataset {
+    const N: usize = 2_000;
+    const DIMS: usize = 8;
+    let mut rng = Lcg(0x5DEECE66D);
+    let mut rows: Vec<[f64; DIMS]> = Vec::with_capacity(N);
+    let inliers = N - N / 100;
+    for (i, (share, std)) in [(0.4, 1.0), (0.3, 0.5), (0.2, 2.0), (0.1, 0.25)].iter().enumerate() {
+        let size = if i == 3 { inliers - rows.len() } else { (inliers as f64 * share) as usize };
+        for _ in 0..size {
+            rows.push(std::array::from_fn(
+                |j| if j == i { 25.0 } else { 0.0 } + std * rng.normal(),
+            ));
+        }
+    }
+    while rows.len() < N {
+        rows.push(std::array::from_fn(|_| -15.0 + 55.0 * rng.unit()));
+    }
+    for i in (1..N).rev() {
+        let j = (rng.unit() * (i + 1) as f64) as usize;
+        rows.swap(i, j);
+    }
+    Dataset::from_rows(&rows).unwrap()
+}
+
+#[test]
+fn parallel_materialization_keeps_leaf_groups_whole() {
+    // Regression: each worker must hand its whole id chunk to the kd join
+    // in one call. Split into small id batches, shuffled ids leave about
+    // one query per leaf group (~1 group per object, each paying a full
+    // traversal); whole chunks let every leaf form at most one group per
+    // worker. The global counter is read before and after: no other test
+    // in this binary publishes to it.
+    let data = shuffled_density_mixture();
+    let tree = KdTree::new(&data, Euclidean);
+    // Every internal node has two children, so a binary tree with `m`
+    // nodes has `(m + 1) / 2` leaves.
+    let leaves = (tree.node_count() as u64).div_ceil(2);
+    let groups = lof_obs::global().counter("core.join.groups");
+    let before = groups.value();
+    let table = build_table_parallel(&tree, 30, 2).unwrap();
+    let formed = groups.value() - before;
+    assert_eq!(table.len(), data.len());
+    assert!(
+        formed <= 2 * leaves,
+        "2 workers over {leaves} leaves formed {formed} groups (at most {} allowed)",
+        2 * leaves
+    );
 }
 
 #[test]

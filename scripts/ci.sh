@@ -25,6 +25,17 @@ echo "== simd dispatch: full suite under forced-scalar =="
 # the dispatch override end to end.
 LOF_FORCE_SCALAR=1 cargo test --workspace -q
 
+echo "== parallel tree joins: identity under every dispatch target =="
+# The kd join evaluates each candidate leaf as a lane-parallel tile of
+# exact distances: 4 lanes on AVX2, 2 on SSE2/NEON, 1 on the scalar
+# path. The lane width follows the target; the bits must not. kd and
+# ball build_table_parallel must equal the serial scan table under each.
+for target in "" "LOF_FORCE_SCALAR=1" "LOF_SIMD=sse2"; do
+  echo "-- dispatch: ${target:-native}"
+  env $target cargo test -q -p lof-index --test batch_consistency parallel_tree_tables
+  env $target cargo test -q --test parallel_materialize
+done
+
 echo "== streaming subsystem: build + tests + serve integration =="
 cargo build -p lof-stream
 cargo test -p lof-stream -q
