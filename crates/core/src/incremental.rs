@@ -59,8 +59,9 @@ use crate::neighbors::{
     cmp_neighbors, select_k_tie_inclusive_in_place, tie_inclusive_len, Neighbor,
 };
 use crate::obs::{publish_event, CoreEvent};
+use crate::parallel::map_strided;
 use crate::point::Dataset;
-use crate::shard::{map_shards, ShardLayout};
+use crate::shard::ShardLayout;
 use crate::simd::{self, Isa};
 
 /// Spare neighbors maintained beyond the tie-inclusive `MinPts` prefix of
@@ -824,7 +825,7 @@ impl<M: Metric> IncrementalLof<M> {
                 // pruned serial gather; the tie-inclusive selection below
                 // reduces both to the identical list.
                 let this = &*self;
-                let rows = map_shards(layout.shards(), layout.threads(), |s| {
+                let rows = map_strided(layout.shards(), layout.threads(), |s| {
                     let mut row: Vec<(u32, f64)> = Vec::with_capacity(layout.members(s).len());
                     for &m in layout.members(s) {
                         if m as usize == q {
@@ -1489,20 +1490,8 @@ impl<M: Metric> IncrementalLof<M> {
         threads: usize,
         f: impl Fn(&Self, usize) -> f64 + Sync,
     ) -> Vec<f64> {
-        if threads > 1 && ids.len() >= 32 {
-            let parts = map_shards(threads, threads, |c| {
-                ids.iter().skip(c).step_by(threads).map(|&o| f(self, o)).collect::<Vec<f64>>()
-            });
-            let mut out = vec![0.0; ids.len()];
-            for (c, part) in parts.into_iter().enumerate() {
-                for (t, v) in part.into_iter().enumerate() {
-                    out[c + t * threads] = v;
-                }
-            }
-            out
-        } else {
-            ids.iter().map(|&o| f(self, o)).collect()
-        }
+        let threads = if ids.len() >= 32 { threads } else { 1 };
+        map_strided(ids.len(), threads, |i| f(self, ids[i]))
     }
 
     /// Extended-neighborhood search for one resident object (construction,

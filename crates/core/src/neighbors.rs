@@ -156,44 +156,6 @@ pub trait KnnProvider {
         Ok(())
     }
 
-    /// [`KnnProvider::batch_k_nearest`] for an arbitrary **strictly
-    /// ascending** id list: appends each listed id's neighborhood to `out`
-    /// (in list order) and pushes its length onto `lens`. The top-n
-    /// pruning engine materializes surviving partitions through this — a
-    /// partition's members are sorted but not contiguous.
-    ///
-    /// Every provider in this workspace uses this default, the per-id
-    /// loop. Tree indexes do not route it through their leaf-grouped
-    /// join: on the top-n engine's refine lists that override measured
-    /// both slower and with a higher peak memory.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`KnnProvider::k_nearest`], plus
-    /// [`crate::LofError::InvalidPartition`] when `ids` is not strictly
-    /// ascending. On error, partially appended output must be considered
-    /// garbage.
-    fn batch_k_nearest_ids(
-        &self,
-        ids: &[usize],
-        k: usize,
-        scratch: &mut crate::knn::KnnScratch,
-        out: &mut Vec<Neighbor>,
-        lens: &mut Vec<usize>,
-    ) -> Result<()> {
-        if let Some(w) = ids.windows(2).find(|w| w[0] >= w[1]) {
-            return Err(crate::LofError::InvalidPartition(format!(
-                "batch id list must be strictly ascending, got {} before {}",
-                w[0], w[1]
-            )));
-        }
-        for &id in ids {
-            let added = self.k_nearest_into(id, k, scratch, out)?;
-            lens.push(added);
-        }
-        Ok(())
-    }
-
     /// Every object `q != id` with `d(id, q) <= radius`, sorted by
     /// [`cmp_neighbors`].
     ///

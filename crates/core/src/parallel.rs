@@ -29,6 +29,33 @@ fn effective_threads(threads: usize, work_items: usize) -> usize {
     threads.max(1).min(work_items.max(1))
 }
 
+/// Maps `f` over `0..items`, returning the results in index order. With
+/// `threads > 1` the indices are strided across scoped worker threads —
+/// each result is computed independently, so any schedule yields the same
+/// vector; with one thread the loop runs inline.
+pub(crate) fn map_strided<R, F>(items: usize, threads: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let workers = effective_threads(threads, items);
+    if workers <= 1 {
+        return (0..items).map(f).collect();
+    }
+    let f = &f;
+    let parts: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| scope.spawn(move || (w..items).step_by(workers).map(|i| (i, f(i))).collect()))
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("strided map worker panicked")).collect()
+    });
+    let mut out: Vec<Option<R>> = (0..items).map(|_| None).collect();
+    for (i, r) in parts.into_iter().flatten() {
+        out[i] = Some(r);
+    }
+    out.into_iter().map(|r| r.expect("every index computed")).collect()
+}
+
 /// Builds the materialization table with `threads` worker threads, splitting
 /// the objects into contiguous chunks (step 1 in parallel).
 ///
@@ -175,6 +202,15 @@ mod tests {
             lof_range_parallel(&table, MinPtsRange::new(3, 9).unwrap(), 4),
             Err(LofError::TableTooShallow { .. })
         ));
+    }
+
+    #[test]
+    fn map_strided_matches_inline_for_any_thread_count() {
+        let inline = map_strided(7, 1, |i| i * i);
+        for threads in [2, 3, 8] {
+            assert_eq!(map_strided(7, threads, |i| i * i), inline);
+        }
+        assert!(map_strided(0, 4, |i| i).is_empty());
     }
 
     #[test]

@@ -271,45 +271,6 @@ fn kd_split(data: &Dataset, ids: &mut [u32], shards: usize, first: u32, assign: 
     kd_split(data, rhs, shards - left_shards, first + left_shards as u32, assign);
 }
 
-/// Maps `f` over shard indices, returning results in shard order. With
-/// `threads > 1` the shards are strided across scoped worker threads —
-/// each shard's result is computed independently, so any schedule yields
-/// the same vector; with one thread the loop runs inline.
-pub(crate) fn map_shards<R, F>(shards: usize, threads: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let workers = threads.clamp(1, shards.max(1));
-    if workers <= 1 {
-        return (0..shards).map(f).collect();
-    }
-    let f = &f;
-    let parts: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    let mut part = Vec::new();
-                    let mut s = w;
-                    while s < shards {
-                        part.push((s, f(s)));
-                        s += workers;
-                    }
-                    part
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("shard worker panicked")).collect()
-    });
-    let mut out: Vec<Option<R>> = (0..shards).map(|_| None).collect();
-    for part in parts {
-        for (s, r) in part {
-            out[s] = Some(r);
-        }
-    }
-    out.into_iter().map(|r| r.expect("every shard computed")).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,14 +344,6 @@ mod tests {
         let home = layout.assign_new(&Euclidean, &q);
         assert_eq!(layout.shard_of(16), home);
         assert_eq!(layout.min_dist(&Euclidean, &q, home), 0.0, "box grew to cover the point");
-    }
-
-    #[test]
-    fn map_shards_matches_inline_for_any_thread_count() {
-        let inline = map_shards(7, 1, |s| s * s);
-        for threads in [2, 3, 8] {
-            assert_eq!(map_shards(7, threads, |s| s * s), inline);
-        }
     }
 
     #[test]

@@ -38,6 +38,7 @@ use crate::bounds::{
 };
 use crate::distance::Metric;
 use crate::error::{LofError, Result};
+use crate::parallel::map_strided;
 
 /// Everything the engine derives about one partition from geometry alone.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -341,12 +342,10 @@ fn reachable_envelope<M: Metric + ?Sized>(
     src_idx: usize,
     radius: f64,
     with_distance: bool,
-    stack: &mut Vec<usize>,
 ) -> (f64, f64) {
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;
-    stack.clear();
-    stack.push(tree.root);
+    let mut stack = vec![tree.root];
     while let Some(ni) = stack.pop() {
         let node = &tree.nodes[ni];
         let mut closest = metric.min_dist_between_rects(&src.lo, &src.hi, &node.lo, &node.hi);
@@ -394,6 +393,20 @@ pub fn partition_envelopes<M: Metric + ?Sized>(
     metric: &M,
     partitions: &[Partition],
     min_pts: usize,
+) -> Result<Vec<PartitionEnvelope>> {
+    envelopes_threaded(metric, partitions, min_pts, 1)
+}
+
+/// [`partition_envelopes`] with each of the three per-partition passes
+/// strided across `threads` workers. Every envelope is a pure function of
+/// the box tree and the previous pass's aggregates, so the output is
+/// bit-identical at any thread count; the only barriers are the
+/// aggregate loads between passes.
+pub(super) fn envelopes_threaded<M: Metric + ?Sized>(
+    metric: &M,
+    partitions: &[Partition],
+    min_pts: usize,
+    threads: usize,
 ) -> Result<Vec<PartitionEnvelope>> {
     if partitions.is_empty() {
         return Err(LofError::InvalidPartition("no partitions".to_owned()));
@@ -453,35 +466,34 @@ pub fn partition_envelopes<M: Metric + ?Sized>(
     }
 
     let n_parts = partitions.len();
-    let mut kd_lb = vec![0.0; n_parts];
-    let mut kd_ub = vec![0.0; n_parts];
-    for (i, p) in partitions.iter().enumerate() {
-        kd_lb[i] = kd_bound(metric, &tree, p, i, min_pts, false);
-        kd_ub[i] = kd_bound(metric, &tree, p, i, min_pts, true);
-    }
+    let (kd_lb, kd_ub): (Vec<f64>, Vec<f64>) = map_strided(n_parts, threads, |i| {
+        let p = &partitions[i];
+        (
+            kd_bound(metric, &tree, p, i, min_pts, false),
+            kd_bound(metric, &tree, p, i, min_pts, true),
+        )
+    })
+    .into_iter()
+    .unzip();
 
     tree.set_aggregates(&kd_lb, &kd_ub);
-    let mut dir_min = vec![0.0; n_parts];
-    let mut dir_max = vec![0.0; n_parts];
-    let mut stack = Vec::new();
-    for (i, p) in partitions.iter().enumerate() {
-        let (lo, hi) = reachable_envelope(metric, &tree, p, i, kd_ub[i], true, &mut stack);
-        dir_min[i] = lo;
-        dir_max[i] = hi;
-    }
+    let (dir_min, dir_max): (Vec<f64>, Vec<f64>) = map_strided(n_parts, threads, |i| {
+        reachable_envelope(metric, &tree, &partitions[i], i, kd_ub[i], true)
+    })
+    .into_iter()
+    .unzip();
 
     tree.set_aggregates(&dir_min, &dir_max);
-    let mut out = Vec::with_capacity(n_parts);
-    for (i, p) in partitions.iter().enumerate() {
+    let out = map_strided(n_parts, threads, |i| {
         let (ind_min, ind_max) =
-            reachable_envelope(metric, &tree, p, i, kd_ub[i], false, &mut stack);
+            reachable_envelope(metric, &tree, &partitions[i], i, kd_ub[i], false);
         let t1 = theorem1_bounds(&NeighborhoodStats {
             direct_min: dir_min[i],
             direct_max: dir_max[i],
             indirect_min: ind_min,
             indirect_max: ind_max,
         });
-        out.push(PartitionEnvelope {
+        PartitionEnvelope {
             k_distance_lower: kd_lb[i],
             k_distance_upper: kd_ub[i],
             direct_min: dir_min[i],
@@ -492,8 +504,8 @@ pub fn partition_envelopes<M: Metric + ?Sized>(
                 lower: clamp_envelope_lower(t1.lower),
                 upper: clamp_envelope_upper(t1.upper),
             },
-        });
-    }
+        }
+    });
     Ok(out)
 }
 
@@ -657,6 +669,81 @@ mod tests {
         let mut descending = bare(vec![2.0], vec![3.0], vec![1, 2]);
         descending.max_rank_dists = vec![f64::NAN];
         assert!(partition_envelopes(&Euclidean, &[ok, descending], 2).is_err());
+    }
+
+    #[test]
+    fn threaded_envelopes_match_serial_bit_for_bit() {
+        // A 40x30 unit lattice and a denser 6x6 one cut into 206
+        // six-point runs, a pile of eight duplicates, and twelve
+        // stragglers as singleton partitions (what the trees' sprawl
+        // split emits), every partition with its exact isolation radius.
+        let mut rows: Vec<[f64; 2]> = Vec::new();
+        for y in 0..30 {
+            for x in 0..40 {
+                rows.push([x as f64, y as f64]);
+            }
+        }
+        for y in 0..6 {
+            for x in 0..6 {
+                rows.push([100.0 + 0.25 * x as f64, 80.0 + 0.25 * y as f64]);
+            }
+        }
+        let pile = rows.len();
+        rows.extend([[-30.0, 70.0]; 8]);
+        let stragglers = rows.len();
+        for i in 0..12 {
+            rows.push([-60.0 + 17.0 * i as f64, 55.0 + 3.0 * (i % 5) as f64]);
+        }
+        let data = Dataset::from_rows(&rows).unwrap();
+        let ids: Vec<usize> = (0..pile).collect();
+        let mut covers: Vec<Vec<usize>> = ids.chunks(6).map(<[usize]>::to_vec).collect();
+        covers.push((pile..stragglers).collect());
+        covers.extend((stragglers..data.len()).map(|id| vec![id]));
+        let mut parts: Vec<Partition> = covers
+            .into_iter()
+            .map(|members| Partition::from_member_points(&Euclidean, members, |id| data.point(id)))
+            .collect();
+        let mut part_of = vec![0; data.len()];
+        for (pi, part) in parts.iter().enumerate() {
+            for &id in &part.members {
+                part_of[id] = pi;
+            }
+        }
+        for (pi, part) in parts.iter_mut().enumerate() {
+            let mut isolation = f64::INFINITY;
+            for &a in &part.members {
+                for b in (0..data.len()).filter(|&b| part_of[b] != pi) {
+                    isolation = isolation.min(Euclidean.distance(data.point(a), data.point(b)));
+                }
+            }
+            part.isolation = isolation;
+        }
+        assert!(parts.len() >= 200, "every worker needs work: {} partitions", parts.len());
+
+        let bits = |e: &PartitionEnvelope| {
+            [
+                e.k_distance_lower,
+                e.k_distance_upper,
+                e.direct_min,
+                e.direct_max,
+                e.indirect_min,
+                e.indirect_max,
+                e.lof.lower,
+                e.lof.upper,
+            ]
+            .map(f64::to_bits)
+        };
+        for min_pts in [4, 9] {
+            let serial = partition_envelopes(&Euclidean, &parts, min_pts).unwrap();
+            assert!(serial.iter().any(|e| e.lof.upper.is_finite()), "bounds must be informative");
+            for threads in [2, 3, 7] {
+                let threaded = envelopes_threaded(&Euclidean, &parts, min_pts, threads).unwrap();
+                assert_eq!(threaded.len(), serial.len());
+                for (pi, (t, s)) in threaded.iter().zip(&serial).enumerate() {
+                    assert_eq!(bits(t), bits(s), "min_pts={min_pts} threads={threads} part {pi}");
+                }
+            }
+        }
     }
 
     #[test]

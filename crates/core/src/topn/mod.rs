@@ -9,13 +9,15 @@
 //!    indexes expose their leaf structure through [`PartitionSource`];
 //!    any exact cover with valid bounding boxes works).
 //! 2. **Bound**: [`partition_envelopes`] turns pure rectangle geometry
-//!    into per-partition `[LOFmin, LOFmax]` via Theorem 1.
+//!    into per-partition `[LOFmin, LOFmax]` via Theorem 1 (the engine runs
+//!    its per-partition passes on its worker threads).
 //! 3. **Prune**: a threshold θ — always an exactly-known lower bound on
 //!    the final n-th best score — eliminates whole partitions whose
 //!    `LOFmax` falls strictly below it.
 //! 4. **Refine**: surviving partitions are scored exactly (per-object
 //!    Theorem 2 bounds give each object one more chance to be pruned),
-//!    in parallel, through the provider's id-batched k-NN path.
+//!    in parallel, over one store that materializes each neighborhood
+//!    exactly once with a per-id k-NN query, whichever worker needs it.
 //!
 //! The result is **bit-identical** to sorting a full sweep's scores by
 //! `(score desc, id asc)` and truncating — the differential property
@@ -187,7 +189,8 @@ impl TopNEngine {
         TopNEngine { min_pts, n, threads: 1 }
     }
 
-    /// Sets the refinement worker count (clamped to at least 1).
+    /// Sets the worker count of the envelope passes and of refinement
+    /// (clamped to at least 1).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
@@ -263,7 +266,8 @@ impl TopNEngine {
             return Ok(TopNResult { ranking: Vec::new(), threshold: f64::INFINITY, stats });
         }
 
-        let envelopes = envelope::partition_envelopes(metric, partitions, self.min_pts)?;
+        let envelopes =
+            envelope::envelopes_threaded(metric, partitions, self.min_pts, self.threads)?;
         let theta0 = seed_threshold(&envelopes, partitions, self.n);
 
         // Refine in envelope-LOFmax order: likely outliers first, so θ
@@ -480,6 +484,46 @@ mod tests {
             TopNEngine::new(0, 5).run_with_metric(&scan, &Euclidean, &parts),
             Err(LofError::InvalidMinPts { .. })
         ));
+    }
+
+    /// A scan whose k-NN query fails for one id.
+    struct FailingScan<'a> {
+        scan: LinearScan<'a, Euclidean>,
+        bad: usize,
+    }
+
+    impl KnnProvider for FailingScan<'_> {
+        fn len(&self) -> usize {
+            self.scan.len()
+        }
+
+        fn k_nearest(&self, id: usize, k: usize) -> Result<Vec<crate::neighbors::Neighbor>> {
+            if id == self.bad {
+                return Err(LofError::UnknownObject { id, dataset_size: 0 });
+            }
+            self.scan.k_nearest(id, k)
+        }
+
+        fn within(&self, id: usize, radius: f64) -> Result<Vec<crate::neighbors::Neighbor>> {
+            self.scan.within(id, radius)
+        }
+    }
+
+    #[test]
+    fn a_failed_query_is_the_reported_error_at_any_thread_count() {
+        let data = dataset();
+        let parts = chunked(&data, 3);
+        for threads in [1usize, 2, 4] {
+            let failing = FailingScan { scan: LinearScan::new(&data, Euclidean), bad: 7 };
+            let err = TopNEngine::new(4, data.len())
+                .with_threads(threads)
+                .run_with_metric(&failing, &Euclidean, &parts)
+                .unwrap_err();
+            assert!(
+                matches!(err, LofError::UnknownObject { id: 7, dataset_size: 0 }),
+                "threads={threads}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -3,13 +3,20 @@
 //! Workers pull partitions off a shared cursor (ordered by envelope
 //! `LOFmax` descending, so the likeliest outliers are scored first and
 //! the threshold θ rises quickly), re-check each partition against θ at
-//! claim time, and score the survivors exactly through the provider's
-//! id-batched k-NN path. Before paying for an exact score, each object
-//! gets one more chance to be pruned: its *materialized* neighborhood is
-//! grouped by partition and pushed through the Theorem 2 machinery
-//! ([`theorem2_envelope_bounds`]) with the now-exact direct distances —
-//! a per-object upper bound that is usually far tighter than the
-//! partition envelope.
+//! claim time, and score the survivors exactly. Before paying for an
+//! exact score, each object gets one more chance to be pruned: its
+//! *materialized* neighborhood is grouped by partition and pushed through
+//! the Theorem 2 machinery ([`theorem2_envelope_bounds`]) with the
+//! now-exact direct distances — a per-object upper bound that is usually
+//! far tighter than the partition envelope.
+//!
+//! All workers share one store with a write-once slot per object: the
+//! first worker to need `N_MinPts(id)` runs the single `k_nearest_into`
+//! query for it, and any other worker that needs the same id waits for
+//! that slot instead of repeating the query. Every neighborhood is thus
+//! materialized exactly once at any thread count, and since a filled
+//! slot never changes, scoring borrows neighborhoods straight out of the
+//! store. Each lrd is memoized in the same slot.
 //!
 //! Exactness invariant: θ only ever holds *exact* scores (the n-th best
 //! seen so far, or the envelope seed θ₀ which at least `n` objects
@@ -17,12 +24,13 @@
 //! therefore cannot belong to the final top n even on ties, so the final
 //! ranking — exact scores sorted by `(score desc, id asc)` — is
 //! bit-identical to sorting a full sweep, independent of thread
-//! interleaving.
+//! interleaving. A slot's value is a pure function of `(id, MinPts)`, so
+//! which worker fills it cannot change a bit either.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use super::envelope::PartitionEnvelope;
 use super::Partition;
@@ -96,79 +104,37 @@ impl TopHeap {
     }
 }
 
-/// Per-worker cache of materialized neighborhoods: a flat arena plus
-/// `id -> (start, len)` spans, filled through the provider's id-batched
-/// query so scattered-but-clustered id lists share traversals.
-#[derive(Default)]
-struct HoodCache {
-    arena: Vec<Neighbor>,
-    spans: HashMap<usize, (usize, usize)>,
+/// One object's write-once refinement state, shared by every worker.
+struct Slot {
+    /// `N_MinPts(id)` in canonical order, filled by exactly one
+    /// `k_nearest_into` call. Empty marks a failed query; the error itself
+    /// sits in [`Shared::first_error`].
+    hood: OnceLock<Box<[Neighbor]>>,
+    /// `lrd_MinPts(id)` as f64 bits, [`LRD_UNSET`] until computed. An lrd
+    /// is a pure function of write-once neighborhoods, so two workers
+    /// racing on it store the same bits.
+    lrd: AtomicU64,
 }
 
-impl HoodCache {
-    /// Materializes every id in `ids` (strictly ascending) that is not
-    /// cached yet. `missing`, `flat` and `lens` are caller-owned staging
-    /// buffers so the hot loop allocates nothing.
-    #[allow(clippy::too_many_arguments)]
-    fn ensure<P: KnnProvider + Sync + ?Sized>(
-        &mut self,
-        provider: &P,
-        ids: &[usize],
-        k: usize,
-        scratch: &mut KnnScratch,
-        missing: &mut Vec<usize>,
-        flat: &mut Vec<Neighbor>,
-        lens: &mut Vec<usize>,
-    ) -> Result<()> {
-        missing.clear();
-        missing.extend(ids.iter().copied().filter(|id| !self.spans.contains_key(id)));
-        if missing.is_empty() {
-            return Ok(());
-        }
-        flat.clear();
-        lens.clear();
-        provider.batch_k_nearest_ids(missing, k, scratch, flat, lens)?;
-        let mut offset = 0;
-        for (j, &id) in missing.iter().enumerate() {
-            let len = lens[j];
-            let start = self.arena.len();
-            self.arena.extend_from_slice(&flat[offset..offset + len]);
-            self.spans.insert(id, (start, len));
-            offset += len;
-        }
-        debug_assert_eq!(offset, flat.len());
-        Ok(())
-    }
+/// A NaN pattern: lrds are positive or `+∞`, never NaN.
+const LRD_UNSET: u64 = u64::MAX;
 
-    fn get(&self, id: usize) -> &[Neighbor] {
-        let &(start, len) = self.spans.get(&id).expect("neighborhood not materialized");
-        &self.arena[start..start + len]
-    }
+// The store holds one slot per object, materialized or not.
+const _: () = assert!(std::mem::size_of::<Slot>() <= 32);
 
-    /// `k-distance(id)`: the last entry of the canonically sorted list.
-    fn k_distance(&self, id: usize) -> f64 {
-        let hood = self.get(id);
-        hood[hood.len() - 1].dist
-    }
-}
-
-/// Reusable per-worker staging buffers.
+/// Reusable per-worker state.
 #[derive(Default)]
-struct WorkBufs {
-    /// Copy of the object's own neighborhood (the arena may reallocate
-    /// while deeper hoods are materialized, so spans can't be held live).
-    hood: Vec<Neighbor>,
-    ids1: Vec<usize>,
-    ids2: Vec<usize>,
-    missing: Vec<usize>,
-    flat: Vec<Neighbor>,
-    lens: Vec<usize>,
+struct Local {
+    scratch: KnnScratch,
+    /// Query output before it is boxed into a slot.
+    staging: Vec<Neighbor>,
     groups: Vec<(usize, PartEnvelope)>,
     envs: Vec<PartEnvelope>,
 }
 
 /// Worker-shared refinement state.
-struct Shared<'a> {
+struct Shared<'a, P: ?Sized> {
+    provider: &'a P,
     partitions: &'a [Partition],
     envelopes: &'a [PartitionEnvelope],
     /// Partition indexes ordered by envelope `LOFmax` descending.
@@ -176,6 +142,8 @@ struct Shared<'a> {
     /// `part_of[id]` = index of the partition holding `id`.
     part_of: &'a [usize],
     min_pts: usize,
+    /// The exactly-once neighborhood store, indexed by object id.
+    slots: Vec<Slot>,
     /// Next `order` slot to claim.
     cursor: AtomicUsize,
     /// Monotone pruning threshold θ as f64 bits, read lock-free on the
@@ -192,9 +160,68 @@ struct TopState {
     tightenings: u64,
 }
 
-impl Shared<'_> {
+impl<P: KnnProvider + Sync + ?Sized> Shared<'_, P> {
     fn theta(&self) -> f64 {
         f64::from_bits(self.theta_bits.load(Ordering::Relaxed))
+    }
+
+    /// Records the run's first error and tells every worker to stop.
+    fn fail(&self, e: LofError) {
+        let mut guard = self.first_error.lock().expect("error mutex poisoned");
+        if guard.is_none() {
+            *guard = Some(e);
+        }
+        self.stop.store(true, Ordering::Relaxed);
+    }
+
+    /// `N_MinPts(id)`. The first caller runs the query; concurrent callers
+    /// block on the slot until it is filled. `None` once the query has
+    /// failed (the error is recorded through [`Shared::fail`]).
+    fn hood(&self, id: usize, local: &mut Local) -> Option<&[Neighbor]> {
+        let hood = self.slots[id].hood.get_or_init(|| {
+            local.staging.clear();
+            match self.provider.k_nearest_into(
+                id,
+                self.min_pts,
+                &mut local.scratch,
+                &mut local.staging,
+            ) {
+                Ok(_) => {
+                    assert!(!local.staging.is_empty(), "provider returned an empty neighborhood");
+                    local.staging.as_slice().into()
+                }
+                Err(e) => {
+                    self.fail(e);
+                    Box::default()
+                }
+            }
+        });
+        (!hood.is_empty()).then_some(&**hood)
+    }
+
+    /// `k-distance(id)`: the last entry of the canonically sorted list.
+    fn k_distance(&self, id: usize, local: &mut Local) -> Option<f64> {
+        self.hood(id, local).map(|hood| hood[hood.len() - 1].dist)
+    }
+
+    /// Memoized `lrd_MinPts(id)`. Same arithmetic as
+    /// [`crate::lrd::local_reachability_densities`]: mean of reach-dists
+    /// in canonical neighborhood order, inverted, `+∞` on a zero mean.
+    fn lrd(&self, id: usize, local: &mut Local) -> Option<f64> {
+        let slot = &self.slots[id];
+        let bits = slot.lrd.load(Ordering::Relaxed);
+        if bits != LRD_UNSET {
+            return Some(f64::from_bits(bits));
+        }
+        let hood = self.hood(id, local)?;
+        let mut sum = 0.0;
+        for nb in hood {
+            sum += reach_dist(self.k_distance(nb.id, local)?, nb.dist);
+        }
+        let mean = sum / hood.len() as f64;
+        let lrd = if mean > 0.0 { 1.0 / mean } else { f64::INFINITY };
+        slot.lrd.store(lrd.to_bits(), Ordering::Relaxed);
+        Some(lrd)
     }
 }
 
@@ -238,11 +265,15 @@ where
     P: KnnProvider + Sync + ?Sized,
 {
     let shared = Shared {
+        provider,
         partitions,
         envelopes,
         order,
         part_of,
         min_pts,
+        slots: (0..provider.len())
+            .map(|_| Slot { hood: OnceLock::new(), lrd: AtomicU64::new(LRD_UNSET) })
+            .collect(),
         cursor: AtomicUsize::new(0),
         theta_bits: AtomicU64::new(theta0.to_bits()),
         state: Mutex::new(TopState { heap: TopHeap::new(n), scored: Vec::new(), tightenings: 0 }),
@@ -253,11 +284,10 @@ where
     let threads = threads.max(1).min(order.len().max(1));
     let mut tally = WorkerTally::default();
     if threads == 1 {
-        tally = worker(provider, &shared);
+        tally = worker(&shared);
     } else {
         let tallies = std::thread::scope(|s| {
-            let handles: Vec<_> =
-                (0..threads).map(|_| s.spawn(|| worker(provider, &shared))).collect();
+            let handles: Vec<_> = (0..threads).map(|_| s.spawn(|| worker(&shared))).collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("top-n refinement worker panicked"))
@@ -288,12 +318,9 @@ where
 }
 
 /// One worker: claim partitions off the cursor until it runs out.
-fn worker<P: KnnProvider + Sync + ?Sized>(provider: &P, shared: &Shared<'_>) -> WorkerTally {
+fn worker<P: KnnProvider + Sync + ?Sized>(shared: &Shared<'_, P>) -> WorkerTally {
     let mut tally = WorkerTally::default();
-    let mut scratch = KnnScratch::new();
-    let mut cache = HoodCache::default();
-    let mut lrd_memo: HashMap<usize, f64> = HashMap::new();
-    let mut bufs = WorkBufs::default();
+    let mut local = Local::default();
     loop {
         if shared.stop.load(Ordering::Relaxed) {
             break;
@@ -311,74 +338,41 @@ fn worker<P: KnnProvider + Sync + ?Sized>(provider: &P, shared: &Shared<'_>) -> 
             continue;
         }
         tally.partitions_refined += 1;
-        match refine_partition(
-            provider,
-            shared,
-            pi,
-            &mut scratch,
-            &mut cache,
-            &mut lrd_memo,
-            &mut bufs,
-        ) {
-            Ok((pruned, refined)) => {
-                tally.objects_pruned += pruned;
-                tally.objects_refined += refined;
-            }
-            Err(e) => {
-                let mut guard = shared.first_error.lock().expect("error mutex poisoned");
-                if guard.is_none() {
-                    *guard = Some(e);
-                }
-                shared.stop.store(true, Ordering::Relaxed);
-                break;
-            }
-        }
+        let Some((pruned, refined)) = refine_partition(shared, pi, &mut local) else {
+            break;
+        };
+        tally.objects_pruned += pruned;
+        tally.objects_refined += refined;
     }
     // Flush this worker's kernel counters before the scratch dies.
-    scratch.stats.publish_and_reset();
+    local.scratch.stats.publish_and_reset();
     tally
 }
 
 /// Scores one surviving partition; returns `(objects_pruned,
-/// objects_refined)`.
+/// objects_refined)`, or `None` once a k-NN query has failed.
 fn refine_partition<P: KnnProvider + Sync + ?Sized>(
-    provider: &P,
-    shared: &Shared<'_>,
+    shared: &Shared<'_, P>,
     pi: usize,
-    scratch: &mut KnnScratch,
-    cache: &mut HoodCache,
-    lrd_memo: &mut HashMap<usize, f64>,
-    bufs: &mut WorkBufs,
-) -> Result<(u64, u64)> {
+    local: &mut Local,
+) -> Option<(u64, u64)> {
     let part = &shared.partitions[pi];
-    // Materialize the whole partition in one id-batched call: members are
-    // spatially clustered, so tree providers answer them leaf-by-leaf.
-    cache.ensure(
-        provider,
-        &part.members,
-        shared.min_pts,
-        scratch,
-        &mut bufs.missing,
-        &mut bufs.flat,
-        &mut bufs.lens,
-    )?;
-
-    let mut local: Vec<(usize, f64)> = Vec::with_capacity(part.members.len());
+    let mut scored: Vec<(usize, f64)> = Vec::with_capacity(part.members.len());
     let mut objects_pruned = 0u64;
     for &id in &part.members {
+        let hood = shared.hood(id, local)?;
         let theta = shared.theta();
-        if theta > f64::NEG_INFINITY && object_upper_bound(shared, id, cache, bufs) < theta {
+        if theta > f64::NEG_INFINITY && object_upper_bound(shared, hood, local) < theta {
             objects_pruned += 1;
             continue;
         }
-        let score = exact_lof(provider, shared, id, scratch, cache, lrd_memo, bufs)?;
-        local.push((id, score));
+        scored.push((id, exact_lof(shared, id, hood, local)?));
     }
 
-    let objects_refined = local.len() as u64;
-    if !local.is_empty() {
+    let objects_refined = scored.len() as u64;
+    if !scored.is_empty() {
         let mut state = shared.state.lock().expect("top-n state mutex poisoned");
-        for &(id, score) in &local {
+        for &(id, score) in &scored {
             state.heap.offer(Cand { id, score });
         }
         let new_theta = state.heap.threshold();
@@ -387,9 +381,9 @@ fn refine_partition<P: KnnProvider + Sync + ?Sized>(
             shared.theta_bits.store(new_theta.to_bits(), Ordering::Relaxed);
             state.tightenings += 1;
         }
-        state.scored.append(&mut local);
+        state.scored.append(&mut scored);
     }
-    Ok((objects_pruned, objects_refined))
+    Some((objects_pruned, objects_refined))
 }
 
 /// Theorem 2 upper bound for a single object from its *exact* direct
@@ -398,25 +392,24 @@ fn refine_partition<P: KnnProvider + Sync + ?Sized>(
 /// `max(neighbor partition's k-distance envelope, exact distance)` folded
 /// over the group, and each group's indirect envelope is its partition's
 /// direct envelope.
-fn object_upper_bound(
-    shared: &Shared<'_>,
-    id: usize,
-    cache: &HoodCache,
-    bufs: &mut WorkBufs,
+fn object_upper_bound<P: ?Sized>(
+    shared: &Shared<'_, P>,
+    hood: &[Neighbor],
+    local: &mut Local,
 ) -> f64 {
-    bufs.groups.clear();
-    for nb in cache.get(id) {
+    local.groups.clear();
+    for nb in hood {
         let qp = shared.part_of[nb.id];
         let env = &shared.envelopes[qp];
         let lo = env.k_distance_lower.max(nb.dist);
         let hi = env.k_distance_upper.max(nb.dist);
-        match bufs.groups.iter_mut().find(|(part, _)| *part == qp) {
+        match local.groups.iter_mut().find(|(part, _)| *part == qp) {
             Some((_, group)) => {
                 group.count += 1;
                 group.direct_min = group.direct_min.min(lo);
                 group.direct_max = group.direct_max.max(hi);
             }
-            None => bufs.groups.push((
+            None => local.groups.push((
                 qp,
                 PartEnvelope {
                     count: 1,
@@ -428,91 +421,27 @@ fn object_upper_bound(
             )),
         }
     }
-    bufs.envs.clear();
-    bufs.envs.extend(bufs.groups.iter().map(|(_, group)| *group));
-    theorem2_envelope_bounds(&bufs.envs).map_or(f64::INFINITY, |b| b.upper)
+    local.envs.clear();
+    local.envs.extend(local.groups.iter().map(|(_, group)| *group));
+    theorem2_envelope_bounds(&local.envs).map_or(f64::INFINITY, |b| b.upper)
 }
 
-/// Exact `LOF_MinPts(id)` through the 2-hop neighborhood, arithmetic
-/// bit-identical to the full-sweep path ([`crate::lof::lof_values`]):
-/// same reach-dist / lrd conventions, same summation order (canonical
-/// neighborhood order), same final division.
+/// Exact `LOF_MinPts(id)` through the 2-hop neighborhood (`hood` is
+/// `N_MinPts(id)`), arithmetic bit-identical to the full-sweep path
+/// ([`crate::lof::lof_values`]): same reach-dist / lrd conventions, same
+/// summation order (canonical neighborhood order), same final division.
 fn exact_lof<P: KnnProvider + Sync + ?Sized>(
-    provider: &P,
-    shared: &Shared<'_>,
+    shared: &Shared<'_, P>,
     id: usize,
-    scratch: &mut KnnScratch,
-    cache: &mut HoodCache,
-    lrd_memo: &mut HashMap<usize, f64>,
-    bufs: &mut WorkBufs,
-) -> Result<f64> {
-    // Own the hood: the arena may reallocate while 2-hop lists load.
-    bufs.hood.clear();
-    bufs.hood.extend_from_slice(cache.get(id));
-
-    // 1-hop: the direct neighbors' own neighborhoods (for lrd(q)).
-    bufs.ids1.clear();
-    bufs.ids1.extend(bufs.hood.iter().map(|nb| nb.id));
-    bufs.ids1.sort_unstable();
-    cache.ensure(
-        provider,
-        &bufs.ids1,
-        shared.min_pts,
-        scratch,
-        &mut bufs.missing,
-        &mut bufs.flat,
-        &mut bufs.lens,
-    )?;
-
-    // 2-hop: the k-distances of the neighbors' neighbors (for reach-dist
-    // inside lrd(q)).
-    bufs.ids2.clear();
-    for &q in &bufs.ids1 {
-        bufs.ids2.extend(cache.get(q).iter().map(|nb| nb.id));
-    }
-    bufs.ids2.sort_unstable();
-    bufs.ids2.dedup();
-    cache.ensure(
-        provider,
-        &bufs.ids2,
-        shared.min_pts,
-        scratch,
-        &mut bufs.missing,
-        &mut bufs.flat,
-        &mut bufs.lens,
-    )?;
-
-    let lrd_id = lrd_from_cache(cache, &bufs.hood);
-    let mut sum = 0.0;
-    for nb in &bufs.hood {
-        let lrd_q = match lrd_memo.get(&nb.id) {
-            Some(&v) => v,
-            None => {
-                let v = lrd_from_cache(cache, cache.get(nb.id));
-                lrd_memo.insert(nb.id, v);
-                v
-            }
-        };
-        sum += lrd_ratio(lrd_q, lrd_id);
-    }
-    Ok(sum / bufs.hood.len() as f64)
-}
-
-/// `lrd` from a materialized neighborhood, with every referenced
-/// k-distance already cached. Same arithmetic as
-/// [`crate::lrd::local_reachability_densities`]: mean of reach-dists in
-/// canonical neighborhood order, inverted, `+∞` on a zero mean.
-fn lrd_from_cache(cache: &HoodCache, hood: &[Neighbor]) -> f64 {
+    hood: &[Neighbor],
+    local: &mut Local,
+) -> Option<f64> {
+    let lrd_id = shared.lrd(id, local)?;
     let mut sum = 0.0;
     for nb in hood {
-        sum += reach_dist(cache.k_distance(nb.id), nb.dist);
+        sum += lrd_ratio(shared.lrd(nb.id, local)?, lrd_id);
     }
-    let mean = sum / hood.len() as f64;
-    if mean > 0.0 {
-        1.0 / mean
-    } else {
-        f64::INFINITY
-    }
+    Some(sum / hood.len() as f64)
 }
 
 #[cfg(test)]

@@ -114,17 +114,26 @@ BENCH_SERVE_CONNS=64 \
 echo "== topn: fixed-seed differential + forced-scalar rerun =="
 # The bound-driven engine must stay bit-identical to the sorted full
 # sweep on every index, cover, metric, and thread count — and again with
-# the SIMD kernels pinned to scalar, since refinement rides the batch
-# k-NN path. The CLI suite covers the `lof topn` surface on top.
+# the SIMD kernels pinned to scalar, since refinement runs per-id k-NN
+# queries through the same kernels. topn_exactly_once pins the shared
+# neighborhood store (no id queried twice at 1/2/4 threads); the envelope
+# unit test pins the threaded passes to the serial ones bit for bit. The
+# CLI suite covers the `lof topn` surface on top.
 cargo test -q --test topn_differential
+cargo test -q --test topn_exactly_once
 cargo test -q --test theorem2_leaf_straddle
+cargo test -q -p lof-core --lib threaded_envelopes_match_serial_bit_for_bit
 cargo test -q -p lof-cli topn
 LOF_FORCE_SCALAR=1 cargo test -q --test topn_differential
+LOF_FORCE_SCALAR=1 cargo test -q --test topn_exactly_once
+LOF_FORCE_SCALAR=1 cargo test -q -p lof-core --lib threaded_envelopes_match_serial_bit_for_bit
 
 echo "== release smoke: topn pruning vs full sweep at n=20000 =="
 # bench_topn aborts unless the pruned top-100 ranking is bit-identical
-# to the full sweep's, serial and parallel — a release-optimized
-# end-to-end gate over partition envelopes, θ-pruning, and refinement.
+# to the full sweep's on every timed 1-thread and nproc run — a
+# release-optimized end-to-end gate over partition envelopes, θ-pruning,
+# and refinement — and, with nproc >= 2, unless the nproc engine cell is
+# at least 1.3x the 1-thread cell.
 LOF_TOPN_POINTS=20000 \
   BENCH_TOPN_OUT=/tmp/lof_ci_bench_topn.json \
   cargo run --release -q -p lof-bench --bin bench_topn

@@ -1,0 +1,122 @@
+//! The top-n engine's refinement workers share one neighborhood store:
+//! every object's k-NN query runs at most once per engine run, at any
+//! thread count, and the ranking stays bit-identical to the sorted full
+//! sweep.
+
+use std::sync::atomic::{AtomicU32, Ordering};
+
+use lof::core::knn::KnnScratch;
+use lof::{
+    topn_reference, Dataset, Euclidean, KdTree, KnnProvider, Neighbor, PartitionSource, TopNEngine,
+};
+
+/// A [`KdTree`] that counts `k_nearest_into` calls per object id.
+struct CountingTree<'a> {
+    tree: &'a KdTree<'a, Euclidean>,
+    calls: Vec<AtomicU32>,
+}
+
+impl<'a> CountingTree<'a> {
+    fn new(tree: &'a KdTree<'a, Euclidean>) -> Self {
+        CountingTree { tree, calls: (0..tree.len()).map(|_| AtomicU32::new(0)).collect() }
+    }
+
+    fn total(&self) -> u64 {
+        self.calls.iter().map(|c| u64::from(c.load(Ordering::Relaxed))).sum()
+    }
+}
+
+impl KnnProvider for CountingTree<'_> {
+    fn len(&self) -> usize {
+        self.tree.len()
+    }
+
+    fn k_nearest(&self, id: usize, k: usize) -> lof::core::Result<Vec<Neighbor>> {
+        self.tree.k_nearest(id, k)
+    }
+
+    fn k_nearest_into(
+        &self,
+        id: usize,
+        k: usize,
+        scratch: &mut KnnScratch,
+        out: &mut Vec<Neighbor>,
+    ) -> lof::core::Result<usize> {
+        self.calls[id].fetch_add(1, Ordering::Relaxed);
+        self.tree.k_nearest_into(id, k, scratch, out)
+    }
+
+    fn within(&self, id: usize, radius: f64) -> lof::core::Result<Vec<Neighbor>> {
+        self.tree.within(id, radius)
+    }
+}
+
+/// 16 unit-spacing 4-d lattice clusters placed at random in
+/// `[0, 1000)^4`, plus 60 planted outliers, from a fixed LCG: 3,000
+/// points on which the kd-tree cover gets sprawl-split singletons and the
+/// partition envelopes prune most of it.
+fn lattice_with_outliers() -> Dataset {
+    const CLUSTERS: usize = 16;
+    const OUTLIERS: usize = 60;
+    const POINTS: usize = 3_000;
+    let mut state = 2u64;
+    let mut coord = move || {
+        state =
+            state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        ((state >> 11) as f64 / (1u64 << 53) as f64 * 1000.0 * 64.0).round() / 64.0
+    };
+    let body = POINTS - OUTLIERS;
+    let mut rows: Vec<[f64; 4]> = Vec::with_capacity(POINTS);
+    for c in 0..CLUSTERS {
+        let share = body / CLUSTERS + usize::from(c < body % CLUSTERS);
+        let center: [f64; 4] = std::array::from_fn(|_| coord());
+        let side = (share as f64).powf(0.25).ceil() as usize;
+        let half = (side / 2) as f64;
+        for i in 0..share {
+            let mut rest = i;
+            rows.push(std::array::from_fn(|d| {
+                let offset = (rest % side) as f64 - half;
+                rest /= side;
+                center[d] + offset
+            }));
+        }
+    }
+    for _ in 0..OUTLIERS {
+        rows.push(std::array::from_fn(|_| coord()));
+    }
+    Dataset::from_rows(&rows).expect("finite rows")
+}
+
+#[test]
+fn refine_queries_each_neighborhood_at_most_once_at_any_thread_count() {
+    const MIN_PTS: usize = 20;
+    const TOP: usize = 30;
+    let data = lattice_with_outliers();
+    let tree = KdTree::new(&data, Euclidean);
+    let parts = tree.partitions();
+    let want = topn_reference(&tree, MIN_PTS, TOP).unwrap();
+
+    for threads in [1usize, 2, 4] {
+        let counting = CountingTree::new(&tree);
+        let got = TopNEngine::new(MIN_PTS, TOP)
+            .with_threads(threads)
+            .run_with_metric(&counting, &Euclidean, &parts)
+            .unwrap();
+        assert_eq!(got.ranking.len(), want.len(), "threads={threads}");
+        for (rank, (g, w)) in got.ranking.iter().zip(&want).enumerate() {
+            assert_eq!(g.0, w.0, "threads={threads}: id at rank {rank}");
+            assert_eq!(g.1.to_bits(), w.1.to_bits(), "threads={threads}: score at rank {rank}");
+        }
+        assert!(
+            got.stats.partitions_pruned > got.stats.partitions / 2
+                && got.stats.objects_refined < data.len() as u64 / 10,
+            "the fixture must prune: {:?}",
+            got.stats
+        );
+        for (id, calls) in counting.calls.iter().enumerate() {
+            let calls = calls.load(Ordering::Relaxed);
+            assert!(calls <= 1, "threads={threads}: object {id} queried {calls} times");
+        }
+        assert!(counting.total() > 0, "threads={threads}: refinement ran no query");
+    }
+}
