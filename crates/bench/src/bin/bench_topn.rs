@@ -24,6 +24,13 @@
 //! [`MIN_THREAD_SPEEDUP`] times faster than the 1-thread cell, or the
 //! binary aborts.
 //!
+//! The stage split (`stages`) reads the engine's own spans
+//! (`core.topn.envelopes`, `core.topn.refine`) from the `lof-obs`
+//! registry for the 1-thread cell's median round, next to the time of
+//! `tree.partitions()`; `refine_descents` and `refine_range_passes` count
+//! the provider queries that round's refinement made. The stages are
+//! zero in a build without the `obs` feature.
+//!
 //! Writes `BENCH_topn.json` (override with `BENCH_TOPN_OUT`). Run with
 //! `--release`; pin the point count with `LOF_TOPN_POINTS` and the
 //! result size with `LOF_TOPN_RESULT`.
@@ -102,42 +109,59 @@ fn assert_ranking_identical(label: &str, got: &[(usize, f64)], want: &[(usize, f
     }
 }
 
+/// Total seconds recorded so far by the engine span `name`.
+fn span_s(name: &str) -> f64 {
+    lof_obs::global().histogram(name).sum_ns() as f64 / 1e9
+}
+
+/// One 1-thread engine round: its wall time, its `(envelopes, refine)`
+/// span times, and its result.
+struct SerialRound {
+    secs: f64,
+    stages: [f64; 2],
+    result: TopNResult,
+}
+
 /// Times the engine at 1 and `nproc` threads, alternating round by round
 /// so host speed phases hit both cells alike, and asserts every round's
 /// ranking against `want`. Returns each cell's median round in seconds,
-/// the round count, and the 1-thread run's result.
+/// the round count, and the 1-thread cell's median round.
 fn engine_cells(
     tree: &KdTree<'_, Euclidean>,
     partitions: &[Partition],
     top_n: usize,
     want: &[(usize, f64)],
     nproc: usize,
-) -> ([f64; 2], usize, TopNResult) {
-    let mut rounds: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
-    let mut serial = None;
+) -> ([f64; 2], usize, SerialRound) {
+    let mut serial: Vec<SerialRound> = Vec::new();
+    let mut parallel: Vec<f64> = Vec::new();
     let start = std::time::Instant::now();
-    while rounds[0].len() < CELL_MIN_ROUNDS || start.elapsed() < CELL_MIN_TIME {
-        for (slot, threads) in [1, nproc].into_iter().enumerate() {
+    while serial.len() < CELL_MIN_ROUNDS || start.elapsed() < CELL_MIN_TIME {
+        for threads in [1, nproc] {
             let engine = TopNEngine::new(MIN_PTS, top_n).with_threads(threads);
+            let spans_before = [span_s("core.topn.envelopes"), span_s("core.topn.refine")];
             let (result, t) = time(|| engine.run(tree, partitions).expect("engine run"));
             assert_ranking_identical(
                 &format!("engine({threads} threads) vs full sweep"),
                 &result.ranking,
                 want,
             );
-            rounds[slot].push(t.as_secs_f64());
             if threads == 1 {
-                serial = Some(result);
+                let stages = [
+                    span_s("core.topn.envelopes") - spans_before[0],
+                    span_s("core.topn.refine") - spans_before[1],
+                ];
+                serial.push(SerialRound { secs: t.as_secs_f64(), stages, result });
+            } else {
+                parallel.push(t.as_secs_f64());
             }
         }
     }
-    let median = |v: &mut Vec<f64>| {
-        v.sort_unstable_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
-    let count = rounds[0].len();
-    let [one, many] = &mut rounds;
-    ([median(one), median(many)], count, serial.expect("at least one round"))
+    let count = serial.len();
+    serial.sort_unstable_by(|a, b| a.secs.total_cmp(&b.secs));
+    parallel.sort_unstable_by(f64::total_cmp);
+    let median = serial.swap_remove(count / 2);
+    ([median.secs, parallel[parallel.len() / 2]], count, median)
 }
 
 fn main() {
@@ -165,6 +189,8 @@ fn main() {
         time(|| topn_reference(&tree, MIN_PTS, top_n).expect("reference sweep"));
     let ([serial_s, parallel_s], rounds, serial) =
         engine_cells(&tree, &partitions, top_n, &reference, nproc);
+    let [envelopes_s, refine_s] = serial.stages;
+    let serial = serial.result;
     println!("correctness gate: top-{top_n} bit-identical to the sorted full sweep");
 
     let stats = &serial.stats;
@@ -181,6 +207,12 @@ fn main() {
         "pruned {} of {} partitions; {} of {n} objects never scored ({pruned_pct:.1}%); \
          final threshold {:.4}",
         stats.partitions_pruned, stats.partitions, stats.objects_pruned, serial.threshold
+    );
+    let partitions_s = partition_time.as_secs_f64();
+    println!(
+        "1-thread stages: partitions {partitions_s:.3}s, envelopes {envelopes_s:.3}s, \
+         refine {refine_s:.3}s ({} descents, {} range passes)",
+        stats.descents, stats.range_passes
     );
     assert!(
         nproc < 2 || thread_speedup >= MIN_THREAD_SPEEDUP,
@@ -199,7 +231,10 @@ fn main() {
          \"planted_outliers\": {OUTLIERS},\n  \"min_pts\": {MIN_PTS},\n  \"top_n\": {top_n},\n  \
          \"partitions\": {},\n  \"partitions_pruned\": {},\n  \
          \"partitions_refined\": {},\n  \"objects_pruned\": {},\n  \
-         \"objects_refined\": {},\n  \"threshold\": {:.6},\n  \
+         \"objects_refined\": {},\n  \"refine_descents\": {},\n  \
+         \"refine_range_passes\": {},\n  \"threshold\": {:.6},\n  \
+         \"stages\": {{\"partitions_s\": {partitions_s:.4}, \"envelopes_s\": {envelopes_s:.4}, \
+         \"refine_s\": {refine_s:.4}}},\n  \
          \"full_sweep_s\": {reference_s:.3},\n  \"engine_cells\": [{}, {}],\n  \
          \"pruning_speedup\": {pruning_speedup:.3},\n  \
          \"thread_speedup\": {thread_speedup:.3}\n}}\n",
@@ -208,6 +243,8 @@ fn main() {
         stats.partitions_refined,
         stats.objects_pruned,
         stats.objects_refined,
+        stats.descents,
+        stats.range_passes,
         serial.threshold,
         cell(1, serial_s),
         cell(nproc, parallel_s),

@@ -4,6 +4,7 @@
 
 use crate::distance::Metric;
 use crate::error::{LofError, Result};
+use crate::knn::with_thread_scratch;
 use crate::neighbors::{sort_neighbors, KnnProvider, Neighbor};
 use crate::point::Dataset;
 
@@ -18,13 +19,14 @@ pub fn k_distance_of(neighborhood: &[Neighbor]) -> f64 {
     neighborhood.last().expect("k-distance of empty neighborhood").dist
 }
 
-/// Computes `k-distance(p)` directly from a provider.
+/// Computes `k-distance(p)` directly from a provider, through
+/// [`KnnProvider::k_distance_into`] on the calling thread's scratch.
 ///
 /// # Errors
 ///
 /// Propagates the provider's validation errors.
 pub fn k_distance<P: KnnProvider + ?Sized>(provider: &P, id: usize, k: usize) -> Result<f64> {
-    Ok(k_distance_of(&provider.k_nearest(id, k)?))
+    with_thread_scratch(|scratch| provider.k_distance_into(id, k, scratch))
 }
 
 /// The *k-distinct-distance* neighborhood of `id`.

@@ -156,6 +156,8 @@ pub(crate) struct CoreMetrics {
     pub topn_partitions_refined: Arc<Counter>,
     pub topn_objects_pruned: Arc<Counter>,
     pub topn_objects_refined: Arc<Counter>,
+    pub topn_descents: Arc<Counter>,
+    pub topn_range_passes: Arc<Counter>,
     pub topn_tightenings: Arc<Counter>,
     pub topn_heap_churn: Arc<Counter>,
     pub ooc_panel_faults: Arc<Counter>,
@@ -195,6 +197,8 @@ pub(crate) fn core_metrics() -> &'static CoreMetrics {
             topn_partitions_refined: r.counter("core.topn.partitions_refined"),
             topn_objects_pruned: r.counter("core.topn.objects_pruned"),
             topn_objects_refined: r.counter("core.topn.objects_refined"),
+            topn_descents: r.counter("core.topn.descents"),
+            topn_range_passes: r.counter("core.topn.range_passes"),
             topn_tightenings: r.counter("core.topn.threshold_tightenings"),
             topn_heap_churn: r.counter("core.topn.heap_churn"),
             ooc_panel_faults: r.counter("core.ooc.panel_faults"),
@@ -256,6 +260,8 @@ pub(crate) fn publish_topn(stats: &crate::topn::TopNStats) {
             (&m.topn_partitions_refined, stats.partitions_refined),
             (&m.topn_objects_pruned, stats.objects_pruned),
             (&m.topn_objects_refined, stats.objects_refined),
+            (&m.topn_descents, stats.descents),
+            (&m.topn_range_passes, stats.range_passes),
             (&m.topn_tightenings, stats.threshold_tightenings),
             (&m.topn_heap_churn, stats.heap_churn),
         ] {
@@ -377,6 +383,8 @@ mod tests {
             partitions_refined: 3,
             objects_pruned: 90,
             objects_refined: 10,
+            descents: 30,
+            range_passes: 12,
             threshold_tightenings: 4,
             heap_churn: 2,
         };

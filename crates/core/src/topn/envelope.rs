@@ -6,12 +6,12 @@
 //! is `O(L log L)`-ish over `L` partitions, never the `O(L²)` pairwise
 //! comparison):
 //!
-//! 1. **k-distance envelope** `[kd_lb, kd_ub]`: best-first traversals
-//!    accumulate partition counts by rectangle-to-rectangle distance
-//!    until `MinPts` objects are covered. The upper traversal orders by
-//!    farthest distance (any member of the source partition can reach
-//!    `MinPts` others within it); the lower traversal orders by closest
-//!    distance (fewer than `MinPts` objects can lie strictly closer).
+//! 1. **k-distance envelope** `[kd_lb, kd_ub]`: one best-first traversal
+//!    accumulates partition counts by rectangle-to-rectangle distance
+//!    until `MinPts` objects are covered at both ends. The upper end
+//!    counts by farthest distance (any member of the source partition can
+//!    reach `MinPts` others within it); the lower end by closest distance
+//!    (fewer than `MinPts` objects can lie strictly closer).
 //! 2. **Direct envelope** `[direct_min, direct_max]`: over the
 //!    *reachable set* — partitions within `kd_ub` of the source — fold
 //!    `max(kd envelope, rect distance)` per Definition 5's
@@ -211,8 +211,75 @@ impl Ord for Key {
     }
 }
 
-/// One k-distance envelope end for partition `i`, by merging two
-/// ascending candidate streams until `MinPts` candidates accumulate:
+/// One end of a k-distance envelope: a running count over an ascending
+/// candidate stream, stopped at the `MinPts`-th candidate. The intra part
+/// of the stream is the partition's own exact rank profile, one
+/// candidate per rank, padded past the provided profile by `pad`.
+struct RankMerge<'a> {
+    ranks: &'a [f64],
+    pad: f64,
+    /// Intra candidates: the source partition's `members - 1` others.
+    intra_total: usize,
+    intra_next: usize,
+    acc: usize,
+    min_pts: usize,
+}
+
+impl RankMerge<'_> {
+    /// Counts every remaining intra candidate `<= limit`, in order;
+    /// returns the one that reaches `MinPts`, if any does.
+    fn intra_upto(&mut self, limit: f64) -> Option<f64> {
+        while self.intra_next < self.intra_total {
+            let value = self.ranks.get(self.intra_next).copied().unwrap_or(self.pad);
+            if value > limit {
+                break;
+            }
+            self.intra_next += 1;
+            if let Some(hit) = self.take(1, value) {
+                return Some(hit);
+            }
+        }
+        None
+    }
+
+    /// Counts `count` candidates at `value`; `value` if that reaches
+    /// `MinPts`.
+    fn take(&mut self, count: usize, value: f64) -> Option<f64> {
+        self.acc += count;
+        (self.acc >= self.min_pts).then_some(value)
+    }
+}
+
+/// Upper-end consumption: external leaves waiting in `far` (keyed by
+/// farthest rectangle distance), merged with the max-rank intra stream,
+/// are counted in ascending order up to `limit`. Intra candidates go first
+/// on ties; tied candidates carry the same value, so the order among
+/// them cannot change the result.
+fn drain_far(
+    upper: &mut RankMerge<'_>,
+    far: &mut BinaryHeap<Reverse<(Key, usize)>>,
+    limit: f64,
+) -> Option<f64> {
+    while let Some(&Reverse((Key(key), count))) = far.peek() {
+        if key > limit {
+            break;
+        }
+        if let Some(hit) = upper.intra_upto(key) {
+            return Some(hit);
+        }
+        far.pop();
+        if let Some(hit) = upper.take(count, key) {
+            return Some(hit);
+        }
+    }
+    upper.intra_upto(limit)
+}
+
+/// Both k-distance envelope ends `(lower, upper)` of partition `src_idx`
+/// from one best-first traversal of the box tree.
+///
+/// Each end is an order statistic: the `MinPts`-th smallest value of a
+/// multiset merging two candidate streams.
 ///
 /// * **Intra stream** — the partition's own exact rank profile
 ///   (`min_rank_dists` for the lower end, `max_rank_dists` for the
@@ -221,97 +288,109 @@ impl Ord for Key {
 ///   (ranks only grow), the hull diameter for the upper end (no intra
 ///   distance exceeds it). An *empty* profile pads with `0` /
 ///   hull-diameter, which reproduces the pure-box behavior.
-/// * **External stream** — a best-first traversal of the box tree,
-///   skipping the partition's own leaf (its members are the intra
-///   stream). Internal nodes are keyed by closest rectangle distance —
-///   a lower bound on every descendant's key — so leaf pops are
-///   globally non-decreasing; leaves are keyed by closest (lower end)
-///   or farthest (upper end) rectangle distance and contribute their
-///   whole member count at that key.
+/// * **External stream** — every other partition's whole member count
+///   at its closest (lower end) or farthest (upper end) rectangle
+///   distance. The partition's own leaf is skipped: its members are the
+///   intra stream.
 ///
-/// The merged consumption is ascending, so the value at which the
-/// cumulative count first reaches `MinPts` bounds every member's
-/// k-distance: from below, because strictly fewer than `MinPts`
-/// candidates can lie closer than it; from above, because every member
-/// provably has `MinPts` objects within it.
+/// Since fewer than `MinPts` candidates lie strictly below the lower
+/// end's statistic, it bounds every member's k-distance from below; every
+/// member provably has `MinPts` objects within the upper end's statistic,
+/// so it bounds them from above.
 ///
 /// On the lower end, every external candidate is additionally clamped to
 /// the source partition's [`Partition::isolation`] radius: no point of
 /// another partition can be closer than it to any member, even when the
 /// rectangle distance between abutting boxes reads 0. Clamping is
-/// monotone, so the merged consumption order survives it.
-fn kd_bound<M: Metric + ?Sized>(
+/// monotone, so the consumption order survives it.
+///
+/// The traversal pops nodes by closest rectangle distance, a lower bound
+/// on every descendant's closest *and* farthest distance, so popped keys
+/// never decrease. The lower end consumes its stream at each pop exactly
+/// as a closest-distance traversal would. Each popped non-own leaf also
+/// waits in a second heap keyed by farthest distance (once the lower end
+/// is known, leaves skip the tree heap and wait there directly), and the
+/// upper end consumes that heap, merged with its intra stream, only up to
+/// the popped key: every leaf not yet waiting lies farther. Both ends
+/// thus see their multiset in ascending order, and an order statistic
+/// does not depend on how ties are ordered, so both values are bit for
+/// bit those of two separate traversals.
+fn kd_bounds<M: Metric + ?Sized>(
     metric: &M,
     tree: &BoxTree,
     src: &Partition,
     src_idx: usize,
     min_pts: usize,
-    upper: bool,
-) -> f64 {
+) -> (f64, f64) {
     let intra_total = src.members.len() - 1;
-    let ranks = if upper { &src.max_rank_dists } else { &src.min_rank_dists };
-    let pad = if upper {
-        metric.max_dist_between_rects(&src.lo, &src.hi, &src.lo, &src.hi)
-    } else {
-        ranks.last().copied().unwrap_or(0.0)
+    let mut lower = RankMerge {
+        ranks: &src.min_rank_dists,
+        pad: src.min_rank_dists.last().copied().unwrap_or(0.0),
+        intra_total,
+        intra_next: 0,
+        acc: 0,
+        min_pts,
     };
-    let intra_val = |j: usize| -> f64 { ranks.get(j).copied().unwrap_or(pad) };
-
-    let key_of = |ni: usize| -> f64 {
-        let node = &tree.nodes[ni];
-        if upper && node.children.is_none() {
-            metric.max_dist_between_rects(&src.lo, &src.hi, &node.lo, &node.hi)
-        } else {
-            metric.min_dist_between_rects(&src.lo, &src.hi, &node.lo, &node.hi)
+    let mut upper = RankMerge {
+        ranks: &src.max_rank_dists,
+        pad: metric.max_dist_between_rects(&src.lo, &src.hi, &src.lo, &src.hi),
+        ..lower
+    };
+    let closest =
+        |node: &BoxNode| metric.min_dist_between_rects(&src.lo, &src.hi, &node.lo, &node.hi);
+    let farthest =
+        |node: &BoxNode| metric.max_dist_between_rects(&src.lo, &src.hi, &node.lo, &node.hi);
+    let (mut lo_end, mut hi_end) = (None, None);
+    let mut near: BinaryHeap<Reverse<(Key, usize)>> = BinaryHeap::new();
+    let mut far: BinaryHeap<Reverse<(Key, usize)>> = BinaryHeap::new();
+    near.push(Reverse((Key(closest(&tree.nodes[tree.root])), tree.root)));
+    while let Some(Reverse((Key(key), ni))) = near.pop() {
+        // Everything still in `near` has a raw key >= the popped one, and
+        // the isolation clamp is monotone, so after clamping intra
+        // candidates at or below `clamped` are still globally next.
+        let clamped = key.max(src.isolation);
+        if lo_end.is_none() {
+            lo_end = lower.intra_upto(clamped);
         }
-    };
-    let isolation = if upper { 0.0 } else { src.isolation };
-    let mut heap: BinaryHeap<Reverse<(Key, usize)>> = BinaryHeap::new();
-    heap.push(Reverse((Key(key_of(tree.root)), tree.root)));
-    let mut acc = 0usize;
-    let mut intra_next = 0usize;
-    while let Some(Reverse((Key(key), ni))) = heap.pop() {
-        // Everything still in the heap has a raw key >= the popped one,
-        // and the isolation clamp is monotone, so after clamping intra
-        // candidates at or below `key` are still globally next in line.
-        let key = key.max(isolation);
-        while intra_next < intra_total && intra_val(intra_next) <= key {
-            acc += 1;
-            if acc >= min_pts {
-                return intra_val(intra_next);
-            }
-            intra_next += 1;
+        if hi_end.is_none() {
+            hi_end = drain_far(&mut upper, &mut far, key);
+        }
+        if let (Some(lo), Some(hi)) = (lo_end, hi_end) {
+            return (lo, hi);
         }
         let node = &tree.nodes[ni];
         match node.children {
             Some((l, r)) => {
-                heap.push(Reverse((Key(key_of(l)), l)));
-                heap.push(Reverse((Key(key_of(r)), r)));
+                for child in [l, r] {
+                    let c = &tree.nodes[child];
+                    // Once the lower end is known, a leaf matters only by
+                    // its farthest distance, so it waits in `far` at once.
+                    if lo_end.is_some() && c.children.is_none() {
+                        if c.part != src_idx {
+                            far.push(Reverse((Key(farthest(c)), c.count)));
+                        }
+                    } else {
+                        near.push(Reverse((Key(closest(c)), child)));
+                    }
+                }
             }
             None if node.part == src_idx => {}
             None => {
-                acc += node.count;
-                if acc >= min_pts {
-                    return key;
+                if lo_end.is_none() {
+                    lo_end = lower.take(node.count, clamped);
+                }
+                if hi_end.is_none() {
+                    far.push(Reverse((Key(farthest(node)), node.count)));
                 }
             }
         }
     }
-    // Tree exhausted: drain what's left of the intra stream.
-    while intra_next < intra_total {
-        acc += 1;
-        if acc >= min_pts {
-            return intra_val(intra_next);
-        }
-        intra_next += 1;
-    }
-    // Unreachable when min_pts < total objects (validated by the engine);
-    // fall back to the conservative end regardless.
-    if upper {
-        f64::INFINITY
-    } else {
-        0.0
-    }
+    // Tree exhausted: drain what is left of each stream. Falling through
+    // is unreachable when min_pts < total objects (validated by the
+    // engine); the conservative ends stand in regardless.
+    let lo = lo_end.or_else(|| lower.intra_upto(f64::INFINITY)).unwrap_or(0.0);
+    let hi = hi_end.or_else(|| drain_far(&mut upper, &mut far, f64::INFINITY));
+    (lo, hi.unwrap_or(f64::INFINITY))
 }
 
 /// Folds the current aggregates over partition `src`'s reachable set —
@@ -331,7 +410,7 @@ fn kd_bound<M: Metric + ?Sized>(
 /// subtree-min aggregate even when every individual leaf sits far away.
 ///
 /// In the direct pass, leaves other than `src`'s own are clamped to
-/// `src`'s isolation radius, exactly as in [`kd_bound`]: their members
+/// `src`'s isolation radius, exactly as in [`kd_bounds`]: their members
 /// provably sit at least that far from every member of `src`. Internal
 /// nodes keep the raw rectangle distance — their subtree may contain
 /// `src` itself, which the clamp must never apply to.
@@ -466,23 +545,23 @@ pub(super) fn envelopes_threaded<M: Metric + ?Sized>(
     }
 
     let n_parts = partitions.len();
-    let (kd_lb, kd_ub): (Vec<f64>, Vec<f64>) = map_strided(n_parts, threads, |i| {
-        let p = &partitions[i];
-        (
-            kd_bound(metric, &tree, p, i, min_pts, false),
-            kd_bound(metric, &tree, p, i, min_pts, true),
-        )
-    })
-    .into_iter()
-    .unzip();
+    let span = lof_obs::span!("core.topn.envelope.k_distance");
+    let (kd_lb, kd_ub): (Vec<f64>, Vec<f64>) =
+        map_strided(n_parts, threads, |i| kd_bounds(metric, &tree, &partitions[i], i, min_pts))
+            .into_iter()
+            .unzip();
+    drop(span);
 
+    let span = lof_obs::span!("core.topn.envelope.direct");
     tree.set_aggregates(&kd_lb, &kd_ub);
     let (dir_min, dir_max): (Vec<f64>, Vec<f64>) = map_strided(n_parts, threads, |i| {
         reachable_envelope(metric, &tree, &partitions[i], i, kd_ub[i], true)
     })
     .into_iter()
     .unzip();
+    drop(span);
 
+    let _span = lof_obs::span!("core.topn.envelope.indirect");
     tree.set_aggregates(&dir_min, &dir_max);
     let out = map_strided(n_parts, threads, |i| {
         let (ind_min, ind_max) =
@@ -518,6 +597,84 @@ mod tests {
     use crate::materialize::NeighborhoodTable;
     use crate::point::Dataset;
     use crate::scan::LinearScan;
+
+    /// Two-pass oracle for [`kd_bounds`]: one best-first traversal per
+    /// envelope end. Internal nodes are keyed by closest rectangle
+    /// distance; leaves by closest (lower end) or farthest (upper end)
+    /// distance, each contributing its whole member count at that key.
+    fn kd_bound<M: Metric + ?Sized>(
+        metric: &M,
+        tree: &BoxTree,
+        src: &Partition,
+        src_idx: usize,
+        min_pts: usize,
+        upper: bool,
+    ) -> f64 {
+        let intra_total = src.members.len() - 1;
+        let ranks = if upper { &src.max_rank_dists } else { &src.min_rank_dists };
+        let pad = if upper {
+            metric.max_dist_between_rects(&src.lo, &src.hi, &src.lo, &src.hi)
+        } else {
+            ranks.last().copied().unwrap_or(0.0)
+        };
+        let intra_val = |j: usize| -> f64 { ranks.get(j).copied().unwrap_or(pad) };
+
+        let key_of = |ni: usize| -> f64 {
+            let node = &tree.nodes[ni];
+            if upper && node.children.is_none() {
+                metric.max_dist_between_rects(&src.lo, &src.hi, &node.lo, &node.hi)
+            } else {
+                metric.min_dist_between_rects(&src.lo, &src.hi, &node.lo, &node.hi)
+            }
+        };
+        let isolation = if upper { 0.0 } else { src.isolation };
+        let mut heap: BinaryHeap<Reverse<(Key, usize)>> = BinaryHeap::new();
+        heap.push(Reverse((Key(key_of(tree.root)), tree.root)));
+        let mut acc = 0usize;
+        let mut intra_next = 0usize;
+        while let Some(Reverse((Key(key), ni))) = heap.pop() {
+            // Everything still in the heap has a raw key >= the popped one,
+            // and the isolation clamp is monotone, so after clamping intra
+            // candidates at or below `key` are still globally next in line.
+            let key = key.max(isolation);
+            while intra_next < intra_total && intra_val(intra_next) <= key {
+                acc += 1;
+                if acc >= min_pts {
+                    return intra_val(intra_next);
+                }
+                intra_next += 1;
+            }
+            let node = &tree.nodes[ni];
+            match node.children {
+                Some((l, r)) => {
+                    heap.push(Reverse((Key(key_of(l)), l)));
+                    heap.push(Reverse((Key(key_of(r)), r)));
+                }
+                None if node.part == src_idx => {}
+                None => {
+                    acc += node.count;
+                    if acc >= min_pts {
+                        return key;
+                    }
+                }
+            }
+        }
+        // Tree exhausted: drain what's left of the intra stream.
+        while intra_next < intra_total {
+            acc += 1;
+            if acc >= min_pts {
+                return intra_val(intra_next);
+            }
+            intra_next += 1;
+        }
+        // Unreachable when min_pts < total objects (validated by the engine);
+        // fall back to the conservative end regardless.
+        if upper {
+            f64::INFINITY
+        } else {
+            0.0
+        }
+    }
 
     /// Chunks ids into partitions of `size` via
     /// [`Partition::from_member_points`]: tight member boxes plus exact
@@ -671,12 +828,12 @@ mod tests {
         assert!(partition_envelopes(&Euclidean, &[ok, descending], 2).is_err());
     }
 
-    #[test]
-    fn threaded_envelopes_match_serial_bit_for_bit() {
-        // A 40x30 unit lattice and a denser 6x6 one cut into 206
-        // six-point runs, a pile of eight duplicates, and twelve
-        // stragglers as singleton partitions (what the trees' sprawl
-        // split emits), every partition with its exact isolation radius.
+    /// A 40x30 unit lattice and a denser 6x6 one cut into 206 six-point
+    /// runs, a pile of eight duplicates, and twelve stragglers as
+    /// singleton partitions (what the trees' sprawl split emits), every
+    /// partition with its exact isolation radius. Returns the cover and
+    /// the object count.
+    fn mixed_cover() -> (Vec<Partition>, usize) {
         let mut rows: Vec<[f64; 2]> = Vec::new();
         for y in 0..30 {
             for x in 0..40 {
@@ -718,6 +875,63 @@ mod tests {
             }
             part.isolation = isolation;
         }
+        (parts, data.len())
+    }
+
+    #[test]
+    fn one_traversal_k_distance_bounds_match_the_two_pass_oracle() {
+        let (mixed, n_objects) = mixed_cover();
+        assert!(mixed.iter().all(|p| p.members.len() <= 8));
+        let mut bare = mixed.clone();
+        let mut truncated = mixed.clone();
+        let mut unisolated = mixed.clone();
+        for p in &mut bare {
+            p.min_rank_dists.clear();
+            p.max_rank_dists.clear();
+        }
+        for p in &mut truncated {
+            p.min_rank_dists.truncate(2);
+            p.max_rank_dists.truncate(1);
+        }
+        for p in &mut unisolated {
+            p.isolation = 0.0;
+        }
+        let covers = [
+            ("mixed", mixed),
+            ("empty profiles", bare),
+            ("truncated profiles", truncated),
+            ("no isolation", unisolated),
+        ];
+        // 9 exceeds every partition; n - 1 needs every other object; n
+        // exhausts the box tree and falls back to the vacuous ends.
+        let min_pts_values = [1, 4, 9, n_objects - 1, n_objects];
+        let mut exhausted = 0;
+        for (label, parts) in &covers {
+            let tree = BoxTree::build(parts);
+            // Manhattan rides along on the full cover only, to keep the
+            // exhaustive traversals cheap.
+            let metrics: &[&dyn Metric] =
+                if *label == "mixed" { &[&Euclidean, &Manhattan] } else { &[&Euclidean] };
+            for &metric in metrics {
+                for min_pts in min_pts_values {
+                    for (i, p) in parts.iter().enumerate() {
+                        let (lo, hi) = kd_bounds(metric, &tree, p, i, min_pts);
+                        let want_lo = kd_bound(metric, &tree, p, i, min_pts, false);
+                        let want_hi = kd_bound(metric, &tree, p, i, min_pts, true);
+                        let at = format!("{label} min_pts={min_pts} partition {i}");
+                        assert_eq!(lo.to_bits(), want_lo.to_bits(), "{at}: lower end");
+                        assert_eq!(hi.to_bits(), want_hi.to_bits(), "{at}: upper end");
+                        exhausted += usize::from(hi == f64::INFINITY);
+                    }
+                }
+            }
+        }
+        assert!(exhausted > 0, "some MinPts must exhaust the box tree");
+    }
+
+    #[test]
+    fn threaded_envelopes_match_serial_bit_for_bit() {
+        let (parts, _) = mixed_cover();
         assert!(parts.len() >= 200, "every worker needs work: {} partitions", parts.len());
 
         let bits = |e: &PartitionEnvelope| {

@@ -408,8 +408,11 @@ fn isolation_radii<M: lof_core::Metric>(
 /// * `fn size(&self) -> usize`.
 ///
 /// Tie-inclusion (definition 4) falls out of running the range phase at the
-/// exact `k`-distance. Because both phases draw every buffer from the
-/// caller's [`lof_core::KnnScratch`], the generated `k_nearest_into` is
+/// exact `k`-distance. The generated `k_distance_into` is the first phase
+/// on its own, so its value is the last distance `k_nearest_into` returns
+/// and `within(id, k_distance_into(id))` is the same neighborhood. Because
+/// both phases draw every buffer from the caller's
+/// [`lof_core::KnnScratch`], the generated `k_nearest_into` is
 /// allocation-free once the scratch is warm; `k_nearest`/`within` borrow
 /// the calling thread's shared scratch.
 ///
@@ -470,6 +473,19 @@ macro_rules! impl_knn_provider {
                 self.search_within_into(q, k_distance, Some(id), scratch, out);
                 lof_core::neighbors::sort_neighbors(&mut out[start..]);
                 Ok(out.len() - start)
+            }
+
+            /// The first phase of `k_nearest_into` alone: its range pass
+            /// and sort are skipped, and the radius it would run at is
+            /// returned.
+            fn k_distance_into(
+                &self,
+                id: usize,
+                k: usize,
+                scratch: &mut lof_core::KnnScratch,
+            ) -> lof_core::Result<f64> {
+                crate::common::validate_knn(self.size(), id, k)?;
+                Ok(self.search_k_distance(self.data.point(id), k, Some(id), scratch))
             }
 
             fn within(&self, id: usize, radius: f64) -> lof_core::Result<Vec<lof_core::Neighbor>> {

@@ -3,8 +3,10 @@
 //! paper's section 7.4).
 //!
 //! Median-split construction over an id permutation (no point copies),
-//! bounding boxes per node, and depth-first search with
-//! `Metric::min_dist_to_rect` pruning.
+//! one flat array of node bounding boxes, and depth-first search with
+//! `Metric::min_dist_to_rect` pruning. The descent computes each child's
+//! box distance once, in its parent, where it both orders the visit and
+//! prunes the child.
 //!
 //! For metrics with a squared-Euclidean form the k-distance descent runs
 //! entirely in squared space (`min_dist_to_rect_sq` pruning, no square
@@ -20,9 +22,6 @@ const LEAF_SIZE: usize = 16;
 
 #[derive(Debug)]
 struct Node {
-    /// Bounding box of all points below this node.
-    lo: Vec<f64>,
-    hi: Vec<f64>,
     /// Range into `KdTree::ids`.
     start: usize,
     end: usize,
@@ -50,6 +49,9 @@ pub struct KdTree<'a, M: Metric> {
     metric: M,
     ids: Vec<usize>,
     nodes: Vec<Node>,
+    /// Bounding boxes of all points below each node, `[lo | hi]` per
+    /// node in node order: node `i`'s box is `boxes[2·dims·i..2·dims·(i+1)]`.
+    boxes: Vec<f64>,
     root: usize,
     /// Index of the leaf node containing each object, for the leaf-grouped
     /// batch self-join (leaf ranges partition `ids`, so this is total).
@@ -63,11 +65,12 @@ impl<'a, M: Metric> KdTree<'a, M> {
     pub fn new(data: &'a Dataset, metric: M) -> Self {
         let mut ids: Vec<usize> = (0..data.len()).collect();
         let mut nodes = Vec::new();
+        let mut boxes = Vec::new();
         let root = if data.is_empty() {
             usize::MAX
         } else {
             let n = data.len();
-            build(data, &mut ids, 0, n, &mut nodes)
+            build(data, &mut ids, 0, n, &mut nodes, &mut boxes)
         };
         let mut leaf_of = vec![usize::MAX; data.len()];
         for (idx, node) in nodes.iter().enumerate() {
@@ -78,7 +81,7 @@ impl<'a, M: Metric> KdTree<'a, M> {
             }
         }
         let kernel = BlockKernel::for_metric(data, &metric);
-        KdTree { data, metric, ids, nodes, root, leaf_of, kernel }
+        KdTree { data, metric, ids, nodes, boxes, root, leaf_of, kernel }
     }
 
     /// Number of indexed objects.
@@ -91,6 +94,13 @@ impl<'a, M: Metric> KdTree<'a, M> {
         self.nodes.len()
     }
 
+    /// Node `node_id`'s bounding box as `(lo, hi)`.
+    #[inline]
+    fn bbox(&self, node_id: usize) -> (&[f64], &[f64]) {
+        let dims = self.data.dims();
+        self.boxes[2 * dims * node_id..2 * dims * (node_id + 1)].split_at(dims)
+    }
+
     fn search_k_distance(
         &self,
         q: &[f64],
@@ -100,93 +110,73 @@ impl<'a, M: Metric> KdTree<'a, M> {
     ) -> f64 {
         let best = &mut scratch.heap;
         best.reset(k);
-        match self.metric.blocked_form() {
+        let metric = &self.metric;
+        match metric.blocked_form() {
             // Squared-space descent: one sqrt total instead of one per
             // visited point. Exact — sqrt is monotone, so order statistics
             // commute with it, and `Euclidean::distance` is literally
             // `squared_euclidean(..).sqrt()`.
-            BlockedForm::Euclidean => {
-                self.knn_rec_sq(self.root, q, exclude, best);
-                best.kth_dist().expect("validated: at least k candidates exist").sqrt()
-            }
-            BlockedForm::SquaredEuclidean => {
-                self.knn_rec_sq(self.root, q, exclude, best);
-                best.kth_dist().expect("validated: at least k candidates exist")
+            BlockedForm::Euclidean | BlockedForm::SquaredEuclidean => {
+                let rect =
+                    |q: &[f64], lo: &[f64], hi: &[f64]| metric.min_dist_to_rect_sq(q, lo, hi);
+                self.knn_rec(self.root, f64::NEG_INFINITY, q, exclude, best, &rect, &|q, p| {
+                    lof_core::distance::squared_euclidean(q, p)
+                });
             }
             BlockedForm::Generic => {
-                self.knn_rec(self.root, q, exclude, best);
-                best.kth_dist().expect("validated: at least k candidates exist")
+                let rect = |q: &[f64], lo: &[f64], hi: &[f64]| metric.min_dist_to_rect(q, lo, hi);
+                self.knn_rec(self.root, f64::NEG_INFINITY, q, exclude, best, &rect, &|q, p| {
+                    metric.distance(q, p)
+                });
             }
+        }
+        let kth = best.kth_dist().expect("validated: at least k candidates exist");
+        if metric.blocked_form() == BlockedForm::Euclidean {
+            kth.sqrt()
+        } else {
+            kth
         }
     }
 
-    fn knn_rec(
+    /// Depth-first k-distance descent under one distance form: `point`
+    /// is the distance the heap holds and `rect` bounds it from below over
+    /// a box. `node_dist` is this node's `rect` value, computed by its
+    /// parent (the root's `-∞` never prunes).
+    #[allow(clippy::too_many_arguments)]
+    fn knn_rec<R, D>(
         &self,
         node_id: usize,
+        node_dist: f64,
         q: &[f64],
         exclude: Option<usize>,
         best: &mut BoundedMaxHeap,
-    ) {
-        let node = &self.nodes[node_id];
-        if self.metric.min_dist_to_rect(q, &node.lo, &node.hi) > best.bound() {
+        rect: &R,
+        point: &D,
+    ) where
+        R: Fn(&[f64], &[f64], &[f64]) -> f64,
+        D: Fn(&[f64], &[f64]) -> f64,
+    {
+        if node_dist > best.bound() {
             return;
         }
+        let node = &self.nodes[node_id];
         match node.children {
             None => {
                 for &id in &self.ids[node.start..node.end] {
                     if Some(id) != exclude {
-                        best.offer(id, self.metric.distance(q, self.data.point(id)));
+                        best.offer(id, point(q, self.data.point(id)));
                     }
                 }
             }
             Some((left, right)) => {
                 // Visit the nearer child first so the bound tightens early.
-                let dl =
-                    self.metric.min_dist_to_rect(q, &self.nodes[left].lo, &self.nodes[left].hi);
-                let dr =
-                    self.metric.min_dist_to_rect(q, &self.nodes[right].lo, &self.nodes[right].hi);
-                let (first, second) = if dl <= dr { (left, right) } else { (right, left) };
-                self.knn_rec(first, q, exclude, best);
-                self.knn_rec(second, q, exclude, best);
-            }
-        }
-    }
-
-    /// [`KdTree::knn_rec`] with distances and rectangle bounds kept in
-    /// squared-Euclidean space; the heap holds squared distances.
-    fn knn_rec_sq(
-        &self,
-        node_id: usize,
-        q: &[f64],
-        exclude: Option<usize>,
-        best: &mut BoundedMaxHeap,
-    ) {
-        let node = &self.nodes[node_id];
-        if self.metric.min_dist_to_rect_sq(q, &node.lo, &node.hi) > best.bound() {
-            return;
-        }
-        match node.children {
-            None => {
-                for &id in &self.ids[node.start..node.end] {
-                    if Some(id) != exclude {
-                        best.offer(
-                            id,
-                            lof_core::distance::squared_euclidean(q, self.data.point(id)),
-                        );
-                    }
-                }
-            }
-            Some((left, right)) => {
-                let dl =
-                    self.metric.min_dist_to_rect_sq(q, &self.nodes[left].lo, &self.nodes[left].hi);
-                let dr = self.metric.min_dist_to_rect_sq(
-                    q,
-                    &self.nodes[right].lo,
-                    &self.nodes[right].hi,
-                );
-                let (first, second) = if dl <= dr { (left, right) } else { (right, left) };
-                self.knn_rec_sq(first, q, exclude, best);
-                self.knn_rec_sq(second, q, exclude, best);
+                let (llo, lhi) = self.bbox(left);
+                let (rlo, rhi) = self.bbox(right);
+                let (dl, dr) = (rect(q, llo, lhi), rect(q, rlo, rhi));
+                let ((first, d1), (second, d2)) =
+                    if dl <= dr { ((left, dl), (right, dr)) } else { ((right, dr), (left, dl)) };
+                self.knn_rec(first, d1, q, exclude, best, rect, point);
+                self.knn_rec(second, d2, q, exclude, best, rect, point);
             }
         }
     }
@@ -212,10 +202,11 @@ impl<'a, M: Metric> KdTree<'a, M> {
         exclude: Option<usize>,
         out: &mut Vec<Neighbor>,
     ) {
-        let node = &self.nodes[node_id];
-        if self.metric.min_dist_to_rect(q, &node.lo, &node.hi) > radius {
+        let (lo, hi) = self.bbox(node_id);
+        if self.metric.min_dist_to_rect(q, lo, hi) > radius {
             return;
         }
+        let node = &self.nodes[node_id];
         match node.children {
             None => {
                 for &id in &self.ids[node.start..node.end] {
@@ -274,7 +265,7 @@ impl<'a, M: Metric> KdTree<'a, M> {
         glens: &mut Vec<usize>,
     ) {
         let gn = group.len();
-        let leaf = &self.nodes[group[0].0];
+        let leaf = self.bbox(group[0].0);
         if scratch.heaps.len() < gn {
             scratch.heaps.resize_with(gn, BoundedMaxHeap::new);
         }
@@ -300,7 +291,7 @@ impl<'a, M: Metric> KdTree<'a, M> {
         if let Some(kernel) = &self.kernel {
             let sqrt_form = self.metric.blocked_form() == BlockedForm::Euclidean;
             let mut tile = LeafTile { isa: kernel.isa(), cols: leaf_cols, dists: tile_sq };
-            self.group_knn_sq(self.root, leaf, group, heaps, join_lost, &mut tile);
+            self.group_knn_sq(self.root, 0.0, leaf, group, heaps, join_lost, &mut tile);
             for (gi, heap) in heaps.iter().enumerate() {
                 let kth_sq = heap.kth_dist().expect("validated: at least k candidates exist");
                 let radius = if sqrt_form { kth_sq.sqrt() } else { kth_sq };
@@ -356,7 +347,8 @@ impl<'a, M: Metric> KdTree<'a, M> {
     /// pruned once per group against the loosest per-query bound using the
     /// rect-to-rect lower bound (valid for every query inside the group's
     /// leaf rect); per-query `min_dist_to_rect_sq` tests run only at the
-    /// leaves.
+    /// leaves. `node_dist` is this node's rect-to-rect bound, computed by
+    /// its parent (`0` at the root, which is never pruned).
     ///
     /// Each candidate leaf is evaluated as a lane-parallel tile: its rows
     /// are gathered column-major once per group ([`LeafTile`]), and every
@@ -374,28 +366,31 @@ impl<'a, M: Metric> KdTree<'a, M> {
     /// that it cannot tie it. Together with the per-heap lost-candidate
     /// minimum this makes "no lost distance ties a radius" a proof that
     /// the shell pass is unnecessary.
+    #[allow(clippy::too_many_arguments)]
     fn group_knn_sq(
         &self,
         node_id: usize,
-        leaf: &Node,
+        node_dist: f64,
+        leaf: (&[f64], &[f64]),
         group: &[(usize, usize)],
         heaps: &mut [BoundedMaxHeap],
         lost: &mut [f64],
         tile: &mut LeafTile<'_>,
     ) {
-        let node = &self.nodes[node_id];
         let group_bound = heaps.iter().fold(0.0f64, |m, h| m.max(h.bound()));
-        if rect_rect_min_sq(&leaf.lo, &leaf.hi, &node.lo, &node.hi) > widen_sq(group_bound) {
+        if node_dist > widen_sq(group_bound) {
             return;
         }
+        let node = &self.nodes[node_id];
         match node.children {
             None => {
                 let members = &self.ids[node.start..node.end];
+                let (lo, hi) = self.bbox(node_id);
                 let mut gathered = false;
                 for (gi, &(_, qid)) in group.iter().enumerate() {
                     let q = self.data.point(qid);
                     let mut cutoff = widen_sq(heaps[gi].bound());
-                    if self.metric.min_dist_to_rect_sq(q, &node.lo, &node.hi) > cutoff {
+                    if self.metric.min_dist_to_rect_sq(q, lo, hi) > cutoff {
                         continue;
                     }
                     if !gathered {
@@ -411,21 +406,14 @@ impl<'a, M: Metric> KdTree<'a, M> {
                 }
             }
             Some((left, right)) => {
-                let dl = rect_rect_min_sq(
-                    &leaf.lo,
-                    &leaf.hi,
-                    &self.nodes[left].lo,
-                    &self.nodes[left].hi,
-                );
-                let dr = rect_rect_min_sq(
-                    &leaf.lo,
-                    &leaf.hi,
-                    &self.nodes[right].lo,
-                    &self.nodes[right].hi,
-                );
-                let (first, second) = if dl <= dr { (left, right) } else { (right, left) };
-                self.group_knn_sq(first, leaf, group, heaps, lost, tile);
-                self.group_knn_sq(second, leaf, group, heaps, lost, tile);
+                let (llo, lhi) = self.bbox(left);
+                let (rlo, rhi) = self.bbox(right);
+                let dl = rect_rect_min_sq(leaf.0, leaf.1, llo, lhi);
+                let dr = rect_rect_min_sq(leaf.0, leaf.1, rlo, rhi);
+                let ((first, d1), (second, d2)) =
+                    if dl <= dr { ((left, dl), (right, dr)) } else { ((right, dr), (left, dl)) };
+                self.group_knn_sq(first, d1, leaf, group, heaps, lost, tile);
+                self.group_knn_sq(second, d2, leaf, group, heaps, lost, tile);
             }
         }
     }
@@ -445,7 +433,7 @@ impl<'a, M: Metric> KdTree<'a, M> {
     fn group_shell_sq(
         &self,
         node_id: usize,
-        leaf: &Node,
+        leaf: (&[f64], &[f64]),
         group: &[(usize, usize)],
         radii: &[(f64, f64)],
         heaps: &[BoundedMaxHeap],
@@ -453,14 +441,15 @@ impl<'a, M: Metric> KdTree<'a, M> {
         tile_sq: &mut Vec<f64>,
         pairs: &mut [Vec<(f64, usize)>],
     ) {
-        let node = &self.nodes[node_id];
+        let (lo, hi) = self.bbox(node_id);
         let max_r_sq = radii.iter().fold(0.0f64, |m, r| m.max(r.1));
         let min_r_sq = radii.iter().fold(f64::INFINITY, |m, r| m.min(r.1));
-        if rect_rect_min_sq(&leaf.lo, &leaf.hi, &node.lo, &node.hi) > widen_sq(max_r_sq)
-            || rect_rect_max_sq(&leaf.lo, &leaf.hi, &node.lo, &node.hi) < min_r_sq
+        if rect_rect_min_sq(leaf.0, leaf.1, lo, hi) > widen_sq(max_r_sq)
+            || rect_rect_max_sq(leaf.0, leaf.1, lo, hi) < min_r_sq
         {
             return;
         }
+        let node = &self.nodes[node_id];
         match node.children {
             None => {
                 let cands = &self.ids[node.start..node.end];
@@ -469,8 +458,8 @@ impl<'a, M: Metric> KdTree<'a, M> {
                 for (gi, &(_, qid)) in group.iter().enumerate() {
                     let (radius, r_sq) = radii[gi];
                     let q = self.data.point(qid);
-                    if self.metric.min_dist_to_rect_sq(q, &node.lo, &node.hi) > widen_sq(r_sq)
-                        || point_rect_max_sq(q, &node.lo, &node.hi) < r_sq
+                    if self.metric.min_dist_to_rect_sq(q, lo, hi) > widen_sq(r_sq)
+                        || point_rect_max_sq(q, lo, hi) < r_sq
                     {
                         continue;
                     }
@@ -515,19 +504,19 @@ impl<'a, M: Metric> KdTree<'a, M> {
         group: &[(usize, usize)],
         heaps: &mut [BoundedMaxHeap],
     ) {
-        let node = &self.nodes[node_id];
+        let (lo, hi) = self.bbox(node_id);
         let needed = group.iter().enumerate().any(|(gi, &(_, qid))| {
-            self.metric.min_dist_to_rect(self.data.point(qid), &node.lo, &node.hi)
-                <= heaps[gi].bound()
+            self.metric.min_dist_to_rect(self.data.point(qid), lo, hi) <= heaps[gi].bound()
         });
         if !needed {
             return;
         }
+        let node = &self.nodes[node_id];
         match node.children {
             None => {
                 for (gi, &(_, qid)) in group.iter().enumerate() {
                     let q = self.data.point(qid);
-                    if self.metric.min_dist_to_rect(q, &node.lo, &node.hi) > heaps[gi].bound() {
+                    if self.metric.min_dist_to_rect(q, lo, hi) > heaps[gi].bound() {
                         continue;
                     }
                     for &id in &self.ids[node.start..node.end] {
@@ -554,18 +543,19 @@ impl<'a, M: Metric> KdTree<'a, M> {
         radii: &[(f64, f64)],
         pairs: &mut [Vec<(f64, usize)>],
     ) {
-        let node = &self.nodes[node_id];
+        let (lo, hi) = self.bbox(node_id);
         let needed = group.iter().zip(radii).any(|(&(_, qid), &(radius, _))| {
-            self.metric.min_dist_to_rect(self.data.point(qid), &node.lo, &node.hi) <= radius
+            self.metric.min_dist_to_rect(self.data.point(qid), lo, hi) <= radius
         });
         if !needed {
             return;
         }
+        let node = &self.nodes[node_id];
         match node.children {
             None => {
                 for (gi, (&(_, qid), &(radius, _))) in group.iter().zip(radii).enumerate() {
                     let q = self.data.point(qid);
-                    if self.metric.min_dist_to_rect(q, &node.lo, &node.hi) > radius {
+                    if self.metric.min_dist_to_rect(q, lo, hi) > radius {
                         continue;
                     }
                     for &id in &self.ids[node.start..node.end] {
@@ -673,13 +663,14 @@ fn point_rect_max_sq(q: &[f64], lo: &[f64], hi: &[f64]) -> f64 {
 }
 
 /// Recursively builds the subtree over `ids[start..end]`, returning its node
-/// index.
+/// index; each node's box is appended to `boxes` as it is pushed.
 fn build(
     data: &Dataset,
     ids: &mut [usize],
     start: usize,
     end: usize,
     nodes: &mut Vec<Node>,
+    boxes: &mut Vec<f64>,
 ) -> usize {
     let slice = &ids[start..end];
     let dims = data.dims();
@@ -697,10 +688,15 @@ fn build(
         }
     }
 
+    let push = |nodes: &mut Vec<Node>, boxes: &mut Vec<f64>, children| {
+        boxes.extend_from_slice(&lo);
+        boxes.extend_from_slice(&hi);
+        nodes.push(Node { start, end, children });
+        nodes.len() - 1
+    };
     let count = end - start;
     if count <= LEAF_SIZE {
-        nodes.push(Node { lo, hi, start, end, children: None });
-        return nodes.len() - 1;
+        return push(nodes, boxes, None);
     }
 
     // Split on the dimension of largest extent, at the median.
@@ -716,8 +712,7 @@ fn build(
     if best_extent == 0.0 {
         // All points identical in every dimension: an (oversized) leaf is
         // the only sensible shape.
-        nodes.push(Node { lo, hi, start, end, children: None });
-        return nodes.len() - 1;
+        return push(nodes, boxes, None);
     }
 
     let mid = count / 2;
@@ -725,10 +720,9 @@ fn build(
         data.point(a)[split_dim].total_cmp(&data.point(b)[split_dim]).then(a.cmp(&b))
     });
 
-    let left = build(data, ids, start, start + mid, nodes);
-    let right = build(data, ids, start + mid, end, nodes);
-    nodes.push(Node { lo, hi, start, end, children: Some((left, right)) });
-    nodes.len() - 1
+    let left = build(data, ids, start, start + mid, nodes, boxes);
+    let right = build(data, ids, start + mid, end, nodes, boxes);
+    push(nodes, boxes, Some((left, right)))
 }
 
 impl_knn_provider!(KdTree, self_join);

@@ -1,7 +1,9 @@
-//! The top-n engine's refinement workers share one neighborhood store:
-//! every object's k-NN query runs at most once per engine run, at any
-//! thread count, and the ranking stays bit-identical to the sorted full
-//! sweep.
+//! The top-n engine's refinement workers share one store and ask each
+//! object only for what LOF reads of it: per engine run, at any thread
+//! count, every object gets at most one k-distance descent and at most
+//! one range pass, objects whose neighborhoods are never read get no
+//! range pass at all, and the ranking stays bit-identical to the sorted
+//! full sweep.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -10,20 +12,28 @@ use lof::{
     topn_reference, Dataset, Euclidean, KdTree, KnnProvider, Neighbor, PartitionSource, TopNEngine,
 };
 
-/// A [`KdTree`] that counts `k_nearest_into` calls per object id.
+/// A [`KdTree`] that counts, per object id, the descents
+/// (`k_distance_into`, `k_nearest_into`) and range passes (`within`,
+/// `k_nearest_into`) it answers.
 struct CountingTree<'a> {
     tree: &'a KdTree<'a, Euclidean>,
-    calls: Vec<AtomicU32>,
+    descents: Vec<AtomicU32>,
+    range_passes: Vec<AtomicU32>,
 }
 
 impl<'a> CountingTree<'a> {
     fn new(tree: &'a KdTree<'a, Euclidean>) -> Self {
-        CountingTree { tree, calls: (0..tree.len()).map(|_| AtomicU32::new(0)).collect() }
+        let counters = || (0..tree.len()).map(|_| AtomicU32::new(0)).collect();
+        CountingTree { tree, descents: counters(), range_passes: counters() }
     }
+}
 
-    fn total(&self) -> u64 {
-        self.calls.iter().map(|c| u64::from(c.load(Ordering::Relaxed))).sum()
-    }
+fn load(counter: &AtomicU32) -> u32 {
+    counter.load(Ordering::Relaxed)
+}
+
+fn total(counters: &[AtomicU32]) -> u64 {
+    counters.iter().map(|c| u64::from(load(c))).sum()
 }
 
 impl KnnProvider for CountingTree<'_> {
@@ -42,11 +52,23 @@ impl KnnProvider for CountingTree<'_> {
         scratch: &mut KnnScratch,
         out: &mut Vec<Neighbor>,
     ) -> lof::core::Result<usize> {
-        self.calls[id].fetch_add(1, Ordering::Relaxed);
+        self.descents[id].fetch_add(1, Ordering::Relaxed);
+        self.range_passes[id].fetch_add(1, Ordering::Relaxed);
         self.tree.k_nearest_into(id, k, scratch, out)
     }
 
+    fn k_distance_into(
+        &self,
+        id: usize,
+        k: usize,
+        scratch: &mut KnnScratch,
+    ) -> lof::core::Result<f64> {
+        self.descents[id].fetch_add(1, Ordering::Relaxed);
+        self.tree.k_distance_into(id, k, scratch)
+    }
+
     fn within(&self, id: usize, radius: f64) -> lof::core::Result<Vec<Neighbor>> {
+        self.range_passes[id].fetch_add(1, Ordering::Relaxed);
         self.tree.within(id, radius)
     }
 }
@@ -113,10 +135,20 @@ fn refine_queries_each_neighborhood_at_most_once_at_any_thread_count() {
             "the fixture must prune: {:?}",
             got.stats
         );
-        for (id, calls) in counting.calls.iter().enumerate() {
-            let calls = calls.load(Ordering::Relaxed);
-            assert!(calls <= 1, "threads={threads}: object {id} queried {calls} times");
+        for id in 0..data.len() {
+            let (descents, ranges) =
+                (load(&counting.descents[id]), load(&counting.range_passes[id]));
+            assert!(descents <= 1, "threads={threads}: object {id} descended {descents} times");
+            assert!(ranges <= 1, "threads={threads}: object {id} got {ranges} range passes");
+            assert!(ranges <= descents, "threads={threads}: object {id} ranged before descending");
         }
-        assert!(counting.total() > 0, "threads={threads}: refinement ran no query");
+        let (descents, ranges) = (total(&counting.descents), total(&counting.range_passes));
+        assert_eq!(got.stats.descents, descents, "threads={threads}");
+        assert_eq!(got.stats.range_passes, ranges, "threads={threads}");
+        assert!(
+            ranges > 0 && ranges < descents,
+            "threads={threads}: some touched objects must skip their range pass \
+             ({descents} descents, {ranges} range passes)"
+        );
     }
 }
