@@ -108,34 +108,48 @@ impl<'a, M: Metric> GridIndex<'a, M> {
     /// `[cell_lo_idx, cell_hi_idx]`'s *exterior* ring at Chebyshev cell
     /// radius `shell`; used to terminate shell expansion. The region covered
     /// by shells `0..shell` is the box extending `shell - 1` cells around
-    /// `q`'s cell; any point beyond it is at least the gap to that box's
-    /// nearest face away.
-    fn shell_min_dist(&self, q: &[f64], center: &[usize], shell: usize) -> f64 {
+    /// `q`'s cell; any point beyond it lies in a half-space past one of
+    /// that box's faces, and the bound is the metric's rectangle bound to
+    /// the nearest such half-space. Going through the metric keeps it
+    /// valid where a face gap is not a distance bound (squared Euclidean
+    /// below unit gaps, metrics with no rectangle bound). `lo`/`hi` stage
+    /// the half-spaces.
+    fn shell_min_dist(
+        &self,
+        q: &[f64],
+        center: &[usize],
+        shell: usize,
+        lo: &mut Vec<f64>,
+        hi: &mut Vec<f64>,
+    ) -> f64 {
         if shell == 0 {
             return 0.0;
         }
         let inner = shell - 1;
+        lo.clear();
+        lo.resize(q.len(), f64::NEG_INFINITY);
+        hi.clear();
+        hi.resize(q.len(), f64::INFINITY);
         let mut min_gap = f64::INFINITY;
         for d in 0..q.len() {
             let lo_cell = center[d].saturating_sub(inner);
             let hi_cell = (center[d] + inner).min(self.cells_per_dim[d] - 1);
-            let box_lo = self.lo[d] + lo_cell as f64 * self.cell_width[d];
-            let box_hi = self.lo[d] + (hi_cell + 1) as f64 * self.cell_width[d];
             // If the inner box already spans this whole dimension, leaving
             // through it is impossible; it imposes no exit gap.
             let spans_dim = lo_cell == 0 && hi_cell == self.cells_per_dim[d] - 1;
             if spans_dim {
                 continue;
             }
-            let gap = (q[d] - box_lo).min(box_hi - q[d]).max(0.0);
-            min_gap = min_gap.min(gap);
+            hi[d] = self.lo[d] + lo_cell as f64 * self.cell_width[d];
+            min_gap = min_gap.min(self.metric.min_dist_to_rect(q, lo, hi));
+            hi[d] = f64::INFINITY;
+            lo[d] = self.lo[d] + (hi_cell + 1) as f64 * self.cell_width[d];
+            min_gap = min_gap.min(self.metric.min_dist_to_rect(q, lo, hi));
+            lo[d] = f64::NEG_INFINITY;
         }
-        if min_gap.is_infinite() {
-            // The inner box covers the entire grid: there is no next shell.
-            f64::INFINITY
-        } else {
-            min_gap
-        }
+        // Infinite when the inner box covers the entire grid: there is no
+        // next shell.
+        min_gap
     }
 
     /// Visits every cell whose Chebyshev distance (in cell units) from
@@ -214,7 +228,7 @@ impl<'a, M: Metric> GridIndex<'a, M> {
         self.cell_of_into(q, center);
         best.reset(k);
         for shell in 0..=self.max_shell() {
-            if self.shell_min_dist(q, center, shell) > best.bound() {
+            if self.shell_min_dist(q, center, shell, lo, hi) > best.bound() {
                 break;
             }
             self.for_each_shell_cell(center, shell, walk, &mut |bucket, cell| {
@@ -243,7 +257,7 @@ impl<'a, M: Metric> GridIndex<'a, M> {
         let KnnScratch { cell: center, cell2: walk, lo, hi, .. } = scratch;
         self.cell_of_into(q, center);
         for shell in 0..=self.max_shell() {
-            if self.shell_min_dist(q, center, shell) > radius {
+            if self.shell_min_dist(q, center, shell, lo, hi) > radius {
                 break;
             }
             self.for_each_shell_cell(center, shell, walk, &mut |bucket, cell| {
@@ -315,6 +329,28 @@ mod tests {
                 assert_eq!(grid.within(id, radius).unwrap(), scan.within(id, radius).unwrap());
             }
         }
+    }
+
+    #[test]
+    fn shell_stop_holds_for_non_minkowski_metrics() {
+        // Face gaps below 1 overstate squared distances, and angles have
+        // no rectangle bound at all: the shell walk must still stop only
+        // where the metric allows it.
+        let small: Vec<[f64; 2]> =
+            dataset().iter().map(|(_, p)| [p[0] / 1000.0 + 0.01, p[1] / 1000.0 + 0.01]).collect();
+        let small = Dataset::from_rows(&small).unwrap();
+        fn check<M: lof_core::Metric + Copy>(ds: &Dataset, metric: M) {
+            let grid = GridIndex::new(ds, metric);
+            let scan = LinearScan::new(ds, metric);
+            for id in (0..ds.len()).step_by(7) {
+                for k in [1, 4, 12] {
+                    let want = scan.k_nearest(id, k).unwrap();
+                    assert_eq!(grid.k_nearest(id, k).unwrap(), want, "{metric:?} id={id} k={k}");
+                }
+            }
+        }
+        check(&small, lof_core::SquaredEuclidean);
+        check(&small, lof_core::Angular);
     }
 
     #[test]
