@@ -24,12 +24,17 @@
 //! [`MIN_THREAD_SPEEDUP`] times faster than the 1-thread cell, or the
 //! binary aborts.
 //!
-//! The stage split (`stages`) reads the engine's own spans
-//! (`core.topn.envelopes`, `core.topn.refine`) from the `lof-obs`
-//! registry for the 1-thread cell's median round, next to the time of
-//! `tree.partitions()`; `refine_descents` and `refine_range_passes` count
-//! the provider queries that round's refinement made. The stages are
-//! zero in a build without the `obs` feature.
+//! The stage split (`stages`) reads the library's own spans from the
+//! `lof-obs` registry: `tree.partitions()` split into its sprawl, profile
+//! and isolation-radius sub-spans (`index.partitions.*`), then the
+//! engine's `core.topn.envelopes` and `core.topn.refine` for the
+//! 1-thread cell's median round. `sprawl_leaves` and `sprawl_pieces`
+//! count the leaves the cover bisected and the pieces they became;
+//! `refine_descents` and `refine_range_passes` count the provider
+//! queries the median round's refinement made. The stages and sprawl
+//! counts are zero in a build without the `obs` feature. The binary also
+//! aborts if the engine prunes no partition at all: the fixture is built
+//! for pruning, so a cover that prunes nothing is a regression.
 //!
 //! Writes `BENCH_topn.json` (override with `BENCH_TOPN_OUT`). Run with
 //! `--release`; pin the point count with `LOF_TOPN_POINTS` and the
@@ -109,9 +114,14 @@ fn assert_ranking_identical(label: &str, got: &[(usize, f64)], want: &[(usize, f
     }
 }
 
-/// Total seconds recorded so far by the engine span `name`.
+/// Total seconds recorded so far by the library span `name`.
 fn span_s(name: &str) -> f64 {
     lof_obs::global().histogram(name).sum_ns() as f64 / 1e9
+}
+
+/// Total so far of the library counter `name`.
+fn counter(name: &str) -> u64 {
+    lof_obs::global().counter(name).value()
 }
 
 /// One 1-thread engine round: its wall time, its `(envelopes, refine)`
@@ -175,7 +185,14 @@ fn main() {
 
     let data = clustered_dataset(11, n);
     let (tree, build_time) = time(|| KdTree::new(&data, Euclidean));
+    const PARTITION_SPANS: [&str; 3] =
+        ["index.partitions.sprawl", "index.partitions.profiles", "index.partitions.isolation"];
+    let spans_before = PARTITION_SPANS.map(span_s);
     let (partitions, partition_time) = time(|| tree.partitions());
+    let [sprawl_s, profiles_s, isolation_s]: [f64; 3] =
+        std::array::from_fn(|i| span_s(PARTITION_SPANS[i]) - spans_before[i]);
+    let sprawl_leaves = counter("index.partitions.sprawl_leaves");
+    let sprawl_pieces = counter("index.partitions.pieces");
     println!(
         "n={n} d={DIMS}: kd build {:.3}s, {} leaf partitions {:.3}s",
         build_time.as_secs_f64(),
@@ -210,9 +227,18 @@ fn main() {
     );
     let partitions_s = partition_time.as_secs_f64();
     println!(
-        "1-thread stages: partitions {partitions_s:.3}s, envelopes {envelopes_s:.3}s, \
-         refine {refine_s:.3}s ({} descents, {} range passes)",
+        "partitions {partitions_s:.3}s (sprawl {sprawl_s:.3}s: {sprawl_leaves} leaves bisected \
+         into {sprawl_pieces} pieces; profiles {profiles_s:.3}s; isolation {isolation_s:.3}s)"
+    );
+    println!(
+        "1-thread stages: envelopes {envelopes_s:.3}s, refine {refine_s:.3}s \
+         ({} descents, {} range passes)",
         stats.descents, stats.range_passes
+    );
+    assert!(
+        stats.partitions_pruned > 0,
+        "the engine pruned none of {} partitions",
+        stats.partitions
     );
     assert!(
         nproc < 2 || thread_speedup >= MIN_THREAD_SPEEDUP,
@@ -233,8 +259,10 @@ fn main() {
          \"partitions_refined\": {},\n  \"objects_pruned\": {},\n  \
          \"objects_refined\": {},\n  \"refine_descents\": {},\n  \
          \"refine_range_passes\": {},\n  \"threshold\": {:.6},\n  \
-         \"stages\": {{\"partitions_s\": {partitions_s:.4}, \"envelopes_s\": {envelopes_s:.4}, \
-         \"refine_s\": {refine_s:.4}}},\n  \
+         \"sprawl_leaves\": {sprawl_leaves},\n  \"sprawl_pieces\": {sprawl_pieces},\n  \
+         \"stages\": {{\"partitions_s\": {partitions_s:.4}, \"sprawl_s\": {sprawl_s:.4}, \
+         \"profiles_s\": {profiles_s:.4}, \"isolation_s\": {isolation_s:.4}, \
+         \"envelopes_s\": {envelopes_s:.4}, \"refine_s\": {refine_s:.4}}},\n  \
          \"full_sweep_s\": {reference_s:.3},\n  \"engine_cells\": [{}, {}],\n  \
          \"pruning_speedup\": {pruning_speedup:.3},\n  \
          \"thread_speedup\": {thread_speedup:.3}\n}}\n",

@@ -317,8 +317,11 @@ impl Metric for Minkowski {
 /// Natural for direction-like data such as the normalized color histograms
 /// of the paper's 64-dimensional experiment.
 ///
-/// Zero vectors are assigned angle 0 to the origin direction of the other
-/// vector (two zero vectors are at distance 0).
+/// A zero vector has no direction. It sits at angle π/2 to every nonzero
+/// vector and at 0 to another zero vector. π/2 is the smallest such
+/// constant that keeps the triangle inequality: a path through a zero
+/// vector then costs π, the largest possible angle. So ball-tree pruning
+/// stays exact on data with all-zero rows.
 ///
 /// `min_dist_to_rect` returns 0: the generic clamp bound is *not* a valid
 /// lower bound for angles, so rectangle-based indexes (grid/kd-tree/X-tree/
@@ -339,7 +342,7 @@ impl Metric for Angular {
             nb += y * y;
         }
         if na == 0.0 || nb == 0.0 {
-            return 0.0;
+            return if na == nb { 0.0 } else { std::f64::consts::FRAC_PI_2 };
         }
         (dot / (na.sqrt() * nb.sqrt())).clamp(-1.0, 1.0).acos()
     }
@@ -476,8 +479,10 @@ mod tests {
         assert_eq!(Angular.distance(&x, &x), 0.0);
         // Scale invariance: angles ignore magnitude.
         assert!((Angular.distance(&[2.0, 2.0], &x) - std::f64::consts::FRAC_PI_4).abs() < 1e-12);
-        // Zero vectors are benign.
-        assert_eq!(Angular.distance(&[0.0, 0.0], &x), 0.0);
+        // A zero vector is orthogonal to everything nonzero.
+        assert_eq!(Angular.distance(&[0.0, 0.0], &x), std::f64::consts::FRAC_PI_2);
+        assert_eq!(Angular.distance(&x, &[0.0, 0.0]), std::f64::consts::FRAC_PI_2);
+        assert_eq!(Angular.distance(&[0.0, 0.0], &[0.0, 0.0]), 0.0);
         // Pruning bound is disabled, not wrong.
         assert_eq!(Angular.min_dist_to_rect(&x, &[5.0, 5.0], &[6.0, 6.0]), 0.0);
         assert!(Angular.is_metric());
@@ -491,6 +496,9 @@ mod tests {
             vec![0.1, 0.9, 0.3],
             vec![-0.4, 0.2, 0.8],
             vec![0.3, 0.3, 0.3],
+            vec![-1.0, 0.0, 0.0],
+            // Zero vectors, in every position of a triple.
+            vec![0.0, 0.0, 0.0],
         ];
         for a in &vs {
             for b in &vs {

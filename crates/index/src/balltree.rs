@@ -625,12 +625,14 @@ impl<M: Metric> lof_core::PartitionSource for BallTree<'_, M> {
     /// not rectangles, so the partition boxes are recomputed tight from
     /// the member coordinates.
     fn partitions(&self) -> Vec<lof_core::Partition> {
-        crate::common::leaf_partitions(
-            self.data,
-            &self.metric,
-            &self.ids,
-            self.nodes.iter().filter(|n| n.children.is_none()).map(|n| (n.start, n.end)),
-        )
+        crate::common::leaf_partitions(self.data, &self.metric, self.leaf_members())
+    }
+}
+
+impl<M: Metric> BallTree<'_, M> {
+    /// Each leaf's member ids, in tree order.
+    pub(crate) fn leaf_members(&self) -> impl Iterator<Item = &[usize]> + '_ {
+        self.nodes.iter().filter(|n| n.children.is_none()).map(|n| &self.ids[n.start..n.end])
     }
 }
 

@@ -161,16 +161,10 @@ fn splice_tie_overflow(
     }
 }
 
-/// How many times larger than the typical (90th-percentile) leaf hull a
-/// leaf may be before [`leaf_partitions`] splits it into singletons.
+/// How many times the median leaf hull diameter a partition may span
+/// before [`leaf_partitions`] bisects it.
 const SPRAWL_FACTOR: f64 = 4.0;
 
-/// Builds top-n [`lof_core::Partition`]s from a tree's leaf id ranges:
-/// members sorted ascending (the engine's cover contract), tight
-/// bounding boxes and exact intra-partition rank profiles recomputed
-/// from coordinates. Leaves are `LEAF_SIZE`-bounded, so the per-leaf
-/// all-pairs profile pass stays cheap.
-///
 /// Most candidate partitions one isolation query may verify exactly;
 /// past the cap the rectangle distance of the next candidate floors the
 /// radius instead (sound, just looser).
@@ -181,16 +175,27 @@ const ISOLATION_CANDIDATE_CAP: usize = 64;
 /// the rectangle distance.
 const ISOLATION_PAIR_CAP: usize = 4096;
 
-/// **Sprawl hygiene:** a leaf that captures an isolated outlier together
-/// with its nearest cluster spans a hull orders of magnitude larger than
-/// its siblings'. Such a box passes near everything along its extent, so
-/// every partition it is "reachable" from inherits its huge reachability
-/// envelope — one sprawling leaf can poison the bounds of the whole
-/// cover and disable pruning outright. The engine is exact for *any*
-/// cover, so we split every leaf whose hull diameter exceeds
-/// [`SPRAWL_FACTOR`]× the 90th-percentile diameter into singleton
-/// partitions: point-sized boxes bound nothing about their own LOF
-/// (they get refined), but they cannot pollute anyone else's envelope.
+/// Builds top-n [`lof_core::Partition`]s from a tree's leaves (each given
+/// as its member id slice): members sorted ascending (the engine's cover
+/// contract), tight bounding boxes and exact intra-partition rank
+/// profiles recomputed from coordinates. Leaves are `LEAF_SIZE`-bounded,
+/// so the per-partition all-pairs profile pass stays cheap.
+///
+/// **Sprawl splitting:** a leaf that captures an isolated outlier
+/// together with its nearest cluster spans a hull orders of magnitude
+/// larger than its siblings'. Such a box passes near everything along
+/// its extent, so every partition it is "reachable" from inherits its
+/// huge reachability envelope — one sprawling leaf can poison the bounds
+/// of the whole cover and disable pruning outright. The engine is exact
+/// for *any* cover, so every leaf whose hull diameter exceeds
+/// [`SPRAWL_FACTOR`]× the median leaf diameter is bisected
+/// ([`bisect_sprawl`]) until each piece is within that threshold or a
+/// single point: the outlier ends up alone, while the cluster members
+/// beside it stay one tight partition instead of a run of singletons,
+/// each of which would cost every later pass as much as a whole leaf.
+/// The reference is the median rather than a high percentile because
+/// once more than a tenth of the leaves hold an outlier, a 90th
+/// percentile is itself a sprawling diameter and the split switches off.
 ///
 /// **Isolation radii:** tree splits land on coordinate values shared by
 /// points on both sides, so sibling leaf boxes routinely abut (rectangle
@@ -201,51 +206,139 @@ const ISOLATION_PAIR_CAP: usize = 4096;
 /// found by a best-first traversal over the partition boxes that
 /// verifies near candidates point-by-point and stops as soon as the next
 /// rectangle distance can no longer improve on the best verified pair.
-pub(crate) fn leaf_partitions<M: lof_core::Metric>(
+///
+/// Timed by the `index.partitions` span, split into
+/// `index.partitions.sprawl` (leaf boxes and bisection),
+/// `index.partitions.profiles` and `index.partitions.isolation`; the
+/// counters `index.partitions.sprawl_leaves` and
+/// `index.partitions.pieces` count the bisected leaves and the pieces
+/// they became.
+pub(crate) fn leaf_partitions<'a, M: lof_core::Metric>(
     data: &lof_core::Dataset,
     metric: &M,
-    ids: &[usize],
-    leaves: impl Iterator<Item = (usize, usize)>,
+    leaves: impl Iterator<Item = &'a [usize]>,
 ) -> Vec<lof_core::Partition> {
-    let make = |members: Vec<usize>| {
-        lof_core::Partition::from_member_points(metric, members, |id| data.point(id))
-    };
-    let parts: Vec<lof_core::Partition> = leaves
-        .map(|(start, end)| {
-            let mut members = ids[start..end].to_vec();
+    let _span = lof_obs::span!("index.partitions");
+
+    let sprawl_span = lof_obs::span!("index.partitions.sprawl");
+    let leaves: Vec<Vec<usize>> = leaves
+        .map(|leaf| {
+            let mut members = leaf.to_vec();
             members.sort_unstable();
-            make(members)
+            members
         })
         .collect();
+    let diameters: Vec<f64> = leaves.iter().map(|m| hull_diameter(data, metric, m)).collect();
+    let threshold = sprawl_threshold(&diameters);
+    let mut covers = Vec::with_capacity(leaves.len());
+    let (mut sprawl_leaves, mut pieces) = (0u64, 0u64);
+    for (members, d) in leaves.into_iter().zip(diameters) {
+        if threshold > 0.0 && members.len() > 1 && d.is_finite() && d > threshold {
+            let before = covers.len();
+            bisect_sprawl(data, metric, members, threshold, &mut covers);
+            sprawl_leaves += 1;
+            pieces += (covers.len() - before) as u64;
+        } else {
+            covers.push(members);
+        }
+    }
+    if lof_obs::enabled() {
+        lof_obs::global().counter("index.partitions.sprawl_leaves").add(sprawl_leaves);
+        lof_obs::global().counter("index.partitions.pieces").add(pieces);
+    }
+    drop(sprawl_span);
 
-    let diameter =
-        |p: &lof_core::Partition| metric.max_dist_between_rects(&p.lo, &p.hi, &p.lo, &p.hi);
-    let mut finite: Vec<f64> = parts.iter().map(diameter).filter(|d| d.is_finite()).collect();
-    finite.sort_unstable_by(f64::total_cmp);
-    let p90 = finite.get(finite.len().saturating_sub(1) * 9 / 10).copied().unwrap_or(0.0);
-    let sprawl = SPRAWL_FACTOR * p90;
-    let mut parts = if sprawl > 0.0 {
-        parts
-            .into_iter()
-            .flat_map(|p| {
-                let d = diameter(&p);
-                if p.members.len() > 1 && d.is_finite() && d > sprawl {
-                    p.members.iter().map(|&id| make(vec![id])).collect()
-                } else {
-                    vec![p]
-                }
-            })
-            .collect()
-    } else {
-        // Blind metric (all diameters infinite) or degenerate point-pile
-        // leaves: no meaningful scale to judge sprawl against.
-        parts
-    };
+    let profiles_span = lof_obs::span!("index.partitions.profiles");
+    let mut parts: Vec<lof_core::Partition> = covers
+        .into_iter()
+        .map(|members| {
+            lof_core::Partition::from_member_points(metric, members, |id| data.point(id))
+        })
+        .collect();
+    drop(profiles_span);
+
+    let _isolation_span = lof_obs::span!("index.partitions.isolation");
     let radii = isolation_radii(data, metric, &parts);
     for (p, r) in parts.iter_mut().zip(radii) {
         p.isolation = r;
     }
     parts
+}
+
+/// Tight bounding box of the members' points, in one pass.
+fn bounding_box(data: &lof_core::Dataset, members: &[usize]) -> (Vec<f64>, Vec<f64>) {
+    let mut lo = vec![f64::INFINITY; data.dims()];
+    let mut hi = vec![f64::NEG_INFINITY; data.dims()];
+    for &id in members {
+        for ((l, h), &x) in lo.iter_mut().zip(&mut hi).zip(data.point(id)) {
+            *l = l.min(x);
+            *h = h.max(x);
+        }
+    }
+    (lo, hi)
+}
+
+/// Diameter of the members' bounding box under `metric` (`+inf` for
+/// metrics without rectangle geometry).
+fn hull_diameter<M: lof_core::Metric>(
+    data: &lof_core::Dataset,
+    metric: &M,
+    members: &[usize],
+) -> f64 {
+    let (lo, hi) = bounding_box(data, members);
+    metric.max_dist_between_rects(&lo, &hi, &lo, &hi)
+}
+
+/// The diameter above which a leaf sprawls: [`SPRAWL_FACTOR`]× the
+/// median finite leaf diameter. `0.0` — no splitting — for a blind
+/// metric (every diameter infinite) or degenerate point-pile leaves,
+/// which leave no meaningful scale to judge sprawl against.
+fn sprawl_threshold(diameters: &[f64]) -> f64 {
+    let mut finite: Vec<f64> = diameters.iter().copied().filter(|d| d.is_finite()).collect();
+    if finite.is_empty() {
+        return 0.0;
+    }
+    let mid = (finite.len() - 1) / 2;
+    let (_, median, _) = finite.select_nth_unstable_by(mid, f64::total_cmp);
+    SPRAWL_FACTOR * *median
+}
+
+/// Splits the ascending `members` of a sprawling leaf into pieces whose
+/// hull diameter is at most `threshold` (or that hold one point), and
+/// appends them to `out` left to right. Each step cuts a piece at the
+/// midpoint of its box's widest side; the cut is a stable partition, so
+/// every piece stays ascending.
+fn bisect_sprawl<M: lof_core::Metric>(
+    data: &lof_core::Dataset,
+    metric: &M,
+    members: Vec<usize>,
+    threshold: f64,
+    out: &mut Vec<Vec<usize>>,
+) {
+    let mut stack = vec![members];
+    while let Some(piece) = stack.pop() {
+        let (lo, hi) = bounding_box(data, &piece);
+        let sprawls =
+            piece.len() > 1 && metric.max_dist_between_rects(&lo, &hi, &lo, &hi) > threshold;
+        let widest = (0..lo.len())
+            .max_by(|&a, &b| (hi[a] - lo[a]).total_cmp(&(hi[b] - lo[b])))
+            .filter(|&d| sprawls && hi[d] > lo[d]);
+        let Some(dim) = widest else {
+            out.push(piece);
+            continue;
+        };
+        // Both sides must be non-empty: `x <= mid` keeps the `lo` end on
+        // the left and the `hi` end on the right whenever
+        // `lo <= mid < hi`; should rounding break that, cut at `lo`.
+        let mut mid = 0.5 * lo[dim] + 0.5 * hi[dim];
+        if mid < lo[dim] || mid >= hi[dim] {
+            mid = lo[dim];
+        }
+        let (left, right): (Vec<usize>, Vec<usize>) =
+            piece.into_iter().partition(|&id| data.point(id)[dim] <= mid);
+        stack.push(right);
+        stack.push(left);
+    }
 }
 
 /// A node of the throwaway box tree behind [`isolation_radii`]; children
@@ -571,3 +664,140 @@ macro_rules! impl_knn_provider {
 }
 
 pub(crate) use impl_knn_provider;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{BallTree, KdTree};
+    use lof_core::{Dataset, Euclidean, Metric, Partition, PartitionSource};
+
+    /// Ids `0..LATTICE` are three unit-spacing 5×5×5 lattices far apart,
+    /// `CLUSTER` ids each; `OUTLIERS` scattered points follow.
+    const CLUSTER: usize = 125;
+    const LATTICE: usize = 3 * CLUSTER;
+    const OUTLIERS: usize = 24;
+
+    fn lattice_with_outliers() -> Dataset {
+        let mut data = Dataset::new(3);
+        for center in [[0.0, 0.0, 0.0], [300.0, 40.0, 10.0], [-50.0, 250.0, 400.0]] {
+            for i in 0..CLUSTER {
+                let offset = [i % 5, i / 5 % 5, i / 25].map(|c| c as f64);
+                data.push(&[center[0] + offset[0], center[1] + offset[1], center[2] + offset[2]])
+                    .unwrap();
+            }
+        }
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64 * 600.0 - 150.0
+        };
+        for _ in 0..OUTLIERS {
+            data.push(&[next(), next(), next()]).unwrap();
+        }
+        data
+    }
+
+    /// The lattice a point belongs to, `None` for an outlier.
+    fn cluster_of(id: usize) -> Option<usize> {
+        (id < LATTICE).then_some(id / CLUSTER)
+    }
+
+    /// Checks the cover a tree's `partitions()` built from its leaves:
+    /// exact, disjoint and ascending; every multi-member piece within
+    /// the sprawl threshold; profiles exactly those of its members; and
+    /// the lattice points of one cluster that share a leaf share a piece.
+    /// The trees' median splits cut some leaves across two clusters, so the last
+    /// check is the form of "no lattice point ends up a singleton" that
+    /// holds for any tree: a lattice point is alone only when its leaf
+    /// holds no other point of its cluster.
+    fn check_cover<'a>(
+        data: &Dataset,
+        label: &str,
+        leaves: impl Iterator<Item = &'a [usize]>,
+        parts: &[Partition],
+    ) {
+        let leaves: Vec<&[usize]> = leaves.collect();
+        let diameters: Vec<f64> =
+            leaves.iter().map(|m| hull_diameter(data, &Euclidean, m)).collect();
+        let threshold = sprawl_threshold(&diameters);
+        assert!(
+            diameters.iter().any(|&d| d > threshold),
+            "{label}: the fixture must hold sprawling leaves"
+        );
+        let mut piece_of = vec![None; data.len()];
+        for (i, p) in parts.iter().enumerate() {
+            assert!(p.members.windows(2).all(|w| w[0] < w[1]), "{label}: piece {i} not ascending");
+            for &id in &p.members {
+                assert!(piece_of[id].replace(i).is_none(), "{label}: id {id} in two pieces");
+            }
+            if p.members.len() > 1 {
+                let d = Euclidean.max_dist_between_rects(&p.lo, &p.hi, &p.lo, &p.hi);
+                assert!(d <= threshold, "{label}: piece {i} spans {d} > {threshold}");
+            }
+            let want =
+                Partition::from_member_points(&Euclidean, p.members.clone(), |id| data.point(id));
+            assert_eq!(Partition { isolation: 0.0, ..p.clone() }, want, "{label}: piece {i}");
+        }
+        assert!(piece_of.iter().all(Option::is_some), "{label}: the cover misses ids");
+        assert!(parts.len() > leaves.len(), "{label}: no leaf was bisected");
+        for leaf in leaves {
+            for &a in leaf {
+                for &b in leaf {
+                    if cluster_of(a).is_some() && cluster_of(a) == cluster_of(b) {
+                        assert_eq!(
+                            piece_of[a], piece_of[b],
+                            "{label}: lattice points {a} and {b} share a leaf but not a piece"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sprawl_bisection_keeps_an_exact_tight_cover() {
+        let data = lattice_with_outliers();
+        let kd = KdTree::new(&data, Euclidean);
+        check_cover(&data, "kdtree", kd.leaf_members(), &kd.partitions());
+        let ball = BallTree::new(&data, Euclidean);
+        check_cover(&data, "balltree", ball.leaf_members(), &ball.partitions());
+    }
+
+    #[test]
+    fn partitions_record_their_spans_and_sprawl_counters() {
+        let registry = lof_obs::global();
+        let calls = registry.histogram("index.partitions").count();
+        let leaves_before = registry.counter("index.partitions.sprawl_leaves").value();
+        let pieces_before = registry.counter("index.partitions.pieces").value();
+        let data = lattice_with_outliers();
+        let kd = KdTree::new(&data, Euclidean);
+        let leaves: Vec<&[usize]> = kd.leaf_members().collect();
+        let parts = kd.partitions();
+        if !lof_obs::enabled() {
+            return;
+        }
+        let diameters: Vec<f64> =
+            leaves.iter().map(|m| hull_diameter(&data, &Euclidean, m)).collect();
+        let threshold = sprawl_threshold(&diameters);
+        let sprawling = diameters.iter().filter(|&&d| d > threshold).count();
+        // Other tests in this binary may build covers concurrently, so
+        // the global counters can only be bounded from below.
+        let bisected = registry.counter("index.partitions.sprawl_leaves").value() - leaves_before;
+        let pieces = registry.counter("index.partitions.pieces").value() - pieces_before;
+        assert!(bisected >= sprawling as u64, "{bisected} < {sprawling}");
+        assert!(pieces >= (parts.len() - (leaves.len() - sprawling)) as u64);
+        for span in ["", ".sprawl", ".profiles", ".isolation"] {
+            let name = format!("index.partitions{span}");
+            assert!(registry.histogram(&name).count() > calls, "{name} not recorded");
+        }
+    }
+
+    #[test]
+    fn bisection_stops_at_single_points_and_keeps_order() {
+        let rows: Vec<[f64; 2]> = vec![[0.0, 0.0], [100.0, 0.0], [1.0, 0.0], [50.0, 3.0]];
+        let data = Dataset::from_rows(&rows).unwrap();
+        let mut out = Vec::new();
+        bisect_sprawl(&data, &Euclidean, vec![0, 1, 2, 3], 2.0, &mut out);
+        assert_eq!(out, vec![vec![0, 2], vec![3], vec![1]]);
+    }
+}

@@ -732,12 +732,14 @@ impl<M: Metric> lof_core::PartitionSource for KdTree<'_, M> {
     /// `LEAF_SIZE`-bounded groups the batch self-join exploits, which is
     /// exactly the locality the top-n engine's envelopes need.
     fn partitions(&self) -> Vec<lof_core::Partition> {
-        crate::common::leaf_partitions(
-            self.data,
-            &self.metric,
-            &self.ids,
-            self.nodes.iter().filter(|n| n.children.is_none()).map(|n| (n.start, n.end)),
-        )
+        crate::common::leaf_partitions(self.data, &self.metric, self.leaf_members())
+    }
+}
+
+impl<M: Metric> KdTree<'_, M> {
+    /// Each leaf's member ids, in tree order.
+    pub(crate) fn leaf_members(&self) -> impl Iterator<Item = &[usize]> + '_ {
+        self.nodes.iter().filter(|n| n.children.is_none()).map(|n| &self.ids[n.start..n.end])
     }
 }
 

@@ -70,12 +70,10 @@ fn check_every_provider<M: Metric + Copy>(metric: M, metric_name: &str) {
         let at = |provider: &str| format!("{provider}/{metric_name}/{fixture}");
         check_provider(&at("scan"), &LinearScan::new(&data, metric), n);
         check_provider(&at("kdtree"), &KdTree::new(&data, metric), n);
-        // Ball pruning needs the triangle inequality. Squared Euclidean
-        // never has it; Angular loses it at the zero vector (at angle 0 to
-        // every point), which both fixtures hold — a known ball-tree
-        // defect listed in ROADMAP.md.
-        let has_zero = data.iter().any(|(_, p)| p.iter().all(|&x| x == 0.0));
-        if metric.is_metric() && !(metric_name == "angular" && has_zero) {
+        // Ball pruning needs the triangle inequality, which squared
+        // Euclidean lacks. Angular keeps it even at the zero vector both
+        // fixtures hold (π/2 to every nonzero vector).
+        if metric.is_metric() {
             check_provider(&at("balltree"), &BallTree::new(&data, metric), n);
         }
         check_provider(&at("grid"), &GridIndex::new(&data, metric), n);

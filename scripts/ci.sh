@@ -122,15 +122,24 @@ echo "== topn: fixed-seed differential + forced-scalar rerun =="
 # the neighborhood) for every index and every metric `lof topn` offers;
 # the envelope unit tests pin the threaded passes to the serial ones and
 # the one-traversal k-distance bounds to the two-pass oracle, bit for
-# bit. The CLI suite covers the `lof topn` surface on top.
+# bit. topn_contamination pins sprawl splitting on a fixture where about
+# half the kd leaves hold an outlier (the engine must still prune), and
+# lof-index's common::tests pin the bisected cover itself (exact,
+# disjoint, ascending, every piece within the sprawl threshold, cluster
+# neighbors never torn apart). The CLI suite covers the `lof topn`
+# surface on top.
 cargo test -q --test topn_differential
 cargo test -q --test topn_exactly_once
+cargo test -q --test topn_contamination
+cargo test -q -p lof-index --lib common::tests
 cargo test -q --test theorem2_leaf_straddle
 cargo test -q -p lof-index --test k_distance_identity
 cargo test -q -p lof-core --lib topn::envelope
 cargo test -q -p lof-cli topn
 LOF_FORCE_SCALAR=1 cargo test -q --test topn_differential
 LOF_FORCE_SCALAR=1 cargo test -q --test topn_exactly_once
+LOF_FORCE_SCALAR=1 cargo test -q --test topn_contamination
+LOF_FORCE_SCALAR=1 cargo test -q -p lof-index --lib common::tests
 LOF_FORCE_SCALAR=1 cargo test -q -p lof-index --test k_distance_identity
 LOF_FORCE_SCALAR=1 cargo test -q -p lof-core --lib topn::envelope
 
@@ -138,8 +147,9 @@ echo "== release smoke: topn pruning vs full sweep at n=20000 =="
 # bench_topn aborts unless the pruned top-100 ranking is bit-identical
 # to the full sweep's on every timed 1-thread and nproc run — a
 # release-optimized end-to-end gate over partition envelopes, θ-pruning,
-# and refinement — and, with nproc >= 2, unless the nproc engine cell is
-# at least 1.3x the 1-thread cell.
+# and refinement. It also aborts if the engine prunes no partition, and,
+# with nproc >= 2, unless the nproc engine cell is at least 1.3x the
+# 1-thread cell.
 LOF_TOPN_POINTS=20000 \
   BENCH_TOPN_OUT=/tmp/lof_ci_bench_topn.json \
   cargo run --release -q -p lof-bench --bin bench_topn
