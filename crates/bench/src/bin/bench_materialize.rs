@@ -211,6 +211,17 @@ fn ooc_tier(n: usize) -> String {
         stats.segment_spills > 1 && stats.segment_evictions > 0,
         "budget must force real spilling (got {stats:?})"
     );
+    // Each batch of `columns_per_wave` MinPts columns reads every segment
+    // in three waves (k-distance, lrd, LOF), no more.
+    let columns_per_wave = table.columns_per_wave(range);
+    let reloads_per_segment = stats.segment_reloads as f64 / table.segment_count() as f64;
+    let wave_bound = 3 * range.len().div_ceil(columns_per_wave);
+    assert!(
+        reloads_per_segment <= wave_bound as f64,
+        "{reloads_per_segment} reloads per segment exceed 3 x ceil({} / {columns_per_wave}) = \
+         {wave_bound}",
+        range.len()
+    );
     assert!(
         stats.resident_bytes <= budget_bytes as u64,
         "cache ends within budget (got {stats:?})"
@@ -245,7 +256,8 @@ fn ooc_tier(n: usize) -> String {
         score_time.as_secs_f64()
     );
     println!(
-        "  {} segments, {} spills, {} reloads, {} evictions, {} resident bytes at end",
+        "  {} segments, {} spills, {} reloads ({reloads_per_segment} per segment, \
+         {columns_per_wave} columns per wave), {} evictions, {} resident bytes at end",
         table.segment_count(),
         stats.segment_spills,
         stats.segment_reloads,
@@ -257,6 +269,8 @@ fn ooc_tier(n: usize) -> String {
          \"min_pts_lb\": {OOC_MIN_PTS_LB}, \"budget_bytes\": {budget_bytes}, \
          \"dataset_bytes\": {dataset_bytes}, \"stored_entries\": {}, \"segments\": {}, \
          \"segment_spills\": {}, \"segment_reloads\": {}, \"segment_evictions\": {}, \
+         \"columns_per_wave\": {columns_per_wave}, \
+         \"reloads_per_segment\": {reloads_per_segment}, \
          \"write_s\": {:.2}, \"kd_build_s\": {:.2}, \"materialize_s\": {:.2}, \
          \"score_s\": {:.2}, \"bit_identical_vs_in_ram\": {bit_identical}}}",
         table.stored_entries(),

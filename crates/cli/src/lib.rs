@@ -27,8 +27,8 @@
 //!   --format FMT         text | json                    [default: text]
 //!   --output FILE        also write id,score CSV to FILE
 //!   --table FILE         cache the materialization database in FILE
-//!   --memory-budget B    out-of-core: spill the neighborhood table to disk,
-//!                        keeping at most B bytes resident (suffixes k/m/g)
+//!   --memory-budget B    out-of-core: spill the neighborhood table to disk;
+//!                        B bounds segment cache and wave matrices (k/m/g)
 //!   --metrics            print a final registry snapshot to stderr
 //!
 //! INGEST OPTIONS:
@@ -111,9 +111,10 @@ pub struct Config {
     pub table: Option<String>,
     /// Report format on stdout.
     pub format: OutputFormat,
-    /// Out-of-core mode: cap the resident neighborhood table at this many
-    /// bytes and spill CSR segments to disk ([`SpilledNeighborhoodTable`]).
-    /// Scores stay bit-identical to the in-RAM path.
+    /// Out-of-core mode: spill CSR segments to disk
+    /// ([`SpilledNeighborhoodTable`]); this many bytes bound the segment
+    /// cache and, separately, the sweep's per-wave column matrices. Scores
+    /// stay bit-identical to the in-RAM path.
     pub memory_budget: Option<u64>,
     /// Print a final metrics-registry snapshot to stderr (the
     /// `core.ooc.*` spill counters live there).
@@ -1081,9 +1082,9 @@ batch options:
   --output FILE       also write an id,score CSV to FILE
   --table FILE        cache the materialization: load FILE if present,
                       else build and save it there
-  --memory-budget B   out-of-core scoring: build the neighborhood table
-                      as disk-spilled segments, keeping at most B bytes
-                      resident (suffixes k/m/g = KiB/MiB/GiB); scores
+  --memory-budget B   out-of-core scoring: disk-spilled table segments;
+                      B bytes (k/m/g = KiB/MiB/GiB) bound the segment
+                      cache and the sweep's per-wave matrices; scores
                       are bit-identical to the in-RAM path (not
                       combinable with --explain or --table)
   --metrics           print a final metrics snapshot (Prometheus text,

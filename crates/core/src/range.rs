@@ -87,20 +87,35 @@ pub enum Aggregate {
 }
 
 impl Aggregate {
-    fn apply(self, trace: impl Iterator<Item = f64>) -> f64 {
+    /// The fold's starting value: the identity of the aggregate.
+    pub(crate) fn seed(self) -> f64 {
         match self {
-            Aggregate::Max => trace.fold(f64::NEG_INFINITY, f64::max),
-            Aggregate::Min => trace.fold(f64::INFINITY, f64::min),
-            Aggregate::Mean => {
-                let mut sum = 0.0;
-                let mut count = 0usize;
-                for v in trace {
-                    sum += v;
-                    count += 1;
-                }
-                sum / count as f64
-            }
+            Aggregate::Max => f64::NEG_INFINITY,
+            Aggregate::Min => f64::INFINITY,
+            Aggregate::Mean => 0.0,
         }
+    }
+
+    /// Folds the next value of a trace (ascending `MinPts`) into `acc`.
+    pub(crate) fn step(self, acc: f64, value: f64) -> f64 {
+        match self {
+            Aggregate::Max => f64::max(acc, value),
+            Aggregate::Min => f64::min(acc, value),
+            Aggregate::Mean => acc + value,
+        }
+    }
+
+    /// The score of a trace of `count` values folded into `acc`.
+    pub(crate) fn finish(self, acc: f64, count: usize) -> f64 {
+        match self {
+            Aggregate::Mean => acc / count as f64,
+            Aggregate::Max | Aggregate::Min => acc,
+        }
+    }
+
+    fn apply(self, trace: impl ExactSizeIterator<Item = f64>) -> f64 {
+        let count = trace.len();
+        self.finish(trace.fold(self.seed(), |acc, v| self.step(acc, v)), count)
     }
 }
 

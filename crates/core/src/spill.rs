@@ -7,23 +7,26 @@
 //! **segments**, appended in completion order as the batch self-join
 //! produces them, so peak build memory is one segment regardless of `n`.
 //!
-//! Reads go through a byte-budgeted segment cache: step 2's scans walk the
-//! table in id order, faulting each segment in once per pass and evicting
-//! the least-recently-used one when the budget is exceeded. The segment
-//! currently being scanned is always retained (handed out as an `Arc`, so
-//! eviction never invalidates a reader) — the "pinned-segment LRU".
+//! Step 2 runs the sweep engine's stages ([`crate::sweep`]) over the
+//! segments. [`SpilledNeighborhoodTable::lof_range`] takes the `MinPts`
+//! range in batches of [`SpilledNeighborhoodTable::columns_per_wave`]
+//! columns, the most whose per-wave matrices fit in the budget; each batch
+//! reads the segments in three in-order waves (k-distances, lrds, LOF
+//! values folded into the running aggregate). Since every read is a full
+//! in-order wave, the segment cache keeps every segment once loaded when
+//! the whole spill file fits in the budget, and otherwise holds only the
+//! segment being read (readers hold an `Arc`, so eviction never
+//! invalidates one).
 //!
 //! ## Exactness
 //!
-//! The scoring passes ([`SpilledNeighborhoodTable::k_distances`] /
-//! [`SpilledNeighborhoodTable::lof_range`]) are transcriptions of
-//! [`crate::lrd::local_reachability_densities_with`],
-//! [`crate::lof::lof_values_with`], and
-//! [`crate::range::lof_range_reference`]: same per-object loops, same
-//! summation order, same [`Aggregate`] folds in ascending-`MinPts` order.
+//! The waves call the sweep's own stage functions — there is no second
+//! copy of the arithmetic — and each object's values are folded in
+//! ascending `MinPts` by the [`Aggregate`] steps the in-RAM result uses.
 //! Segmentation only changes *where* a neighbor list is read from, never
 //! the arithmetic on it, so scores are bit-identical to the in-RAM path —
-//! which `tests` and the CI ingest gate assert with `to_bits` equality.
+//! which `tests`, the `ooc_sweep_identity` suite and the CI ingest gate
+//! assert with `to_bits` equality.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
@@ -32,10 +35,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::error::{LofError, Result};
-use crate::lof::lrd_ratio;
-use crate::lrd::reach_dist;
-use crate::neighbors::{tie_inclusive_len, KnnProvider, Neighbor};
+use crate::neighbors::{KnnProvider, Neighbor};
+use crate::obs::{publish_event, CoreEvent};
 use crate::range::{Aggregate, MinPtsRange};
+use crate::sweep::{k_distance_stage, lof_stage, lrd_stage, Segment};
 
 /// Accounting for one spillable table: segments written at build, cache
 /// misses and evictions during scoring, and current cache residency.
@@ -46,7 +49,8 @@ pub struct SpillStats {
     pub segment_spills: u64,
     /// Segments read back from disk (cache misses).
     pub segment_reloads: u64,
-    /// Segments dropped from the cache to stay under the budget.
+    /// Segments dropped from the cache to make way for the next one
+    /// (only when the spill file does not fit in the budget).
     pub segment_evictions: u64,
     /// Bytes currently held by the segment cache.
     pub resident_bytes: u64,
@@ -78,12 +82,8 @@ struct LoadedSegment {
 }
 
 impl LoadedSegment {
-    fn rows(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    fn list(&self, local: usize) -> &[Neighbor] {
-        &self.neighbors[self.offsets[local] as usize..self.offsets[local + 1] as usize]
+    fn view(&self) -> Segment<'_, u32> {
+        Segment { start: self.start_row, offsets: &self.offsets, arena: &self.neighbors }
     }
 
     fn heap_bytes(&self) -> usize {
@@ -93,11 +93,18 @@ impl LoadedSegment {
 
 #[derive(Debug)]
 struct SegmentCache {
-    resident: Vec<Option<(Arc<LoadedSegment>, u64)>>,
-    tick: u64,
+    /// The segments in RAM: all of them once read when the spill file fits
+    /// the budget, otherwise at most the one read last.
+    resident: Vec<Option<Arc<LoadedSegment>>>,
     resident_bytes: usize,
     stats: SpillStats,
+    /// The part of `stats` already added to the registry counters.
+    published: SpillStats,
 }
+
+/// Bytes per object per `MinPts` column of the per-wave matrices: an `f64`
+/// k-distance and a `u32` prefix length (wave 1) plus an `f64` lrd (wave 2).
+const WAVE_BYTES_PER_CELL: usize = 8 + 4 + 8;
 
 /// The materialization database `M`, spilled to disk and read back through
 /// a budgeted segment cache. See the module docs.
@@ -108,6 +115,9 @@ pub struct SpilledNeighborhoodTable {
     budget_bytes: usize,
     stored_entries: u64,
     segments: Vec<SegmentMeta>,
+    /// True when the whole spill file fits in the budget, so segments
+    /// stay resident once loaded.
+    keep_all: bool,
     file: File,
     path: PathBuf,
     cache: Mutex<SegmentCache>,
@@ -118,8 +128,8 @@ fn io_err(what: &str, e: std::io::Error) -> LofError {
 }
 
 /// Rows per segment: sized so one segment is roughly an eighth of the
-/// cache budget (several segments stay resident at once) but at least 256
-/// rows, so tiny budgets degrade to more reloads instead of pathological
+/// budget (a streaming read holds one segment, far below it) but at least
+/// 256 rows, so tiny budgets degrade to more reloads instead of pathological
 /// per-row I/O.
 fn segment_rows(n: usize, max_k: usize, budget_bytes: usize) -> usize {
     let bytes_per_row = 16 * (max_k + 1) + 4;
@@ -130,9 +140,10 @@ fn segment_rows(n: usize, max_k: usize, budget_bytes: usize) -> usize {
 impl SpilledNeighborhoodTable {
     /// Materializes every object's tie-inclusive `max_k`-neighborhood into
     /// a spill file under `spill_dir`, holding at most one segment of
-    /// neighbor lists in memory at a time. `budget_bytes` caps the segment
-    /// cache used by the scoring passes (the build itself honors it by
-    /// segment sizing).
+    /// neighbor lists in memory at a time. `budget_bytes` bounds the
+    /// segment cache and, separately, the per-wave column matrices of
+    /// [`SpilledNeighborhoodTable::lof_range`] (the build itself honors it
+    /// by segment sizing).
     ///
     /// The spill file is exclusive to this table and is deleted on drop.
     ///
@@ -211,9 +222,9 @@ impl SpilledNeighborhoodTable {
 
         let cache = SegmentCache {
             resident: segments.iter().map(|_| None).collect(),
-            tick: 0,
             resident_bytes: 0,
             stats: SpillStats { segment_spills: spills, ..SpillStats::default() },
+            published: SpillStats::default(),
         };
         let table = SpilledNeighborhoodTable {
             max_k,
@@ -221,6 +232,8 @@ impl SpilledNeighborhoodTable {
             budget_bytes,
             stored_entries,
             segments,
+            // A loaded segment occupies exactly its on-disk bytes.
+            keep_all: file_off <= budget_bytes as u64,
             file,
             path,
             cache: Mutex::new(cache),
@@ -256,9 +269,19 @@ impl SpilledNeighborhoodTable {
         self.segments.len()
     }
 
-    /// The resident-memory budget of the segment cache, in bytes.
+    /// The resident-memory budget, in bytes: it bounds the segment cache
+    /// and, separately, the per-wave column matrices.
     pub fn budget_bytes(&self) -> usize {
         self.budget_bytes
+    }
+
+    /// `MinPts` columns each wave of [`SpilledNeighborhoodTable::lof_range`]
+    /// covers over `range`: the most whose per-wave matrices (20 bytes per
+    /// object per column) fit in the budget, at least 1 and at most
+    /// `range.len()`. A streaming table reads every segment
+    /// `3 × ⌈range.len() / columns⌉` times; a resident one reads each once.
+    pub fn columns_per_wave(&self, range: MinPtsRange) -> usize {
+        (self.budget_bytes / (WAVE_BYTES_PER_CELL * self.n)).clamp(1, range.len())
     }
 
     /// A snapshot of the spill/reload/eviction accounting.
@@ -267,57 +290,37 @@ impl SpilledNeighborhoodTable {
         SpillStats { resident_bytes: cache.resident_bytes as u64, ..cache.stats }
     }
 
+    /// Adds what accrued since the last publish to the `core.ooc.*`
+    /// counters and sets the residency gauge.
     fn publish_stats(&self) {
-        let snapshot = self.stats();
-        crate::obs::publish_ooc_spill(&snapshot);
+        let mut cache = self.cache.lock().expect("segment cache poisoned");
+        let (now, before) = (cache.stats, cache.published);
+        cache.published = now;
+        crate::obs::publish_ooc_spill(&SpillStats {
+            segment_spills: now.segment_spills - before.segment_spills,
+            segment_reloads: now.segment_reloads - before.segment_reloads,
+            segment_evictions: now.segment_evictions - before.segment_evictions,
+            resident_bytes: cache.resident_bytes as u64,
+        });
     }
 
-    fn validate_depth(&self, k: usize) -> Result<()> {
-        if k == 0 {
-            return Err(LofError::InvalidMinPts { min_pts: k, dataset_size: self.n });
-        }
-        if k > self.max_k {
-            return Err(LofError::TableTooShallow { materialized: self.max_k, requested: k });
-        }
-        Ok(())
-    }
-
-    /// The cached-or-reloaded segment `idx`, touching its LRU stamp and
-    /// evicting the coldest segments once the cache exceeds its budget
-    /// (the segment just returned is never the one evicted).
+    /// The resident-or-reloaded segment `idx`. Unless every segment fits
+    /// the budget, the segment read last is evicted to make way for it.
     fn segment(&self, idx: usize) -> Result<Arc<LoadedSegment>> {
         let mut cache = self.cache.lock().expect("segment cache poisoned");
-        cache.tick += 1;
-        let tick = cache.tick;
-        if let Some((seg, stamp)) = &mut cache.resident[idx] {
-            *stamp = tick;
+        if let Some(seg) = &cache.resident[idx] {
             return Ok(Arc::clone(seg));
         }
-
-        let meta = self.segments[idx];
-        let seg = Arc::new(self.read_segment(&meta)?);
-        cache.stats.segment_reloads += 1;
-        cache.resident_bytes += seg.heap_bytes();
-        cache.resident[idx] = Some((Arc::clone(&seg), tick));
-        while cache.resident_bytes > self.budget_bytes {
-            let coldest = cache
-                .resident
-                .iter()
-                .enumerate()
-                .filter(|(i, slot)| *i != idx && slot.is_some())
-                .min_by_key(|(_, slot)| slot.as_ref().expect("filtered Some").1)
-                .map(|(i, _)| i);
-            match coldest {
-                Some(i) => {
-                    let (evicted, _) = cache.resident[i].take().expect("filtered Some");
-                    cache.resident_bytes -= evicted.heap_bytes();
-                    cache.stats.segment_evictions += 1;
-                }
-                // Only the pinned segment is left; it may alone exceed a
-                // tiny budget, which is fine — correctness over ceremony.
-                None => break,
+        if !self.keep_all {
+            if let Some(evicted) = cache.resident.iter_mut().find_map(Option::take) {
+                cache.resident_bytes -= evicted.heap_bytes();
+                cache.stats.segment_evictions += 1;
             }
         }
+        let seg = Arc::new(self.read_segment(&self.segments[idx])?);
+        cache.stats.segment_reloads += 1;
+        cache.resident_bytes += seg.heap_bytes();
+        cache.resident[idx] = Some(Arc::clone(&seg));
         Ok(seg)
     }
 
@@ -349,87 +352,26 @@ impl SpilledNeighborhoodTable {
         Ok(LoadedSegment { start_row: meta.start_row, offsets, neighbors })
     }
 
-    /// Runs `f` over every object's full materialized list, in id order,
-    /// faulting segments through the cache.
-    fn for_each_list(&self, mut f: impl FnMut(usize, &[Neighbor])) -> Result<()> {
+    /// Runs `f` over every segment in row order: one wave.
+    fn wave(&self, mut f: impl FnMut(Segment<'_, u32>)) -> Result<()> {
         for idx in 0..self.segments.len() {
-            let seg = self.segment(idx)?;
-            for local in 0..seg.rows() {
-                f(seg.start_row + local, seg.list(local));
-            }
+            f(self.segment(idx)?.view());
         }
         Ok(())
     }
 
-    /// `k-distance(id)` for every object — the same tie-inclusive prefix
-    /// read as [`crate::NeighborhoodTable::k_distances`], segment by
-    /// segment.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LofError::InvalidMinPts`] for `k == 0` and
-    /// [`LofError::TableTooShallow`] for `k > max_k`.
-    pub fn k_distances(&self, k: usize) -> Result<Vec<f64>> {
-        self.validate_depth(k)?;
-        let mut out = Vec::with_capacity(self.n);
-        self.for_each_list(|_, full| {
-            let end = tie_inclusive_len(full, k);
-            out.push(full[end - 1].dist);
-        })?;
-        Ok(out)
-    }
-
-    /// Local reachability densities for one `MinPts` — the arithmetic of
-    /// [`crate::lrd::local_reachability_densities_with`] verbatim.
-    fn lrds(&self, k: usize, k_distances: &[f64]) -> Result<Vec<f64>> {
-        let mut lrd = Vec::with_capacity(self.n);
-        self.for_each_list(|_, full| {
-            let neighborhood = &full[..tie_inclusive_len(full, k)];
-            let mut sum = 0.0;
-            for nb in neighborhood {
-                sum += reach_dist(k_distances[nb.id], nb.dist);
-            }
-            let mean = sum / neighborhood.len() as f64;
-            lrd.push(if mean > 0.0 { 1.0 / mean } else { f64::INFINITY });
-        })?;
-        Ok(lrd)
-    }
-
-    /// LOF values for one `MinPts` — the arithmetic of
-    /// [`crate::lof::lof_values_with`] verbatim.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SpilledNeighborhoodTable::k_distances`].
-    pub fn lof_values(&self, k: usize) -> Result<Vec<f64>> {
-        self.validate_depth(k)?;
-        let k_distances = self.k_distances(k)?;
-        let lrd = self.lrds(k, &k_distances)?;
-        let mut lof = Vec::with_capacity(self.n);
-        self.for_each_list(|p, full| {
-            let neighborhood = &full[..tie_inclusive_len(full, k)];
-            let mut sum = 0.0;
-            for nb in neighborhood {
-                sum += lrd_ratio(lrd[nb.id], lrd[p]);
-            }
-            lof.push(sum / neighborhood.len() as f64);
-        })?;
-        self.publish_stats();
-        Ok(lof)
-    }
-
     /// Aggregated LOF scores over a `MinPts` range, without ever holding
-    /// the `range.len() x n` value matrix: each `MinPts` is scored in
-    /// ascending order and folded into the running aggregate with exactly
-    /// the fold [`Aggregate`] applies to a full trace, so the result is
-    /// bit-identical to
-    /// `lof_range(..).scores(aggregate)` on the in-RAM path. Peak memory
-    /// is four `n`-vectors plus the segment cache budget.
+    /// the `range.len() x n` value matrix: the sweep engine's stages run
+    /// over the segments for batches of
+    /// [`SpilledNeighborhoodTable::columns_per_wave`] columns, three waves
+    /// per batch, and each object's values are folded into its running
+    /// aggregate in ascending `MinPts`. Bit-identical to
+    /// `lof_range(..).scores(aggregate)` on the in-RAM path.
     ///
     /// # Errors
     ///
-    /// Returns [`LofError::TableTooShallow`] when `range.ub() > max_k`
-    /// plus the usual validation errors.
+    /// Returns [`LofError::TableTooShallow`] when `range.ub() > max_k`,
+    /// and maps spill I/O failures onto [`LofError::InvalidPartition`].
     pub fn lof_range(&self, range: MinPtsRange, aggregate: Aggregate) -> Result<OocScores> {
         if range.ub() > self.max_k {
             return Err(LofError::TableTooShallow {
@@ -438,37 +380,33 @@ impl SpilledNeighborhoodTable {
             });
         }
         let _span = lof_obs::span!("core.spill.lof_range");
-        let init = match aggregate {
-            Aggregate::Max => f64::NEG_INFINITY,
-            Aggregate::Min => f64::INFINITY,
-            Aggregate::Mean => 0.0,
-        };
-        let mut scores = vec![init; self.n];
-        for min_pts in range.iter() {
-            let values = self.lof_values(min_pts)?;
-            match aggregate {
-                Aggregate::Max => {
-                    for (s, v) in scores.iter_mut().zip(&values) {
-                        *s = f64::max(*s, *v);
-                    }
+        publish_event(CoreEvent::SweepRange);
+        let n = self.n;
+        let width = self.columns_per_wave(range);
+        let mut kd = vec![0.0f64; n * width];
+        let mut lens = vec![0u32; n * width];
+        let mut lrd = vec![0.0f64; n * width];
+        let mut scores = vec![aggregate.seed(); n];
+        for lb in range.iter().step_by(width) {
+            let cols = MinPtsRange::new(lb, (lb + width - 1).min(range.ub()))?;
+            let w = cols.len();
+            let rows = |seg: &Segment<'_, u32>| seg.start * w..(seg.start + seg.rows()) * w;
+            self.wave(|seg| {
+                let (kd_s, lens_s) = k_distance_stage(seg, cols, false);
+                kd[rows(&seg)].copy_from_slice(&kd_s);
+                lens[rows(&seg)].copy_from_slice(&lens_s);
+            })?;
+            let (kd, lens) = (&kd[..n * w], &lens[..n * w]);
+            self.wave(|seg| lrd[rows(&seg)].copy_from_slice(&lrd_stage(seg, kd, lens, w)))?;
+            self.wave(|seg| {
+                let lofs = lof_stage(seg, &lrd[..n * w], lens, w);
+                for (score, trace) in scores[seg.start..].iter_mut().zip(lofs.chunks(w)) {
+                    *score = trace.iter().fold(*score, |acc, &v| aggregate.step(acc, v));
                 }
-                Aggregate::Min => {
-                    for (s, v) in scores.iter_mut().zip(&values) {
-                        *s = f64::min(*s, *v);
-                    }
-                }
-                Aggregate::Mean => {
-                    for (s, v) in scores.iter_mut().zip(&values) {
-                        *s += *v;
-                    }
-                }
-            }
+            })?;
         }
-        if let Aggregate::Mean = aggregate {
-            let count = range.len() as f64;
-            for s in &mut scores {
-                *s /= count;
-            }
+        for s in &mut scores {
+            *s = aggregate.finish(*s, range.len());
         }
         self.publish_stats();
         Ok(OocScores { range, aggregate, scores })
@@ -590,15 +528,10 @@ mod tests {
         let spilled = SpilledNeighborhoodTable::build(&scan, 8, 8 << 10, &spill_dir()).unwrap();
         assert_eq!(spilled.stored_entries() as usize, table.stored_entries());
         for k in 1..=8 {
-            let kd = spilled.k_distances(k).unwrap();
-            let expected = table.k_distances(k).unwrap();
-            for id in 0..data.len() {
-                assert_eq!(kd[id].to_bits(), expected[id].to_bits(), "k={k} id={id}");
-            }
-            let lof = spilled.lof_values(k).unwrap();
+            let lof = spilled.lof_range(MinPtsRange::single(k).unwrap(), Aggregate::Max).unwrap();
             let expected = crate::lof::lof_values(&table, k).unwrap();
-            for id in 0..data.len() {
-                assert_eq!(lof[id].to_bits(), expected[id].to_bits(), "k={k} id={id}");
+            for (id, (a, b)) in lof.scores().iter().zip(&expected).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "k={k} id={id}");
             }
         }
     }
@@ -632,9 +565,8 @@ mod tests {
         let data = mixture(50);
         let scan = LinearScan::new(&data, Euclidean);
         let spilled = SpilledNeighborhoodTable::build(&scan, 5, 1 << 20, &spill_dir()).unwrap();
-        assert!(matches!(spilled.k_distances(0), Err(LofError::InvalidMinPts { .. })));
         assert!(matches!(
-            spilled.k_distances(6),
+            spilled.lof_range(MinPtsRange::single(6).unwrap(), Aggregate::Min),
             Err(LofError::TableTooShallow { materialized: 5, requested: 6 })
         ));
         assert!(matches!(

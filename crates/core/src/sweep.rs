@@ -1,4 +1,6 @@
-//! Single-pass `MinPts`-range sweep engine behind [`crate::range::lof_range`].
+//! Single-pass `MinPts`-range sweep engine: the one implementation of the
+//! paper's step 2, behind both [`crate::range::lof_range`] and
+//! [`crate::SpilledNeighborhoodTable::lof_range`].
 //!
 //! The per-`MinPts` reference ([`crate::range::lof_range_reference`]) walks
 //! the materialization table `M` from scratch for every `MinPts` value:
@@ -20,18 +22,59 @@
 //! `sweep_regression` integration test and the property suite compare the
 //! two word for word.
 //!
-//! Each stage is parallelized over contiguous object chunks with
-//! `std::thread::scope` (the same machinery [`crate::parallel`] uses for
-//! step 1); `threads == 1` runs the identical code inline. Workers only
-//! read the table and write disjoint output columns, so no coordination is
-//! needed beyond the final joins.
+//! The stages read `M` through a [`Segment`] of consecutive rows. The
+//! in-RAM table is one always-resident segment, cut into contiguous object
+//! chunks that run on scoped threads (`threads == 1` runs the same code
+//! inline); a spilled table feeds its on-disk segments through the same
+//! stages one at a time. Stages only read `M` and write disjoint output
+//! rows, so no coordination is needed beyond the final joins.
 
 use crate::error::{LofError, Result};
 use crate::lof::lrd_ratio;
 use crate::lrd::reach_dist;
 use crate::materialize::NeighborhoodTable;
-use crate::neighbors::tie_inclusive_len;
+use crate::neighbors::{tie_inclusive_len, Neighbor};
+use crate::obs::{publish_event, CoreEvent};
 use crate::range::{LofRangeResult, MinPtsRange};
+
+/// A CSR offset: `usize` in the in-RAM table, `u32` in a spilled segment
+/// (kept at its on-disk width, so a resident segment costs its file size).
+pub(crate) trait Offset: Copy {
+    fn at(self) -> usize;
+}
+
+impl Offset for usize {
+    fn at(self) -> usize {
+        self
+    }
+}
+
+impl Offset for u32 {
+    fn at(self) -> usize {
+        self as usize
+    }
+}
+
+/// A run of consecutive rows of `M`: row `start + i` is the sorted list
+/// `arena[offsets[i]..offsets[i + 1]]`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Segment<'a, O> {
+    pub(crate) start: usize,
+    pub(crate) offsets: &'a [O],
+    pub(crate) arena: &'a [Neighbor],
+}
+
+impl<'a, O: Offset> Segment<'a, O> {
+    /// Number of rows.
+    pub(crate) fn rows(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// The materialized list of local row `i`.
+    fn list(&self, i: usize) -> &'a [Neighbor] {
+        &self.arena[self.offsets[i].at()..self.offsets[i + 1].at()]
+    }
+}
 
 /// Computes LOF for every `MinPts` of `range` in one pass over the table's
 /// CSR arena per stage, chunk-parallel over objects when `threads > 1`.
@@ -58,187 +101,183 @@ pub(crate) fn sweep_lof_range(
     let n = table.len();
     let rl = range.len();
     let threads = threads.max(1).min(n.max(1));
+    let (offsets, arena) = table.raw_parts();
+    let whole = Segment { start: 0, offsets, arena };
+    let distinct = table.is_distinct();
 
-    // One registry event per sweep: three column passes over the CSR
-    // arena (one per stage) covering `n x rl` (object, MinPts) cells each.
     let _span = lof_obs::span!("core.sweep");
-    crate::obs::publish_event(crate::obs::CoreEvent::SweepRange);
-    crate::obs::publish_event(crate::obs::CoreEvent::SweepColumnPasses(3 * n as u64));
-    crate::obs::publish_event(crate::obs::CoreEvent::SweepCells(3 * (n * rl) as u64));
+    publish_event(CoreEvent::SweepRange);
 
     // Stage 1: tie-inclusive prefix lengths and k-distances for all (p, k)
-    // in one list walk per object. Column-major `[n x rl]`: chunk outputs
-    // are contiguous spans of the global arrays.
-    let mut kd = vec![0.0f64; n * rl];
-    let mut lens = vec![0u32; n * rl];
-    for (start, (kd_c, len_c)) in map_chunks(n, threads, |s, e| stage1_chunk(table, range, s, e)) {
-        kd[start * rl..start * rl + kd_c.len()].copy_from_slice(&kd_c);
-        lens[start * rl..start * rl + len_c.len()].copy_from_slice(&len_c);
-    }
+    // in one list walk per object. Chunk outputs are consecutive rows of
+    // the column-major `[n x rl]` matrices, so they concatenate.
+    let (kd, lens) = {
+        let (kd, lens): (Vec<Vec<f64>>, Vec<Vec<u32>>) =
+            map_chunks(whole, threads, |seg| k_distance_stage(seg, range, distinct))
+                .into_iter()
+                .unzip();
+        (kd.concat(), lens.concat())
+    };
 
     // Stage 2: local reachability densities for all (p, k), one list walk
     // per object gathering each neighbor's contiguous k-distance column.
-    let mut lrd = vec![0.0f64; n * rl];
-    for (start, lrd_c) in map_chunks(n, threads, |s, e| stage2_chunk(table, &kd, &lens, s, e, rl)) {
-        lrd[start * rl..start * rl + lrd_c.len()].copy_from_slice(&lrd_c);
-    }
+    let lrd = map_chunks(whole, threads, |seg| lrd_stage(seg, &kd, &lens, rl)).concat();
 
     // Stage 3: LOF ratios for all (p, k). The result rows are per-MinPts
     // score vectors, so the column-major chunks transpose on join.
     let mut values = vec![0.0f64; rl * n];
-    for (start, lof_c) in map_chunks(n, threads, |s, e| stage3_chunk(table, &lrd, &lens, s, e, rl))
-    {
-        let cl = lof_c.len() / rl;
-        for local in 0..cl {
-            for ri in 0..rl {
-                values[ri * n + start + local] = lof_c[local * rl + ri];
-            }
+    let lof = map_chunks(whole, threads, |seg| lof_stage(seg, &lrd, &lens, rl));
+    for (p, trace) in lof.iter().flat_map(|c| c.chunks(rl)).enumerate() {
+        for (ri, &v) in trace.iter().enumerate() {
+            values[ri * n + p] = v;
         }
     }
-
     Ok(LofRangeResult::from_values(range, n, values))
 }
 
-/// Splits `0..n` into up to `threads` contiguous chunks and maps `work`
-/// over them, spawning scoped threads only when more than one chunk exists.
-/// Returns `(chunk_start, output)` pairs in chunk order.
-fn map_chunks<T, F>(n: usize, threads: usize, work: F) -> Vec<(usize, T)>
+/// Cuts `whole` into up to `threads` contiguous segments and maps `work`
+/// over them, on scoped threads only when more than one chunk exists.
+/// Returns the outputs in row order.
+fn map_chunks<T, F>(whole: Segment<'_, usize>, threads: usize, work: F) -> Vec<T>
 where
     T: Send,
-    F: Fn(usize, usize) -> T + Sync,
+    F: Fn(Segment<'_, usize>) -> T + Sync,
 {
-    let chunk = n.div_ceil(threads.max(1)).max(1);
+    let n = whole.rows();
+    let chunk = n.div_ceil(threads).max(1);
+    let chunks = (0..n).step_by(chunk).map(|s| Segment {
+        start: whole.start + s,
+        offsets: &whole.offsets[s..=(s + chunk).min(n)],
+        arena: whole.arena,
+    });
     if threads <= 1 || chunk >= n {
-        return (0..n).step_by(chunk).map(|s| (s, work(s, (s + chunk).min(n)))).collect();
+        return chunks.map(work).collect();
     }
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n)
-            .step_by(chunk)
-            .map(|s| {
-                let work = &work;
-                scope.spawn(move || (s, work(s, (s + chunk).min(n))))
-            })
-            .collect();
+        let work = &work;
+        let handles: Vec<_> = chunks.map(|seg| scope.spawn(move || work(seg))).collect();
         handles.into_iter().map(|h| h.join().expect("sweep worker panicked")).collect()
     })
 }
 
-/// Stage 1 for objects `s..e`: walk each materialized list once and read
-/// off, for every `k` in the range, the tie-inclusive prefix length and the
-/// k-distance (the prefix's last entry). `tie_inclusive_len` starts its
-/// scan at rank `k`, so the whole per-object loop is `O(range + ties)` on
-/// a list that stays in cache. Output is column-major `[chunk x rl]`.
-fn stage1_chunk(
-    table: &NeighborhoodTable,
-    range: MinPtsRange,
-    s: usize,
-    e: usize,
+/// Counts one stage's walk of `rows` lists for `cols` `MinPts` columns, so
+/// `core.sweep.*` add up to the passes actually run on either path.
+fn publish_pass(rows: usize, cols: usize) {
+    publish_event(CoreEvent::SweepColumnPasses(rows as u64));
+    publish_event(CoreEvent::SweepCells((rows * cols) as u64));
+}
+
+/// Stage 1 over `seg`: walk each materialized list once and read off, for
+/// every `k` of `cols`, the tie-inclusive prefix length and the k-distance
+/// (the prefix's last entry). `tie_inclusive_len` starts its scan at rank
+/// `k`, so the whole per-object loop is `O(cols + ties)` on a list that
+/// stays in cache. Output is column-major `[seg.rows() x cols.len()]`.
+pub(crate) fn k_distance_stage<O: Offset>(
+    seg: Segment<'_, O>,
+    cols: MinPtsRange,
+    distinct: bool,
 ) -> (Vec<f64>, Vec<u32>) {
-    let (offsets, arena) = table.raw_parts();
-    let rl = range.len();
-    let mut kd_c = vec![0.0f64; (e - s) * rl];
-    let mut len_c = vec![0u32; (e - s) * rl];
-    for p in s..e {
-        let full = &arena[offsets[p]..offsets[p + 1]];
-        let base = (p - s) * rl;
-        if table.is_distinct() {
+    let rl = cols.len();
+    let mut kd = vec![0.0f64; seg.rows() * rl];
+    let mut lens = vec![0u32; seg.rows() * rl];
+    for i in 0..seg.rows() {
+        let full = seg.list(i);
+        let base = i * rl;
+        if distinct {
             // Validated: a distinct table only ever sweeps [max_k, max_k],
             // and its full stored list is the neighborhood.
-            kd_c[base] = full[full.len() - 1].dist;
-            len_c[base] = full.len() as u32;
+            kd[base] = full[full.len() - 1].dist;
+            lens[base] = full.len() as u32;
             continue;
         }
-        for (ri, k) in range.iter().enumerate() {
+        for (ri, k) in cols.iter().enumerate() {
             let end = tie_inclusive_len(full, k);
-            kd_c[base + ri] = full[end - 1].dist;
-            len_c[base + ri] = end as u32;
+            kd[base + ri] = full[end - 1].dist;
+            lens[base + ri] = end as u32;
         }
     }
-    (kd_c, len_c)
+    publish_pass(seg.rows(), rl);
+    (kd, lens)
 }
 
-/// Stage 2 for objects `s..e`: reachability-distance sums and lrds for
-/// every `k` in **one** walk of each object's list. Neighbor `j` of object
-/// `p` belongs to `N_k(p)` exactly for the tail of `MinPts` rows whose
-/// prefix length exceeds `j` (prefix lengths are non-decreasing in `k`),
-/// so a monotone cursor picks the contributing rows and the inner loop
-/// adds `reach-dist` into each row's accumulator — neighbor rank stays the
-/// outer loop, so each accumulator sees its terms in exactly the reference
-/// order. Identical operation order to
-/// [`crate::lrd::local_reachability_densities_with`].
-fn stage2_chunk(
-    table: &NeighborhoodTable,
-    kd: &[f64],
+/// The list walk shared by stages 2 and 3: one walk of each object's
+/// widest prefix covers every column. Neighbor `j` of object `p` belongs to
+/// `N_k(p)` exactly for the tail of `MinPts` columns whose prefix length
+/// exceeds `j` (prefix lengths are non-decreasing in `k`), so a monotone
+/// cursor finds the first such column and `add(p, neighbor, first, tail)`
+/// adds the neighbor's term into each tail accumulator. Neighbor rank stays
+/// the outer loop, so each accumulator sees its terms in exactly the
+/// reference order; `finish(sum, |N_k(p)|)` maps each sum to the output.
+/// Output is column-major `[seg.rows() x rl]`.
+fn column_sums<O: Offset>(
+    seg: Segment<'_, O>,
     lens: &[u32],
-    s: usize,
-    e: usize,
     rl: usize,
+    add: impl Fn(usize, &Neighbor, usize, &mut [f64]),
+    finish: impl Fn(f64, f64) -> f64,
 ) -> Vec<f64> {
-    let (offsets, arena) = table.raw_parts();
-    let mut lrd_c = vec![0.0f64; (e - s) * rl];
+    let mut out = vec![0.0f64; seg.rows() * rl];
     let mut sums = vec![0.0f64; rl];
-    for p in s..e {
-        let base = (p - s) * rl;
+    for i in 0..seg.rows() {
+        let p = seg.start + i;
         let len_col = &lens[p * rl..(p + 1) * rl];
-        let widest = len_col[rl - 1] as usize;
-        let prefix = &arena[offsets[p]..offsets[p] + widest];
-        sums.iter_mut().for_each(|v| *v = 0.0);
-        let mut first = 0usize; // first row whose prefix includes rank j
-        for (j, nb) in prefix.iter().enumerate() {
-            while first < rl && (len_col[first] as usize) <= j {
-                first += 1;
-            }
-            let kd_col = &kd[nb.id * rl..(nb.id + 1) * rl];
-            for (sum, &kd_o) in sums[first..].iter_mut().zip(&kd_col[first..]) {
-                *sum += reach_dist(kd_o, nb.dist);
-            }
-        }
-        for ri in 0..rl {
-            let mean = sums[ri] / len_col[ri] as f64;
-            lrd_c[base + ri] = if mean > 0.0 { 1.0 / mean } else { f64::INFINITY };
-        }
-    }
-    lrd_c
-}
-
-/// Stage 3 for objects `s..e`: mean lrd ratios (definition 7) for every
-/// `k`, again in one list walk per object with the stage 2 row-tail
-/// cursor. Identical operation order to [`crate::lof::lof_values_with`].
-fn stage3_chunk(
-    table: &NeighborhoodTable,
-    lrd: &[f64],
-    lens: &[u32],
-    s: usize,
-    e: usize,
-    rl: usize,
-) -> Vec<f64> {
-    let (offsets, arena) = table.raw_parts();
-    let mut lof_c = vec![0.0f64; (e - s) * rl];
-    let mut sums = vec![0.0f64; rl];
-    for p in s..e {
-        let base = (p - s) * rl;
-        let len_col = &lens[p * rl..(p + 1) * rl];
-        let widest = len_col[rl - 1] as usize;
-        let prefix = &arena[offsets[p]..offsets[p] + widest];
-        let lrd_p = &lrd[p * rl..(p + 1) * rl];
         sums.iter_mut().for_each(|v| *v = 0.0);
         let mut first = 0usize;
-        for (j, nb) in prefix.iter().enumerate() {
+        for (j, nb) in seg.list(i)[..len_col[rl - 1] as usize].iter().enumerate() {
             while first < rl && (len_col[first] as usize) <= j {
                 first += 1;
             }
-            let lrd_o = &lrd[nb.id * rl..(nb.id + 1) * rl];
-            for ((sum, &o), &q) in
-                sums[first..].iter_mut().zip(&lrd_o[first..]).zip(&lrd_p[first..])
-            {
-                *sum += lrd_ratio(o, q);
-            }
+            add(p, nb, first, &mut sums[first..]);
         }
         for ri in 0..rl {
-            lof_c[base + ri] = sums[ri] / len_col[ri] as f64;
+            out[i * rl + ri] = finish(sums[ri], len_col[ri] as f64);
         }
     }
-    lof_c
+    publish_pass(seg.rows(), rl);
+    out
+}
+
+/// Stage 2 over `seg`: local reachability densities for every column, with
+/// the operation order of [`crate::lrd::local_reachability_densities_with`].
+/// `kd` and `lens` are the whole `[n x rl]` stage 1 matrices.
+pub(crate) fn lrd_stage<O: Offset>(
+    seg: Segment<'_, O>,
+    kd: &[f64],
+    lens: &[u32],
+    rl: usize,
+) -> Vec<f64> {
+    let add = |_, nb: &Neighbor, first, sums: &mut [f64]| {
+        for (sum, &kd_o) in sums.iter_mut().zip(&kd[nb.id * rl + first..(nb.id + 1) * rl]) {
+            *sum += reach_dist(kd_o, nb.dist);
+        }
+    };
+    column_sums(seg, lens, rl, add, |sum, len| {
+        let mean = sum / len;
+        if mean > 0.0 {
+            1.0 / mean
+        } else {
+            f64::INFINITY
+        }
+    })
+}
+
+/// Stage 3 over `seg`: LOF values (definition 7, the mean lrd ratio) for
+/// every column, with the operation order of
+/// [`crate::lof::lof_values_with`]. `lrd` is the whole stage 2 matrix.
+pub(crate) fn lof_stage<O: Offset>(
+    seg: Segment<'_, O>,
+    lrd: &[f64],
+    lens: &[u32],
+    rl: usize,
+) -> Vec<f64> {
+    let add = |p: usize, nb: &Neighbor, first, sums: &mut [f64]| {
+        let lrd_o = &lrd[nb.id * rl + first..(nb.id + 1) * rl];
+        let lrd_p = &lrd[p * rl + first..(p + 1) * rl];
+        for ((sum, &o), &q) in sums.iter_mut().zip(lrd_o).zip(lrd_p) {
+            *sum += lrd_ratio(o, q);
+        }
+    };
+    column_sums(seg, lens, rl, add, |sum, len| sum / len)
 }
 
 #[cfg(test)]

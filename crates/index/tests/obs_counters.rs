@@ -3,12 +3,16 @@
 //! *exactly* on the duplicate-distance fixtures from
 //! `batch_consistency.rs` — nonzero there, zero on tie-free data — heap
 //! offers on a single-leaf tree must stay within the naive scan's
-//! n·(n−1) candidate evaluations, and parallel materialization must keep
-//! the kd join's leaf groups whole.
+//! n·(n−1) candidate evaluations, parallel materialization must keep
+//! the kd join's leaf groups whole, and a spilled sweep must publish the
+//! waves it runs.
 #![cfg(feature = "obs")]
 
 use lof_core::knn::KnnScratch;
-use lof_core::{build_table_parallel, Dataset, Euclidean, KernelStats, KnnProvider};
+use lof_core::{
+    build_table_parallel, Aggregate, Dataset, Euclidean, KernelStats, KnnProvider, LinearScan,
+    MinPtsRange, SpilledNeighborhoodTable,
+};
 use lof_index::{BallTree, KdTree};
 
 /// Runs the leaf-grouped batch join over every id, returning the
@@ -160,4 +164,62 @@ fn shell_recoveries_fire_exactly_on_duplicate_distance_fixtures() {
     assert!(kd.join_groups > 1, "n=40 spans multiple leaves");
     assert_eq!(kd.shell_passes, 0, "kdtree/spread: no ties, no shells");
     assert_eq!(ball.shell_passes, 0, "balltree/spread: no ties, no shells");
+}
+
+#[test]
+fn spilled_sweep_publishes_the_waves_it_runs() {
+    // A spilled `lof_range` over n objects and rl MinPts columns at b
+    // columns per wave runs ceil(rl / b) batches of three waves, each
+    // walking all n lists once: 3·n·ceil(rl / b) column passes and
+    // 3·n·rl cells, the in-RAM sweep's cell count. The whole call is one
+    // `core.spill.lof_range` span (the in-RAM `core.sweep` span stays
+    // untouched), and the `core.ooc.*` counters receive the table's
+    // spills at build and its reloads and evictions at scoring, once
+    // each. No other test in this binary publishes to these metrics, and
+    // the linear scan publishes no `core.join.*` counts, which the test
+    // above reads while this one runs.
+    let (n, k) = (600, 8);
+    let data = spread_dataset(n);
+    let scan = LinearScan::new(&data, Euclidean);
+    let range = MinPtsRange::new(2, k).unwrap();
+    let registry = lof_obs::global();
+    let read = |name: &str| registry.counter(name).value();
+    let counters = [
+        "core.sweep.ranges",
+        "core.sweep.column_passes",
+        "core.sweep.cells",
+        "core.ooc.segment_spills",
+        "core.ooc.segment_reloads",
+        "core.ooc.segment_evictions",
+    ];
+    let before = counters.map(read);
+    let spans_before = (
+        registry.histogram("core.spill.lof_range").count(),
+        registry.histogram("core.sweep").count(),
+    );
+
+    let table =
+        SpilledNeighborhoodTable::build(&scan, k, 20 * n * 3, &std::env::temp_dir()).unwrap();
+    table.lof_range(range, Aggregate::Max).unwrap();
+
+    let delta: Vec<u64> = counters.iter().zip(before).map(|(c, b)| read(c) - b).collect();
+    let stats = table.stats();
+    let batches = range.len().div_ceil(table.columns_per_wave(range)) as u64;
+    assert_eq!(table.columns_per_wave(range), 3);
+    assert!(table.segment_count() > 1, "the table must segment");
+    assert_eq!(delta[0], 1, "one sweep");
+    assert_eq!(delta[1], 3 * n as u64 * batches, "column passes");
+    assert_eq!(delta[2], 3 * (n * range.len()) as u64, "cells");
+    assert_eq!(delta[3], table.segment_count() as u64, "spills published once");
+    assert_eq!(delta[4], stats.segment_reloads, "reloads published once");
+    assert_eq!(stats.segment_reloads, table.segment_count() as u64 * 3 * batches);
+    assert_eq!(delta[5], stats.segment_evictions, "evictions published once");
+    assert_eq!(
+        (
+            registry.histogram("core.spill.lof_range").count(),
+            registry.histogram("core.sweep").count()
+        ),
+        (spans_before.0 + 1, spans_before.1),
+        "one spilled span, no in-RAM sweep span"
+    );
 }

@@ -17,11 +17,12 @@ use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Random dataset: n points, dims dimensions, coordinates drawn from a
-/// small set of magnitudes including exact duplicates (duplicates stress
-/// the tie-inclusive cuts, where any representational drift would show).
-fn dataset_strategy(max_n: usize, max_dims: usize) -> impl Strategy<Value = Dataset> {
-    (2usize..=max_dims, 8usize..=max_n).prop_flat_map(|(dims, n)| {
+/// Random dataset: `min_n..=max_n` points, dims dimensions, coordinates
+/// drawn from a small set of magnitudes including exact duplicates
+/// (duplicates stress the tie-inclusive cuts, where any representational
+/// drift would show).
+fn dataset_strategy(min_n: usize, max_n: usize, max_dims: usize) -> impl Strategy<Value = Dataset> {
+    (2usize..=max_dims, min_n..=max_n).prop_flat_map(|(dims, n)| {
         proptest::collection::vec(
             proptest::collection::vec(
                 prop_oneof![Just(0.0), Just(1.0), Just(-3.5), -100.0..100.0f64, -1.0..1.0f64,],
@@ -94,7 +95,7 @@ proptest! {
 
     #[test]
     fn kernel_provider_is_bit_identical_on_mapped_data(
-        data in dataset_strategy(48, 4),
+        data in dataset_strategy(8, 48, 4),
         k in 1usize..10,
     ) {
         let (mapped, path) = mapped_copy(&data);
@@ -111,7 +112,7 @@ proptest! {
 
     #[test]
     fn kdtree_is_bit_identical_on_mapped_data(
-        data in dataset_strategy(48, 4),
+        data in dataset_strategy(8, 48, 4),
         k in 1usize..10,
     ) {
         let (mapped, path) = mapped_copy(&data);
@@ -123,7 +124,7 @@ proptest! {
 
     #[test]
     fn balltree_is_bit_identical_on_mapped_data(
-        data in dataset_strategy(48, 4),
+        data in dataset_strategy(8, 48, 4),
         k in 1usize..10,
     ) {
         let (mapped, path) = mapped_copy(&data);
@@ -135,24 +136,34 @@ proptest! {
 
     #[test]
     fn spilled_table_is_bit_identical_on_mapped_data(
-        data in dataset_strategy(48, 4),
-        k in 1usize..10,
+        data in dataset_strategy(300, 400, 4),
+        k in 4usize..10,
+        regime in 0usize..3,
     ) {
         // The full out-of-core stack at once: mapped coordinates feeding
-        // a disk-spilled neighborhood table under a budget small enough
-        // to force multiple segments.
+        // a disk-spilled neighborhood table. n is past the 256-row segment
+        // floor, so every budget gives several segments; the budget puts
+        // one column per wave, two columns per wave (k >= 4 makes the
+        // range at least three wide), or the whole spill file in RAM.
         let (mapped, path) = mapped_copy(&data);
-        let k = k.min(data.len() - 1).max(1);
-        let range = MinPtsRange::new((k / 2).max(1), k).unwrap();
+        let n = data.len();
+        let range = MinPtsRange::new(k / 2, k).unwrap();
         let ram_table = NeighborhoodTable::build(&LinearScan::new(&data, Euclidean), k).unwrap();
         let want = lof_range_reference(&ram_table, range).unwrap();
+        let (budget, columns) = match regime {
+            0 => (20 * n, 1),
+            1 => (40 * n, 2),
+            _ => (8 * n + 16 * ram_table.stored_entries(), range.len()),
+        };
         let spilled = lof_core::SpilledNeighborhoodTable::build(
             &LinearScan::new(&mapped, Euclidean),
             k,
-            1 << 10,
+            budget,
             &std::env::temp_dir(),
         )
         .unwrap();
+        prop_assert!(spilled.segment_count() > 1, "n={} must segment", n);
+        prop_assert_eq!(spilled.columns_per_wave(range), columns);
         for aggregate in [
             lof_core::Aggregate::Max,
             lof_core::Aggregate::Min,

@@ -166,8 +166,18 @@ LOF_MATERIALIZE_N=2000 \
   cargo run --release -q -p lof-bench --bin bench_materialize
 # LOF_OOC_N adds a small out-of-core tier on top: .lofd write -> mmap ->
 # kd self-join -> disk-spilled table under a tiny budget; the binary
-# aborts unless the budget forces real spilling AND the spilled scores
-# are bit-identical to the in-RAM pipeline.
+# aborts unless the budget forces real spilling, the spilled scores
+# are bit-identical to the in-RAM pipeline, AND each segment is read at
+# most 3 x ceil(|range| / columns_per_wave) times.
+
+echo "== out-of-core: spilled sweep identity + reload schedule =="
+# The spilled table scores through the in-RAM sweep's stage functions;
+# it must equal the per-MinPts reference bit for bit in every budget
+# regime (one column per wave, several, whole table resident) and read
+# each segment exactly 3 x ceil(|range| / columns_per_wave) times per
+# call (once, ever, when resident) — natively and on the scalar kernels.
+cargo test -q --test ooc_sweep_identity
+LOF_FORCE_SCALAR=1 cargo test -q --test ooc_sweep_identity
 
 echo "== out-of-core: ingest round-trip smoke =="
 # CSV -> `lof ingest` -> .lofd -> batch scores must equal the CSV path's
