@@ -12,8 +12,8 @@
 //!
 //! Parallel cells time step 1 through `build_table_parallel` for the kd
 //! and ball trees at one thread and at `nproc` threads, on the same
-//! points with shuffled ids (so every worker's id chunk cuts across
-//! every leaf), each recorded with `{nproc, isa, threads}`. With
+//! points with shuffled ids (so every leaf holds ids from all over the
+//! id range), each recorded with `{nproc, isa, threads}`. With
 //! `nproc >= 2` the kd-tree's `nproc` cell must be at least
 //! [`MIN_PARALLEL_SPEEDUP`] times faster than its 1-thread cell, or the
 //! binary aborts.
@@ -340,7 +340,7 @@ fn main() {
     println!("kd batched join     {kd_batched_ns:10.0} ns/object ({kd_speedup:.2}x vs per-query)");
     println!("ball batched join   {ball_batched_ns:10.0} ns/object");
 
-    // Parallel step 1 on shuffled ids, gated: whole-chunk workers must
+    // Parallel step 1 on shuffled ids, gated: leaf-group workers must
     // scale the kd join.
     let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
     let shuffled = shuffled(&data);

@@ -368,16 +368,15 @@ pub fn squared_euclidean(a: &[f64], b: &[f64]) -> f64 {
     acc
 }
 
-/// Per-dimension distance from coordinate `q` to the interval `[lo, hi]`.
+/// Per-dimension distance from coordinate `q` to the interval `[lo, hi]`,
+/// without a branch: for `lo <= hi` at most one of `lo - q` and `q - hi`
+/// is positive, and it is the gap; inside the interval both are `<= 0`
+/// and the gap is `0`. The trailing `+ 0.0` turns the `-0.0` that `max`
+/// may keep (from a `-0.0` bound beside a `+0.0` coordinate) into `+0.0`,
+/// so the result is the branching form's, bit for bit.
 #[inline]
 fn rect_gap(q: f64, lo: f64, hi: f64) -> f64 {
-    if q < lo {
-        lo - q
-    } else if q > hi {
-        q - hi
-    } else {
-        0.0
-    }
+    (lo - q).max(q - hi).max(0.0) + 0.0
 }
 
 /// Per-dimension *closest* separation of the intervals `[alo, ahi]` and
@@ -445,6 +444,32 @@ mod tests {
     #[should_panic(expected = "p >= 1")]
     fn minkowski_rejects_sub_one_p() {
         let _ = Minkowski::new(0.5);
+    }
+
+    #[test]
+    fn rect_gap_matches_the_branching_form_bit_for_bit() {
+        let branching = |q: f64, lo: f64, hi: f64| {
+            if q < lo {
+                lo - q
+            } else if q > hi {
+                q - hi
+            } else {
+                0.0
+            }
+        };
+        let values =
+            [f64::MIN, -3.5, -1.0, -f64::MIN_POSITIVE, -0.0, 0.0, 5e-324, 0.25, 2.0, 1e300];
+        for &q in &values {
+            for &lo in &values {
+                for &hi in values.iter().filter(|&&hi| lo <= hi) {
+                    assert_eq!(
+                        rect_gap(q, lo, hi).to_bits(),
+                        branching(q, lo, hi).to_bits(),
+                        "q={q:?} lo={lo:?} hi={hi:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,6 +14,13 @@ use std::cell::RefCell;
 /// A bounded max-heap over `(distance, id)` pairs tracking the `k`
 /// candidates smallest in canonical `(distance, id)` order.
 ///
+/// Each candidate is held as one `u128` key: the distance's total-order
+/// bits in the high half, the id in the low half. Comparing two keys as
+/// integers is exactly `f64::total_cmp` on the distances, then the ids,
+/// so the order is the canonical one with a single compare, and a sift
+/// moves a hole instead of swapping pairs. The arrangement is the one the
+/// swap-based tuple heap produces, key for key.
+///
 /// Unlike `std::collections::BinaryHeap`, the backing storage survives
 /// [`BoundedMaxHeap::reset`] so a single heap serves any number of queries
 /// (of any `k`) without reallocating once its high-water capacity is
@@ -21,13 +28,47 @@ use std::cell::RefCell;
 #[derive(Debug, Default)]
 pub struct BoundedMaxHeap {
     k: usize,
-    /// Binary max-heap ordered by `(dist, id)`; the canonical-order-largest
-    /// candidate sits at index 0 and is evicted first.
-    entries: Vec<(f64, usize)>,
+    /// Binary max-heap of [`key`]s; the canonical-order-largest candidate
+    /// sits at index 0 and is evicted first.
+    keys: Vec<u128>,
     /// Offers since the last reset (instrumentation; absent with `obs`
     /// off so the hot offer paths stay untouched).
     #[cfg(feature = "obs")]
     offers: u64,
+}
+
+/// The sign-magnitude bits of `d` remapped so unsigned order is
+/// `f64::total_cmp` order: negative values flip every bit, the others
+/// only the sign bit.
+#[inline]
+fn order_bits(d: f64) -> u64 {
+    let bits = d.to_bits();
+    bits ^ (((bits as i64 >> 63) as u64) | (1 << 63))
+}
+
+/// Inverse of [`order_bits`].
+#[inline]
+fn from_order_bits(bits: u64) -> f64 {
+    f64::from_bits(bits ^ ((((bits >> 63) as i64 - 1) as u64) | (1 << 63)))
+}
+
+/// One candidate's heap key: integer order is canonical `(distance, id)`
+/// order.
+#[inline]
+fn key(dist: f64, id: usize) -> u128 {
+    ((order_bits(dist) as u128) << 64) | id as u128
+}
+
+/// The distance of a [`key`].
+#[inline]
+fn key_dist(key: u128) -> f64 {
+    from_order_bits((key >> 64) as u64)
+}
+
+/// The `(distance, id)` pair of a [`key`].
+#[inline]
+fn key_pair(key: u128) -> (f64, usize) {
+    (key_dist(key), key as u64 as usize)
 }
 
 impl BoundedMaxHeap {
@@ -44,8 +85,8 @@ impl BoundedMaxHeap {
     pub fn reset(&mut self, k: usize) {
         assert!(k > 0, "BoundedMaxHeap requires k >= 1");
         self.k = k;
-        self.entries.clear();
-        self.entries.reserve(k + 1);
+        self.keys.clear();
+        self.keys.reserve(k + 1);
         #[cfg(feature = "obs")]
         {
             self.offers = 0;
@@ -67,11 +108,6 @@ impl BoundedMaxHeap {
         }
     }
 
-    #[inline]
-    fn gt(a: (f64, usize), b: (f64, usize)) -> bool {
-        a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).is_gt()
-    }
-
     /// Offers a candidate; keeps it only if it beats the current worst.
     #[inline]
     pub fn offer(&mut self, id: usize, dist: f64) {
@@ -79,13 +115,11 @@ impl BoundedMaxHeap {
         {
             self.offers += 1;
         }
-        let e = (dist, id);
-        if self.entries.len() < self.k {
-            self.entries.push(e);
-            self.sift_up(self.entries.len() - 1);
-        } else if Self::gt(self.entries[0], e) {
-            self.entries[0] = e;
-            self.sift_down();
+        let e = key(dist, id);
+        if self.keys.len() < self.k {
+            self.push(e);
+        } else if self.keys[0] > e {
+            self.replace_top(e);
         }
     }
 
@@ -104,49 +138,54 @@ impl BoundedMaxHeap {
         {
             self.offers += 1;
         }
-        let e = (dist, id);
-        if self.entries.len() < self.k {
-            self.entries.push(e);
-            self.sift_up(self.entries.len() - 1);
-        } else if Self::gt(self.entries[0], e) {
-            *lost_min = lost_min.min(self.entries[0].0);
-            self.entries[0] = e;
-            self.sift_down();
+        let e = key(dist, id);
+        if self.keys.len() < self.k {
+            self.push(e);
+        } else if self.keys[0] > e {
+            *lost_min = lost_min.min(key_dist(self.keys[0]));
+            self.replace_top(e);
         } else {
             *lost_min = lost_min.min(dist);
         }
     }
 
-    fn sift_up(&mut self, mut i: usize) {
+    /// Appends `e` and sifts it up: parents smaller than `e` move down
+    /// into the hole until `e` fits.
+    fn push(&mut self, e: u128) {
+        let mut i = self.keys.len();
+        self.keys.push(e);
         while i > 0 {
             let parent = (i - 1) / 2;
-            if Self::gt(self.entries[i], self.entries[parent]) {
-                self.entries.swap(i, parent);
-                i = parent;
-            } else {
+            if e <= self.keys[parent] {
                 break;
             }
+            self.keys[i] = self.keys[parent];
+            i = parent;
         }
+        self.keys[i] = e;
     }
 
-    fn sift_down(&mut self) {
-        let n = self.entries.len();
+    /// Replaces the root with `e` and sifts it down: the larger child
+    /// moves up into the hole while it is larger than `e` (the left child
+    /// on equal keys, as a swap-based sift picks it).
+    fn replace_top(&mut self, e: u128) {
+        let keys = &mut self.keys[..];
+        let n = keys.len();
         let mut i = 0;
         loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut largest = i;
-            if l < n && Self::gt(self.entries[l], self.entries[largest]) {
-                largest = l;
+            let l = 2 * i + 1;
+            if l >= n {
+                break;
             }
-            if r < n && Self::gt(self.entries[r], self.entries[largest]) {
-                largest = r;
+            let r = l + 1;
+            let child = if r < n && keys[r] > keys[l] { r } else { l };
+            if keys[child] <= e {
+                break;
             }
-            if largest == i {
-                return;
-            }
-            self.entries.swap(i, largest);
-            i = largest;
+            keys[i] = keys[child];
+            i = child;
         }
+        keys[i] = e;
     }
 
     /// Current pruning bound: the k-th best distance seen, or `+∞` while
@@ -154,17 +193,17 @@ impl BoundedMaxHeap {
     /// possible distance **exceeds** this bound cannot contribute.
     #[inline]
     pub fn bound(&self) -> f64 {
-        if self.entries.len() < self.k {
+        if self.keys.len() < self.k {
             f64::INFINITY
         } else {
-            self.entries[0].0
+            key_dist(self.keys[0])
         }
     }
 
     /// The distance of the worst kept candidate — the exact `k`-distance
     /// once the search has offered every candidate — or `None` if empty.
     pub fn kth_dist(&self) -> Option<f64> {
-        self.entries.first().map(|e| e.0)
+        self.keys.first().map(|&e| key_dist(e))
     }
 
     /// The held `(distance, id)` candidates in arbitrary (heap) order,
@@ -173,25 +212,25 @@ impl BoundedMaxHeap {
     /// id)` order — in particular it contains **every** point strictly
     /// closer than the k-distance, which is what lets batch joins emit
     /// neighborhoods straight from the heap and search only for ties.
-    pub fn entries(&self) -> &[(f64, usize)] {
-        &self.entries
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = (f64, usize)> + '_ {
+        self.keys.iter().map(|&e| key_pair(e))
     }
 
     /// Number of candidates currently held.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.keys.len()
     }
 
     /// True when no candidate has been offered since the last reset.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.keys.is_empty()
     }
 
     /// Appends the held candidates to `out` in arbitrary order (callers
     /// sort canonically afterwards). The heap stays reusable.
     pub fn append_to(&mut self, out: &mut Vec<Neighbor>) {
-        out.extend(self.entries.iter().map(|&(d, id)| Neighbor::new(id, d)));
-        self.entries.clear();
+        out.extend(self.entries().map(|(d, id)| Neighbor::new(id, d)));
+        self.keys.clear();
     }
 }
 
@@ -243,6 +282,9 @@ pub struct KnnScratch {
     /// Self-join grouping buffer: `(leaf, id)` pairs sorted so queries of
     /// the same leaf become contiguous.
     pub join_order: Vec<(usize, usize)>,
+    /// Self-join group bounds: where each leaf group starts in
+    /// [`KnnScratch::join_order`], followed by its length.
+    pub join_starts: Vec<usize>,
     /// Self-join group buffer: the active group's neighborhoods in group
     /// order, before they are written to their id-ordered output slots.
     pub join_staged: Vec<Neighbor>,
@@ -348,10 +390,10 @@ mod tests {
         for i in 0..10 {
             h.offer(i, i as f64);
         }
-        let cap = h.entries.capacity();
+        let cap = h.keys.capacity();
         h.reset(4);
         assert!(h.is_empty());
-        assert_eq!(h.entries.capacity(), cap, "reset must not free storage");
+        assert_eq!(h.keys.capacity(), cap, "reset must not free storage");
     }
 
     #[test]
@@ -371,5 +413,111 @@ mod tests {
             });
             assert_eq!(outer.heap.len(), 1);
         });
+    }
+
+    /// The swap-based `(f64::total_cmp, id)` tuple heap the integer keys
+    /// replaced, kept as the arrangement oracle.
+    fn tuple_heap(k: usize, stream: &[(f64, usize)]) -> Vec<(f64, usize)> {
+        let gt = |a: (f64, usize), b: (f64, usize)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).is_gt();
+        let mut h: Vec<(f64, usize)> = Vec::new();
+        for &e in stream {
+            if h.len() < k {
+                h.push(e);
+                let mut i = h.len() - 1;
+                while i > 0 && gt(h[i], h[(i - 1) / 2]) {
+                    h.swap(i, (i - 1) / 2);
+                    i = (i - 1) / 2;
+                }
+            } else if gt(h[0], e) {
+                h[0] = e;
+                let mut i = 0;
+                loop {
+                    let (l, r) = (2 * i + 1, 2 * i + 2);
+                    let mut largest = i;
+                    if l < h.len() && gt(h[l], h[largest]) {
+                        largest = l;
+                    }
+                    if r < h.len() && gt(h[r], h[largest]) {
+                        largest = r;
+                    }
+                    if largest == i {
+                        break;
+                    }
+                    h.swap(i, largest);
+                    i = largest;
+                }
+            }
+        }
+        h
+    }
+
+    /// Distances with duplicates, both zeros and `+inf`, under distinct ids.
+    fn heap_stream() -> impl proptest::strategy::Strategy<Value = Vec<(f64, usize)>> {
+        use proptest::prelude::*;
+        (proptest::collection::vec((0usize..8, 0.0..4.0f64), 0..48), 0usize..1024).prop_map(
+            |(draws, mask)| {
+                let pick = |(kind, x): (usize, f64)| match kind {
+                    0 => -0.0,
+                    1 => 0.0,
+                    2 => f64::INFINITY,
+                    3 => 1.0,
+                    _ => (x * 2.0).round() / 2.0,
+                };
+                draws.into_iter().enumerate().map(|(i, draw)| (pick(draw), i ^ mask)).collect()
+            },
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+        fn heap_matches_a_canonical_sort(stream in heap_stream(), drawn_k in 1usize..64) {
+            let mut sorted = stream.clone();
+            sorted.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            for k in [1, drawn_k, stream.len().max(1), stream.len() + 3] {
+                let kept = k.min(stream.len());
+                let (mut plain, mut tracking) = (BoundedMaxHeap::new(), BoundedMaxHeap::new());
+                plain.reset(k);
+                tracking.reset(k);
+                let mut lost_min = f64::INFINITY;
+                for &(d, id) in &stream {
+                    plain.offer(id, d);
+                    tracking.offer_tracking(id, d, &mut lost_min);
+                }
+                let bits = |v: Vec<(f64, usize)>| -> Vec<(u64, usize)> {
+                    v.into_iter().map(|(d, id)| (d.to_bits(), id)).collect()
+                };
+                let oracle = bits(tuple_heap(k, &stream));
+                proptest::prop_assert_eq!(bits(plain.entries().collect()), oracle.clone());
+                proptest::prop_assert_eq!(bits(tracking.entries().collect()), oracle);
+                let mut held: Vec<(f64, usize)> = plain.entries().collect();
+                held.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                proptest::prop_assert_eq!(bits(held), bits(sorted[..kept].to_vec()));
+                proptest::prop_assert_eq!(
+                    plain.kth_dist().map(f64::to_bits),
+                    sorted[..kept].last().map(|e| e.0.to_bits())
+                );
+                let bound = if stream.len() < k { f64::INFINITY } else { sorted[k - 1].0 };
+                proptest::prop_assert_eq!(plain.bound().to_bits(), bound.to_bits());
+                // The zeros compare equal, and `f64::min` may keep either
+                // sign, so the lost minimum is checked as a value.
+                let want_lost = sorted[kept..].iter().fold(f64::INFINITY, |m, e| m.min(e.0));
+                proptest::prop_assert!(lost_min == want_lost, "lost {lost_min} != {want_lost}");
+            }
+        }
+    }
+
+    #[test]
+    fn keys_order_like_total_cmp_and_round_trip() {
+        let values =
+            [f64::NEG_INFINITY, -2.5, -f64::MIN_POSITIVE, -0.0, 0.0, 1e-300, 3.0, f64::MAX];
+        for (i, &a) in values.iter().enumerate() {
+            assert_eq!(from_order_bits(order_bits(a)).to_bits(), a.to_bits());
+            for &b in &values[i + 1..] {
+                assert!(order_bits(a) < order_bits(b), "{a} vs {b}");
+            }
+        }
+        assert!(key(1.0, 9) < key(1.0, 10) && key(1.0, usize::MAX) < key(1.5, 0));
+        assert_eq!(key_pair(key(-0.0, 42)).1, 42);
+        assert_eq!(key_pair(key(-0.0, 42)).0.to_bits(), (-0.0f64).to_bits());
     }
 }

@@ -180,6 +180,63 @@ pub trait KnnProvider {
         Ok(())
     }
 
+    /// Step 1 of the paper's algorithm (section 7.4) for every object:
+    /// the `k`-distance neighborhoods of ids `0..len()`, concatenated in
+    /// id order, and their lengths, computed by `threads` workers (`0` is
+    /// taken as 1). [`crate::build_table_parallel`] drives this; each
+    /// provider kind has one step-1 driver, and its output is the same at
+    /// any thread count.
+    ///
+    /// The default cuts the ids into `threads` contiguous chunks and gives
+    /// each worker its whole chunk in one
+    /// [`KnnProvider::batch_k_nearest`] call; with one thread the calling
+    /// thread answers `0..len()` itself. Workers share nothing while they
+    /// run, their outputs are joined in chunk order, and the first error
+    /// in chunk order is the one reported. The kd and ball trees override
+    /// it: their workers claim whole leaf groups instead, which a cut by
+    /// id would split on shuffled ids.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`KnnProvider::k_nearest`].
+    fn materialize(&self, k: usize, threads: usize) -> Result<(Vec<Neighbor>, Vec<usize>)>
+    where
+        Self: Sync,
+    {
+        let n = self.len();
+        let chunk = n.div_ceil(threads.clamp(1, n.max(1))).max(1);
+        let run = |ids: std::ops::Range<usize>| -> Result<(Vec<Neighbor>, Vec<usize>)> {
+            let mut scratch = crate::knn::KnnScratch::new();
+            let mut out = Vec::with_capacity(ids.len() * k);
+            let mut lens = Vec::with_capacity(ids.len());
+            self.batch_k_nearest(ids, k, &mut scratch, &mut out, &mut lens)?;
+            // Flush this worker's kernel counters before the scratch dies.
+            scratch.stats.publish_and_reset();
+            Ok((out, lens))
+        };
+        if chunk >= n {
+            return run(0..n);
+        }
+        let parts = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..n)
+                .step_by(chunk)
+                .map(|start| s.spawn(move || run(start..(start + chunk).min(n))))
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("materialization worker panicked"))
+                .collect::<Result<Vec<_>>>()
+        })?;
+        let total = parts.iter().map(|(out, _)| out.len()).sum();
+        let mut neighbors = Vec::with_capacity(total);
+        let mut lens = Vec::with_capacity(n);
+        for (part_out, part_lens) in parts {
+            neighbors.extend_from_slice(&part_out);
+            lens.extend_from_slice(&part_lens);
+        }
+        Ok((neighbors, lens))
+    }
+
     /// Every object `q != id` with `d(id, q) <= radius`, sorted by
     /// [`cmp_neighbors`].
     ///

@@ -106,31 +106,35 @@ impl KernelStats {
     /// per-candidate loops.
     pub fn publish_and_reset(&mut self) {
         #[cfg(feature = "obs")]
-        {
-            let m = core_metrics();
-            for (counter, value) in [
-                (&m.tiles, self.tiles),
-                (&m.tile_pairs, self.tile_pairs),
-                (&m.captures, self.captures),
-                (&m.compactions, self.compactions),
-                (&m.refined, self.refined),
-                (&m.heap_offers, self.heap_offers),
-                (&m.join_groups, self.join_groups),
-                (&m.shell_passes, self.shell_passes),
-                (&m.simd_panels, self.simd_panels),
-                (&m.simd_remainder_lanes, self.simd_remainder_lanes),
-            ] {
-                if value > 0 {
-                    counter.add(value);
-                }
+        self.publish_to(core_metrics());
+        self.reset();
+    }
+
+    /// Adds the counts to `m`'s counters.
+    #[cfg(feature = "obs")]
+    fn publish_to(&self, m: &CoreMetrics) {
+        for (counter, value) in [
+            (&m.tiles, self.tiles),
+            (&m.tile_pairs, self.tile_pairs),
+            (&m.captures, self.captures),
+            (&m.compactions, self.compactions),
+            (&m.refined, self.refined),
+            (&m.heap_offers, self.heap_offers),
+            (&m.join_groups, self.join_groups),
+            (&m.shell_passes, self.shell_passes),
+            (&m.simd_panels, self.simd_panels),
+            (&m.simd_remainder_lanes, self.simd_remainder_lanes),
+        ] {
+            if value > 0 {
+                counter.add(value);
             }
         }
-        self.reset();
     }
 }
 
-/// The global `core.*` counters, resolved once and cached: the
-/// publication chokepoints must not take the registry lock per batch.
+/// The `core.*` counters of one registry. The publication chokepoints
+/// use the global registry's, resolved once and cached
+/// ([`core_metrics`]): they must not take the registry lock per batch.
 #[cfg(feature = "obs")]
 pub(crate) struct CoreMetrics {
     pub tiles: Arc<Counter>,
@@ -171,8 +175,13 @@ pub(crate) struct CoreMetrics {
 #[cfg(feature = "obs")]
 pub(crate) fn core_metrics() -> &'static CoreMetrics {
     static METRICS: OnceLock<CoreMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let r = lof_obs::global();
+    METRICS.get_or_init(|| CoreMetrics::resolve(lof_obs::global()))
+}
+
+#[cfg(feature = "obs")]
+impl CoreMetrics {
+    /// Registers (or finds) every `core.*` counter on `r`.
+    pub(crate) fn resolve(r: &lof_obs::MetricsRegistry) -> Self {
         CoreMetrics {
             tiles: r.counter("core.kernel.tiles"),
             tile_pairs: r.counter("core.kernel.tile_pairs"),
@@ -208,7 +217,7 @@ pub(crate) fn core_metrics() -> &'static CoreMetrics {
             ooc_segment_evictions: r.counter("core.ooc.segment_evictions"),
             ooc_resident_bytes: r.gauge("core.ooc.resident_bytes"),
         }
-    })
+    }
 }
 
 /// Records one out-of-core dataset open: the minor page faults its
@@ -251,27 +260,30 @@ pub(crate) fn publish_ooc_spill(stats: &crate::spill::SpillStats) {
 /// counters. No-op with `obs` off.
 pub(crate) fn publish_topn(stats: &crate::topn::TopNStats) {
     #[cfg(feature = "obs")]
-    {
-        let m = core_metrics();
-        m.topn_runs.inc();
-        for (counter, value) in [
-            (&m.topn_partitions, stats.partitions),
-            (&m.topn_partitions_pruned, stats.partitions_pruned),
-            (&m.topn_partitions_refined, stats.partitions_refined),
-            (&m.topn_objects_pruned, stats.objects_pruned),
-            (&m.topn_objects_refined, stats.objects_refined),
-            (&m.topn_descents, stats.descents),
-            (&m.topn_range_passes, stats.range_passes),
-            (&m.topn_tightenings, stats.threshold_tightenings),
-            (&m.topn_heap_churn, stats.heap_churn),
-        ] {
-            if value > 0 {
-                counter.add(value);
-            }
-        }
-    }
+    publish_topn_to(core_metrics(), stats);
     #[cfg(not(feature = "obs"))]
     let _ = stats;
+}
+
+/// [`publish_topn`] onto `m`'s counters.
+#[cfg(feature = "obs")]
+fn publish_topn_to(m: &CoreMetrics, stats: &crate::topn::TopNStats) {
+    m.topn_runs.inc();
+    for (counter, value) in [
+        (&m.topn_partitions, stats.partitions),
+        (&m.topn_partitions_pruned, stats.partitions_pruned),
+        (&m.topn_partitions_refined, stats.partitions_refined),
+        (&m.topn_objects_pruned, stats.objects_pruned),
+        (&m.topn_objects_refined, stats.objects_refined),
+        (&m.topn_descents, stats.descents),
+        (&m.topn_range_passes, stats.range_passes),
+        (&m.topn_tightenings, stats.threshold_tightenings),
+        (&m.topn_heap_churn, stats.heap_churn),
+    ] {
+        if value > 0 {
+            counter.add(value);
+        }
+    }
 }
 
 /// Kinds of whole-call events the engine publishes directly to the
@@ -319,22 +331,25 @@ pub(crate) fn publish_simd_dispatch(isa: crate::simd::Isa) {
 /// `obs` off.
 pub fn publish_event(event: CoreEvent) {
     #[cfg(feature = "obs")]
-    {
-        let m = core_metrics();
-        match event {
-            CoreEvent::SweepRange => m.sweep_ranges.inc(),
-            CoreEvent::SweepColumnPasses(n) => m.sweep_column_passes.add(n),
-            CoreEvent::SweepCells(n) => m.sweep_cells.add(n),
-            CoreEvent::IncrementalInsert => m.inserts.inc(),
-            CoreEvent::IncrementalRemove => m.removes.inc(),
-            CoreEvent::CascadeLofs(n) => m.cascade_lofs.add(n),
-            CoreEvent::CascadeDepth(n) => m.cascade_depth.add(n),
-            CoreEvent::SimdPanels(n) => m.simd_panels.add(n),
-            CoreEvent::SimdRemainderLanes(n) => m.simd_remainder_lanes.add(n),
-        }
-    }
+    publish_event_to(core_metrics(), event);
     #[cfg(not(feature = "obs"))]
     let _ = event;
+}
+
+/// [`publish_event`] onto `m`'s counters.
+#[cfg(feature = "obs")]
+fn publish_event_to(m: &CoreMetrics, event: CoreEvent) {
+    match event {
+        CoreEvent::SweepRange => m.sweep_ranges.inc(),
+        CoreEvent::SweepColumnPasses(n) => m.sweep_column_passes.add(n),
+        CoreEvent::SweepCells(n) => m.sweep_cells.add(n),
+        CoreEvent::IncrementalInsert => m.inserts.inc(),
+        CoreEvent::IncrementalRemove => m.removes.inc(),
+        CoreEvent::CascadeLofs(n) => m.cascade_lofs.add(n),
+        CoreEvent::CascadeDepth(n) => m.cascade_depth.add(n),
+        CoreEvent::SimdPanels(n) => m.simd_panels.add(n),
+        CoreEvent::SimdRemainderLanes(n) => m.simd_remainder_lanes.add(n),
+    }
 }
 
 // Quiet the unused-import lints in the obs-off build: Counter/Arc/OnceLock
@@ -360,19 +375,31 @@ mod tests {
         }
     }
 
+    /// A registry only the calling test publishes to, with the `core.*`
+    /// counters resolved on it: the global registry's counters also take
+    /// what other tests in this binary publish on parallel threads, so an
+    /// exact delta read there can race.
+    #[cfg(feature = "obs")]
+    fn private_metrics() -> (lof_obs::MetricsRegistry, CoreMetrics) {
+        let registry = lof_obs::MetricsRegistry::new();
+        let metrics = CoreMetrics::resolve(&registry);
+        (registry, metrics)
+    }
+
     #[test]
-    fn publish_flushes_into_the_global_registry() {
+    fn publish_flushes_kernel_stats_onto_the_core_counters() {
         let mut s = KernelStats::default();
         s.bump_captures(7);
-        let before = lof_obs::global().counter("core.kernel.captures").value();
+        #[cfg(feature = "obs")]
+        {
+            let (registry, m) = private_metrics();
+            s.publish_to(&m);
+            assert_eq!(registry.counter("core.kernel.captures").value(), 7);
+        }
         s.publish_and_reset();
         assert_eq!(s, KernelStats::default());
-        let after = lof_obs::global().counter("core.kernel.captures").value();
-        if lof_obs::enabled() {
-            assert_eq!(after - before, 7);
-        } else {
-            assert_eq!(after, 0);
-        }
+        #[cfg(not(feature = "obs"))]
+        assert_eq!(lof_obs::global().counter("core.kernel.captures").value(), 0);
     }
 
     #[test]
@@ -388,27 +415,32 @@ mod tests {
             threshold_tightenings: 4,
             heap_churn: 2,
         };
-        let registry = lof_obs::global();
-        let runs_before = registry.counter("core.topn.runs").value();
-        let pruned_before = registry.counter("core.topn.objects_pruned").value();
-        publish_topn(&stats);
-        if lof_obs::enabled() {
-            assert_eq!(registry.counter("core.topn.runs").value() - runs_before, 1);
-            assert_eq!(registry.counter("core.topn.objects_pruned").value() - pruned_before, 90);
-        } else {
-            assert_eq!(registry.counter("core.topn.runs").value(), 0);
+        #[cfg(feature = "obs")]
+        {
+            let (registry, m) = private_metrics();
+            publish_topn_to(&m, &stats);
+            assert_eq!(registry.counter("core.topn.runs").value(), 1);
+            assert_eq!(registry.counter("core.topn.objects_pruned").value(), 90);
+        }
+        #[cfg(not(feature = "obs"))]
+        {
+            publish_topn(&stats);
+            assert_eq!(lof_obs::global().counter("core.topn.runs").value(), 0);
         }
     }
 
     #[test]
     fn events_land_on_their_counters() {
-        let before = lof_obs::global().counter("core.incremental.cascade_lofs").value();
-        publish_event(CoreEvent::CascadeLofs(5));
-        let after = lof_obs::global().counter("core.incremental.cascade_lofs").value();
-        if lof_obs::enabled() {
-            assert_eq!(after - before, 5);
-        } else {
-            assert_eq!(after, 0);
+        #[cfg(feature = "obs")]
+        {
+            let (registry, m) = private_metrics();
+            publish_event_to(&m, CoreEvent::CascadeLofs(5));
+            assert_eq!(registry.counter("core.incremental.cascade_lofs").value(), 5);
+        }
+        #[cfg(not(feature = "obs"))]
+        {
+            publish_event(CoreEvent::CascadeLofs(5));
+            assert_eq!(lof_obs::global().counter("core.incremental.cascade_lofs").value(), 0);
         }
     }
 }

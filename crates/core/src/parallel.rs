@@ -5,19 +5,21 @@
 //! objects, so we provide scoped-thread versions. Results are bit-identical
 //! to the serial code — property tests assert this.
 //!
-//! Step 1 gives each worker one contiguous id chunk in a **single**
-//! [`KnnProvider::batch_k_nearest`] call. A tree's leaf-grouped join then
-//! sees the whole chunk, so each leaf forms at most one query group per
-//! worker; splitting a chunk into smaller id batches would cut those
-//! groups apart (on shuffled ids, down to about one query per group) and
-//! pay a full tree traversal per fragment. Workers share nothing while
-//! they run; their outputs are joined in chunk order, and the first error
-//! in chunk order is the one reported.
+//! Step 1 runs through the provider's own driver,
+//! [`KnnProvider::materialize`], so each provider kind splits the work
+//! the way its search shares it. The default gives each worker one
+//! contiguous id chunk in a **single** [`KnnProvider::batch_k_nearest`]
+//! call. The kd and ball trees answer queries one leaf group at a time
+//! (one traversal per group), and a cut by id would split every group on
+//! shuffled ids, one piece per worker; their workers instead claim whole
+//! leaf groups off a shared cursor, so each leaf is traversed once at any
+//! thread count and dense and sparse leaves balance out as they are
+//! claimed. Either way workers share nothing but the cursor while they
+//! run, and the table is the same at every thread count.
 
 use crate::error::{LofError, Result};
-use crate::knn::KnnScratch;
 use crate::materialize::NeighborhoodTable;
-use crate::neighbors::{KnnProvider, Neighbor};
+use crate::neighbors::KnnProvider;
 use crate::range::{LofRangeResult, MinPtsRange};
 
 /// Clamps a requested thread count to something sensible for
@@ -56,13 +58,15 @@ where
     out.into_iter().map(|r| r.expect("every index computed")).collect()
 }
 
-/// Builds the materialization table with `threads` worker threads, splitting
-/// the objects into contiguous chunks (step 1 in parallel).
+/// Builds the materialization table with `threads` worker threads (step
+/// 1 in parallel), through the provider's own step-1 driver,
+/// [`KnnProvider::materialize`].
 ///
 /// # Errors
 ///
-/// Same as [`NeighborhoodTable::build`]; of the chunks that fail, the
-/// first in id order reports its error.
+/// Same as [`NeighborhoodTable::build`]; the provider's driver decides
+/// which of several failing workers reports (the default: the first id
+/// chunk).
 pub fn build_table_parallel<P>(
     provider: &P,
     max_k: usize,
@@ -75,45 +79,8 @@ where
     if n == 0 {
         return Err(LofError::EmptyDataset);
     }
-    let threads = effective_threads(threads, n);
-    if threads == 1 {
-        return NeighborhoodTable::build(provider, max_k);
-    }
-
-    let chunk = n.div_ceil(threads);
-    let parts = std::thread::scope(|s| {
-        let workers: Vec<_> = (0..n)
-            .step_by(chunk)
-            .map(|start| {
-                let ids = start..(start + chunk).min(n);
-                s.spawn(move || -> Result<(Vec<Neighbor>, Vec<usize>)> {
-                    let mut scratch = KnnScratch::new();
-                    let mut out = Vec::new();
-                    let mut lens = Vec::with_capacity(ids.len());
-                    provider.batch_k_nearest(ids, max_k, &mut scratch, &mut out, &mut lens)?;
-                    // Flush this worker's kernel counters before the
-                    // scratch dies with the thread.
-                    scratch.stats.publish_and_reset();
-                    Ok((out, lens))
-                })
-            })
-            .collect();
-        workers
-            .into_iter()
-            .map(|w| w.join().expect("materialization worker panicked"))
-            .collect::<Result<Vec<_>>>()
-    })?;
-
-    // Providers write neighborhoods straight into `out` (the tree joins
-    // stage only tie overflow), so the chunk outputs and the table below
-    // are the only full copies of the neighborhoods held at once.
-    let total = parts.iter().map(|(out, _)| out.len()).sum();
-    let mut neighbors = Vec::with_capacity(total);
-    let mut lens = Vec::with_capacity(n);
-    for (part_out, part_lens) in parts {
-        neighbors.extend_from_slice(&part_out);
-        lens.extend_from_slice(&part_lens);
-    }
+    let _span = lof_obs::span!("core.materialize.build");
+    let (neighbors, lens) = provider.materialize(max_k, effective_threads(threads, n))?;
     Ok(NeighborhoodTable::from_flat(max_k, neighbors, &lens))
 }
 

@@ -225,36 +225,16 @@ impl<'a, M: Metric> BallTree<'a, M> {
         (self.metric.distance(&leaf.center, &n.center) - leaf.radius - n.radius).max(0.0)
     }
 
-    /// Leaf-blocked batch self-join (see [`crate::common::leaf_grouped_batch`]):
-    /// queries are grouped by containing leaf, each group traverses the
-    /// tree once with shared ball-to-ball pruning, and — for the plain
-    /// Euclidean metric — candidate leaves are evaluated through the
-    /// norm-form surrogate kernel in squared space. Produces bit-identical
-    /// neighborhoods to the per-id `k_nearest_into` loop.
-    fn batch_self_join(
-        &self,
-        ids: std::ops::Range<usize>,
-        k: usize,
-        scratch: &mut KnnScratch,
-        out: &mut Vec<Neighbor>,
-        lens: &mut Vec<usize>,
-    ) -> lof_core::Result<()> {
-        crate::common::leaf_grouped_batch(
-            self.size(),
-            ids,
-            k,
-            &self.leaf_of,
-            scratch,
-            out,
-            lens,
-            |group, scratch, staged, glens| self.join_group(group, k, scratch, staged, glens),
-        )
-    }
-
-    /// Answers one leaf group: a shared k-distance descent whose heaps are
-    /// emitted directly, then a shared shell pass recovering id-tie-break
-    /// casualties at each query's exact k-distance (generic metrics fall
-    /// back to a full range collection).
+    /// Answers one leaf group of the batch self-join (driven by
+    /// [`crate::common::leaf_grouped_batch`] and
+    /// [`crate::common::leaf_grouped_table`]): a shared k-distance descent
+    /// whose heaps are emitted directly, then a shared shell pass
+    /// recovering id-tie-break casualties at each query's exact
+    /// k-distance (generic metrics fall back to a full range collection).
+    /// The group traverses the tree once with shared ball-to-ball
+    /// pruning, and for the plain Euclidean metric candidates are
+    /// evaluated in squared space. Produces bit-identical neighborhoods to
+    /// the per-id `k_nearest_into` loop.
     fn join_group(
         &self,
         group: &[(usize, usize)],
@@ -291,7 +271,8 @@ impl<'a, M: Metric> BallTree<'a, M> {
             // k-th order statistic commutes with the monotone `sqrt`,
             // even across ties, so the k-distance below is bit-identical
             // to the true-space descent's).
-            self.group_knn_sq(self.root, leaf, group, heaps, join_lost);
+            let mut group_bound = f64::INFINITY;
+            self.group_knn_sq(self.root, 0.0, leaf, group, heaps, join_lost, &mut group_bound);
             for (gi, heap) in heaps.iter().enumerate() {
                 let kth_sq = heap.kth_dist().expect("validated: at least k candidates exist");
                 join_radii.push((kth_sq.sqrt(), kth_sq));
@@ -300,7 +281,7 @@ impl<'a, M: Metric> BallTree<'a, M> {
                 // beats the k-th candidate in `(distance, id)` order);
                 // only id-tie-break casualties are missing, recovered by
                 // the gated shell pass below.
-                for &(sq, id) in heap.entries() {
+                for (sq, id) in heap.entries() {
                     pairs[gi].push((sq.sqrt(), id));
                 }
             }
@@ -341,24 +322,30 @@ impl<'a, M: Metric> BallTree<'a, M> {
 
     /// Group k-distance descent for the Euclidean kernel path. Heaps hold
     /// squared distances; node pruning happens in true space (ball bounds
-    /// don't square cleanly), taking one `sqrt` of the relevant heap
-    /// bound per node. Candidates are offered at the exact scalar
+    /// don't square cleanly), against the square roots of the heap
+    /// bounds. Candidates are offered at the exact scalar
     /// `squared_euclidean` — no surrogate filter here, for the reason
     /// given on [`crate::KdTree`]'s descent: loose bounds would let nearly
     /// everything through the widened cutoff and double the evaluations.
     /// The tolerance in [`Self::prune`] means every point whose emitted
     /// distance could tie a final k-distance is offered, so the per-heap
     /// lost-candidate minimum doubles as the shell-pass necessity test.
+    /// `node_dist` is this node's ball-to-ball bound, computed by its
+    /// parent (`0` at the root, which is never pruned), and `group_bound`
+    /// the square root of the loosest heap bound of the group, refreshed
+    /// after each leaf (heaps change nowhere else).
+    #[allow(clippy::too_many_arguments)]
     fn group_knn_sq(
         &self,
         node_id: usize,
+        node_dist: f64,
         leaf: &Node,
         group: &[(usize, usize)],
         heaps: &mut [BoundedMaxHeap],
         lost: &mut [f64],
+        group_bound: &mut f64,
     ) {
-        let group_bound_sq = heaps.iter().fold(0.0f64, |m, h| m.max(h.bound()));
-        if Self::prune(self.ball_ball_min_dist(leaf, node_id), group_bound_sq.sqrt()) {
+        if Self::prune(node_dist, *group_bound) {
             return;
         }
         let node = &self.nodes[node_id];
@@ -380,13 +367,15 @@ impl<'a, M: Metric> BallTree<'a, M> {
                         }
                     }
                 }
+                *group_bound = heaps.iter().fold(0.0f64, |m, h| m.max(h.bound())).sqrt();
             }
             Some((left, right)) => {
                 let dl = self.ball_ball_min_dist(leaf, left);
                 let dr = self.ball_ball_min_dist(leaf, right);
-                let (first, second) = if dl <= dr { (left, right) } else { (right, left) };
-                self.group_knn_sq(first, leaf, group, heaps, lost);
-                self.group_knn_sq(second, leaf, group, heaps, lost);
+                let ((first, d1), (second, d2)) =
+                    if dl <= dr { ((left, dl), (right, dr)) } else { ((right, dr), (left, dl)) };
+                self.group_knn_sq(first, d1, leaf, group, heaps, lost, group_bound);
+                self.group_knn_sq(second, d2, leaf, group, heaps, lost, group_bound);
             }
         }
     }
@@ -450,7 +439,7 @@ impl<'a, M: Metric> BallTree<'a, M> {
                             }
                             let d = lof_core::distance::squared_euclidean(q, self.data.point(id))
                                 .sqrt();
-                            if d == radius && !heaps[gi].entries().iter().any(|e| e.1 == id) {
+                            if d == radius && !heaps[gi].entries().any(|(_, held)| held == id) {
                                 pairs[gi].push((d, id));
                             }
                         }

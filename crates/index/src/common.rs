@@ -1,6 +1,6 @@
 //! Shared plumbing for the index implementations.
 
-use lof_core::{LofError, Result};
+use lof_core::{KnnScratch, LofError, Neighbor, Result};
 
 /// Validates a `k_nearest(id, k)` query against dataset size `n`.
 pub(crate) fn validate_knn(n: usize, id: usize, k: usize) -> Result<()> {
@@ -32,44 +32,90 @@ pub(crate) fn widen_sq(r_sq: f64) -> f64 {
     r_sq * (1.0 + 1e-9) + f64::MIN_POSITIVE
 }
 
-/// Drives a leaf-grouped batch self-join for a tree index.
+/// Sorts the queries `ids` by `(containing leaf, id)` into `order`, so
+/// ids sharing a leaf become one contiguous group, and records where each
+/// group starts in `starts` (followed by `order.len()`).
+fn leaf_groups(
+    ids: std::ops::Range<usize>,
+    leaf_of: &[usize],
+    order: &mut Vec<(usize, usize)>,
+    starts: &mut Vec<usize>,
+) {
+    order.clear();
+    order.extend(ids.map(|id| (leaf_of[id], id)));
+    order.sort_unstable();
+    starts.clear();
+    starts.extend((0..order.len()).filter(|&i| i == 0 || order[i].0 != order[i - 1].0));
+    starts.push(order.len());
+}
+
+/// The group loop of every leaf-grouped join: answers each group that
+/// `claims` yields (a group index with whatever the caller attached to
+/// it), one tree traversal per group, and hands `emit` the attachment,
+/// the group's `(leaf, id)` pairs, its neighborhoods (concatenated in
+/// group order) and their lengths. For every `(leaf, id)` pair of its
+/// group, **in the given order**, `join` must append the id's canonically
+/// sorted neighborhood to the group buffer (3rd argument) and push the
+/// neighborhood's length (4th argument).
+fn run_groups<S, J>(
+    order: &[(usize, usize)],
+    starts: &[usize],
+    claims: impl Iterator<Item = (usize, S)>,
+    scratch: &mut KnnScratch,
+    join: &J,
+    mut emit: impl FnMut(S, &[(usize, usize)], &[Neighbor], &[usize]),
+) where
+    J: Fn(&[(usize, usize)], &mut KnnScratch, &mut Vec<Neighbor>, &mut Vec<usize>),
+{
+    // Take the group buffers out of the scratch so `join` can borrow the
+    // rest of it (heaps, tile buffers) without conflicts.
+    let mut group_out = std::mem::take(&mut scratch.join_staged);
+    let mut group_lens = std::mem::take(&mut scratch.join_lens);
+    for (g, attached) in claims {
+        let group = &order[starts[g]..starts[g + 1]];
+        group_out.clear();
+        group_lens.clear();
+        join(group, scratch, &mut group_out, &mut group_lens);
+        debug_assert_eq!(group_lens.len(), group.len(), "one neighborhood length per query");
+        debug_assert_eq!(
+            group_lens.iter().sum::<usize>(),
+            group_out.len(),
+            "lengths must cover the group buffer"
+        );
+        emit(attached, group, &group_out, &group_lens);
+    }
+    scratch.join_staged = group_out;
+    scratch.join_lens = group_lens;
+}
+
+/// Drives a leaf-grouped batch self-join for a tree index over the id
+/// range `ids`, on the calling thread.
 ///
-/// Queries are sorted by `(containing leaf, id)` so ids sharing a leaf
-/// become one contiguous group, and each group is handed to
-/// `process_group` exactly once — that is where the tree traverses once
-/// per group instead of once per query. For every `(leaf, id)` pair of
-/// its group, **in the given order**, `process_group` must append the
-/// id's canonically sorted neighborhood to the group buffer (3rd
-/// argument) and push the neighborhood's length (4th argument).
+/// Each leaf group goes through `join` exactly once (see [`run_groups`]) —
+/// that is where the tree traverses once per group instead of once per
+/// query. The driver writes each neighborhood straight into `out` in
+/// ascending id order, the `batch_k_nearest` contract, without staging
+/// the whole batch: `k < n` guarantees every neighborhood at least `k`
+/// entries, so id `i` owns a fixed `k`-entry slot of `out`, and only the
+/// tie overflow beyond the `k`-th entry is staged. One backward pass then
+/// splices the overflow in (see [`splice_tie_overflow`]). A batch holds
+/// each neighborhood once in `out`, never a second full copy in staging.
 ///
-/// The driver writes each neighborhood straight into `out` in ascending
-/// id order, the `batch_k_nearest` contract, without staging the whole
-/// batch: `k < n` guarantees every neighborhood at least `k` entries, so
-/// id `i` owns a fixed `k`-entry slot of `out`, and only the tie overflow
-/// beyond the `k`-th entry is staged. One backward pass then splices the
-/// overflow in (see [`splice_tie_overflow`]). A batch holds each
-/// neighborhood once in `out`, never a second full copy in staging.
-///
-/// All staging lives in the caller's [`lof_core::KnnScratch`], so a
-/// warmed-up scratch makes the whole batch allocation-free.
+/// All staging lives in the caller's [`KnnScratch`], so a warmed-up
+/// scratch makes the whole batch allocation-free.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn leaf_grouped_batch<F>(
+pub(crate) fn leaf_grouped_batch<J>(
     n: usize,
     ids: std::ops::Range<usize>,
     k: usize,
     leaf_of: &[usize],
-    scratch: &mut lof_core::KnnScratch,
-    out: &mut Vec<lof_core::Neighbor>,
+    scratch: &mut KnnScratch,
+    out: &mut Vec<Neighbor>,
     lens: &mut Vec<usize>,
-    mut process_group: F,
+    join: J,
 ) -> Result<()>
 where
-    F: FnMut(
-        &[(usize, usize)],
-        &mut lof_core::KnnScratch,
-        &mut Vec<lof_core::Neighbor>,
-        &mut Vec<usize>,
-    ),
+    J: Fn(&[(usize, usize)], &mut KnnScratch, &mut Vec<Neighbor>, &mut Vec<usize>),
 {
     if ids.start >= ids.end {
         return Ok(());
@@ -80,55 +126,142 @@ where
     }
     let base = ids.start;
     let count = ids.len();
-    // Take the staging buffers out of the scratch so `process_group` can
-    // borrow the rest of it (heaps, tile buffers) without conflicts.
     let mut order = std::mem::take(&mut scratch.join_order);
-    let mut group_out = std::mem::take(&mut scratch.join_staged);
-    let mut group_lens = std::mem::take(&mut scratch.join_lens);
+    let mut starts = std::mem::take(&mut scratch.join_starts);
     let mut spans = std::mem::take(&mut scratch.join_spans);
     let mut ties = std::mem::take(&mut scratch.join_ties);
-    order.clear();
-    order.extend(ids.map(|id| (leaf_of[id], id)));
-    order.sort_unstable();
+    leaf_groups(ids, leaf_of, &mut order, &mut starts);
     spans.clear();
     spans.resize(count, (0, 0));
     ties.clear();
 
     let slots = out.len();
-    out.resize(slots + count * k, lof_core::Neighbor::new(0, 0.0));
-    let mut g = 0;
-    while g < order.len() {
-        let leaf = order[g].0;
-        let mut h = g + 1;
-        while h < order.len() && order[h].0 == leaf {
-            h += 1;
-        }
-        group_out.clear();
-        group_lens.clear();
-        process_group(&order[g..h], scratch, &mut group_out, &mut group_lens);
-        debug_assert_eq!(group_lens.len(), h - g, "one neighborhood length per query");
+    out.resize(slots + count * k, Neighbor::new(0, 0.0));
+    let claims = (0..starts.len() - 1).map(|g| (g, ()));
+    run_groups(&order, &starts, claims, scratch, &join, |(), group, lists, group_lens| {
         let mut cursor = 0;
-        for (&(_, qid), &len) in order[g..h].iter().zip(group_lens.iter()) {
+        for (&(_, qid), &len) in group.iter().zip(group_lens) {
             debug_assert!(len >= k, "k < n leaves every neighborhood at least k entries");
-            let list = &group_out[cursor..cursor + len];
+            let list = &lists[cursor..cursor + len];
             let slot = slots + (qid - base) * k;
             out[slot..slot + k].copy_from_slice(&list[..k]);
             spans[qid - base] = (ties.len(), len);
             ties.extend_from_slice(&list[k..]);
             cursor += len;
         }
-        debug_assert_eq!(cursor, group_out.len(), "lengths must cover the group buffer");
-        g = h;
-    }
+    });
     lens.extend(spans.iter().map(|&(_, len)| len));
     splice_tie_overflow(out, slots, k, &spans, &ties);
 
     scratch.join_order = order;
-    scratch.join_staged = group_out;
-    scratch.join_lens = group_lens;
+    scratch.join_starts = starts;
     scratch.join_spans = spans;
     scratch.join_ties = ties;
     Ok(())
+}
+
+/// Step 1 over a whole tree (`KnnProvider::materialize` for the kd and
+/// ball trees): the neighborhoods of ids `0..n` in id order, and their
+/// lengths, from `threads` workers.
+///
+/// Workers claim whole leaf groups, in `(leaf, id)` order, off one shared
+/// cursor, so every leaf forms exactly one group and pays one traversal
+/// however many threads run. Cutting the ids into contiguous chunks would
+/// instead cut, on shuffled ids, every leaf into one group per worker.
+/// Claiming one group at a time also balances dense and sparse leaves,
+/// whose traversals differ in cost, without sizing anything up front.
+///
+/// The output is written in place, as [`leaf_grouped_batch`] writes it:
+/// each id owns a fixed `k`-entry slot, the slots are listed in
+/// `(leaf, id)` order, and claiming a group hands its worker that
+/// group's run of the list. Each worker stages only its tie overflow,
+/// spliced in once all are done, so the neighborhoods are held once,
+/// never a second full copy. With one worker (one thread, or a single
+/// leaf) the calling thread does the work.
+pub(crate) fn leaf_grouped_table<J>(
+    n: usize,
+    k: usize,
+    threads: usize,
+    leaf_of: &[usize],
+    join: J,
+) -> Result<(Vec<Neighbor>, Vec<usize>)>
+where
+    J: Fn(&[(usize, usize)], &mut KnnScratch, &mut Vec<Neighbor>, &mut Vec<usize>) + Sync,
+{
+    if n == 0 {
+        return Ok((Vec::new(), Vec::new()));
+    }
+    validate_knn(n, 0, k)?;
+    let (mut order, mut starts) = (Vec::new(), Vec::new());
+    leaf_groups(0..n, leaf_of, &mut order, &mut starts);
+    let groups = starts.len() - 1;
+    let mut out = vec![Neighbor::new(0, 0.0); n * k];
+    // Each id's `k`-entry slot, listed in `(leaf, id)` order so that the
+    // slots of one group are one contiguous run a worker can claim.
+    let mut slots: Vec<&mut [Neighbor]> = {
+        let mut by_id: Vec<Option<&mut [Neighbor]>> = out.chunks_mut(k).map(Some).collect();
+        order.iter().map(|&(_, id)| by_id[id].take().expect("each id once")).collect()
+    };
+    // The shared cursor: the next group to claim, and the slots of that
+    // group and every later one.
+    let cursor = std::sync::Mutex::new((0, slots.as_mut_slice()));
+    let claim = || {
+        let mut cursor = cursor.lock().expect("claim cursor poisoned");
+        let g = cursor.0;
+        if g == groups {
+            return None;
+        }
+        let rest = std::mem::take(&mut cursor.1);
+        let (group_slots, rest) = rest.split_at_mut(starts[g + 1] - starts[g]);
+        *cursor = (g + 1, rest);
+        Some((g, group_slots))
+    };
+    // A worker returns its tie overflow and, per overflowing query, its
+    // id, overflow start and length.
+    let work = || {
+        let mut scratch = KnnScratch::new();
+        let (mut ties, mut spans) = (Vec::new(), Vec::new());
+        let emit = |group_slots: &mut [&mut [Neighbor]],
+                    group: &[(usize, usize)],
+                    lists: &[Neighbor],
+                    lens: &[usize]| {
+            let mut at = 0;
+            for ((slot, &(_, id)), &len) in group_slots.iter_mut().zip(group).zip(lens) {
+                slot.copy_from_slice(&lists[at..at + k]);
+                if len > k {
+                    spans.push((id, ties.len(), len));
+                    ties.extend_from_slice(&lists[at + k..at + len]);
+                }
+                at += len;
+            }
+        };
+        run_groups(&order, &starts, std::iter::from_fn(claim), &mut scratch, &join, emit);
+        // Flush this worker's kernel counters before its scratch dies.
+        scratch.stats.publish_and_reset();
+        (ties, spans)
+    };
+    let parts = match threads.min(groups) {
+        0 | 1 => vec![work()],
+        workers => std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers).map(|_| s.spawn(work)).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("materialization worker panicked"))
+                .collect()
+        }),
+    };
+    drop(slots);
+
+    let mut spans = vec![(0, k); n];
+    let mut ties = Vec::new();
+    for (part_ties, part_spans) in parts {
+        for (id, start, len) in part_spans {
+            spans[id] = (ties.len() + start, len);
+        }
+        ties.extend_from_slice(&part_ties);
+    }
+    splice_tie_overflow(&mut out, 0, k, &spans, &ties);
+    Ok((out, spans.into_iter().map(|(_, len)| len).collect()))
 }
 
 /// Moves fixed-stride neighborhood slots into their packed positions.
@@ -140,14 +273,14 @@ where
 /// still to be read, and the walk stops as soon as no query at or below
 /// the current one overflowed (at once on tie-free data).
 fn splice_tie_overflow(
-    out: &mut Vec<lof_core::Neighbor>,
+    out: &mut Vec<Neighbor>,
     slots: usize,
     k: usize,
     spans: &[(usize, usize)],
-    ties: &[lof_core::Neighbor],
+    ties: &[Neighbor],
 ) {
     let mut end = out.len() + ties.len();
-    out.resize(end, lof_core::Neighbor::new(0, 0.0));
+    out.resize(end, Neighbor::new(0, 0.0));
     for (j, &(start, len)) in spans.iter().enumerate().rev() {
         let slot = slots + j * k;
         if end == slot + k {
@@ -509,10 +642,13 @@ fn isolation_radii<M: lof_core::Metric>(
 /// allocation-free once the scratch is warm; `k_nearest`/`within` borrow
 /// the calling thread's shared scratch.
 ///
-/// The `($ty, self_join)` form additionally overrides the trait's default
-/// `batch_k_nearest` with a call to the index's inherent
-/// `batch_self_join`, the leaf-grouped batch join driven by
-/// [`leaf_grouped_batch`].
+/// The `($ty, self_join)` form additionally overrides the trait's
+/// `batch_k_nearest` and `materialize` with the leaf-grouped join: the
+/// index's inherent `join_group(group, k, scratch, staged, lens)` answers
+/// one leaf group, and `leaf_of` maps each id to its leaf.
+/// `batch_k_nearest` runs the groups of an id range on the calling thread
+/// ([`leaf_grouped_batch`]); `materialize` lets its workers claim whole
+/// groups ([`leaf_grouped_table`]).
 macro_rules! impl_knn_provider {
     ($ty:ident) => {
         crate::common::impl_knn_provider!(@impl $ty,);
@@ -532,13 +668,40 @@ macro_rules! impl_knn_provider {
                 out: &mut Vec<lof_core::Neighbor>,
                 lens: &mut Vec<usize>,
             ) -> lof_core::Result<()> {
-                self.batch_self_join(ids, k, scratch, out, lens)
+                crate::common::leaf_grouped_batch(
+                    self.size(),
+                    ids,
+                    k,
+                    &self.leaf_of,
+                    scratch,
+                    out,
+                    lens,
+                    |group, scratch, staged, glens| self.join_group(group, k, scratch, staged, glens),
+                )
+            },
+            /// Step 1 by leaf group: workers claim whole leaf groups, so
+            /// each leaf pays one traversal at any thread count.
+            fn materialize(
+                &self,
+                k: usize,
+                threads: usize,
+            ) -> lof_core::Result<(Vec<lof_core::Neighbor>, Vec<usize>)>
+            where
+                Self: Sync,
+            {
+                crate::common::leaf_grouped_table(
+                    self.size(),
+                    k,
+                    threads,
+                    &self.leaf_of,
+                    |group, scratch, staged, glens| self.join_group(group, k, scratch, staged, glens),
+                )
             }
         );
     };
-    (@impl $ty:ident, $($batch:item)?) => {
+    (@impl $ty:ident, $($join:item),*) => {
         impl<M: lof_core::Metric> lof_core::KnnProvider for $ty<'_, M> {
-            $($batch)?
+            $($join)*
 
             fn len(&self) -> usize {
                 self.size()

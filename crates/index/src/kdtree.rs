@@ -226,36 +226,17 @@ impl<'a, M: Metric> KdTree<'a, M> {
         }
     }
 
-    /// Leaf-blocked batch self-join (see [`crate::common::leaf_grouped_batch`]):
-    /// queries are grouped by containing leaf, each group traverses the
-    /// tree once with shared node pruning, and where the metric has a
-    /// squared-Euclidean form candidate leaves are evaluated as
-    /// lane-parallel tiles of exact distances (the norm-form surrogate
-    /// kernel filters only the tie-shell pass). Produces bit-identical
-    /// neighborhoods to the per-id `k_nearest_into` loop.
-    fn batch_self_join(
-        &self,
-        ids: std::ops::Range<usize>,
-        k: usize,
-        scratch: &mut KnnScratch,
-        out: &mut Vec<Neighbor>,
-        lens: &mut Vec<usize>,
-    ) -> lof_core::Result<()> {
-        crate::common::leaf_grouped_batch(
-            self.size(),
-            ids,
-            k,
-            &self.leaf_of,
-            scratch,
-            out,
-            lens,
-            |group, scratch, staged, glens| self.join_group(group, k, scratch, staged, glens),
-        )
-    }
-
-    /// Answers one leaf group: a shared k-distance descent, then a shared
-    /// range collection at each query's exact k-distance (the same two
-    /// phases as the single-query path, fused across the group).
+    /// Answers one leaf group of the batch self-join (driven by
+    /// [`crate::common::leaf_grouped_batch`] and
+    /// [`crate::common::leaf_grouped_table`]): a shared k-distance
+    /// descent, then a shared range collection at each query's exact
+    /// k-distance (the same two phases as the single-query path, fused
+    /// across the group). The group traverses the tree once with shared
+    /// node pruning, and where the metric has a squared-Euclidean form
+    /// candidate leaves are evaluated as lane-parallel tiles of exact
+    /// distances (the norm-form surrogate kernel filters only the
+    /// tie-shell pass). Produces bit-identical neighborhoods to the
+    /// per-id `k_nearest_into` loop.
     fn join_group(
         &self,
         group: &[(usize, usize)],
@@ -291,7 +272,17 @@ impl<'a, M: Metric> KdTree<'a, M> {
         if let Some(kernel) = &self.kernel {
             let sqrt_form = self.metric.blocked_form() == BlockedForm::Euclidean;
             let mut tile = LeafTile { isa: kernel.isa(), cols: leaf_cols, dists: tile_sq };
-            self.group_knn_sq(self.root, 0.0, leaf, group, heaps, join_lost, &mut tile);
+            let mut group_bound = f64::INFINITY;
+            self.group_knn_sq(
+                self.root,
+                0.0,
+                leaf,
+                group,
+                heaps,
+                join_lost,
+                &mut group_bound,
+                &mut tile,
+            );
             for (gi, heap) in heaps.iter().enumerate() {
                 let kth_sq = heap.kth_dist().expect("validated: at least k candidates exist");
                 let radius = if sqrt_form { kth_sq.sqrt() } else { kth_sq };
@@ -301,7 +292,7 @@ impl<'a, M: Metric> KdTree<'a, M> {
                 // candidate in `(distance, id)` order, so it is guaranteed
                 // to be held — only ties dropped by the id tie-break are
                 // missing, and the gated shell pass below recovers those.
-                for &(sq, id) in heap.entries() {
+                for (sq, id) in heap.entries() {
                     let d = if sqrt_form { sq.sqrt() } else { sq };
                     pairs[gi].push((d, id));
                 }
@@ -348,7 +339,9 @@ impl<'a, M: Metric> KdTree<'a, M> {
     /// rect-to-rect lower bound (valid for every query inside the group's
     /// leaf rect); per-query `min_dist_to_rect_sq` tests run only at the
     /// leaves. `node_dist` is this node's rect-to-rect bound, computed by
-    /// its parent (`0` at the root, which is never pruned).
+    /// its parent (`0` at the root, which is never pruned). `group_bound`
+    /// is the loosest heap bound of the group; heaps change only at
+    /// leaves, so it is refreshed after each leaf instead of at every node.
     ///
     /// Each candidate leaf is evaluated as a lane-parallel tile: its rows
     /// are gathered column-major once per group ([`LeafTile`]), and every
@@ -375,10 +368,10 @@ impl<'a, M: Metric> KdTree<'a, M> {
         group: &[(usize, usize)],
         heaps: &mut [BoundedMaxHeap],
         lost: &mut [f64],
+        group_bound: &mut f64,
         tile: &mut LeafTile<'_>,
     ) {
-        let group_bound = heaps.iter().fold(0.0f64, |m, h| m.max(h.bound()));
-        if node_dist > widen_sq(group_bound) {
+        if node_dist > widen_sq(*group_bound) {
             return;
         }
         let node = &self.nodes[node_id];
@@ -404,6 +397,9 @@ impl<'a, M: Metric> KdTree<'a, M> {
                         }
                     }
                 }
+                if gathered {
+                    *group_bound = heaps.iter().fold(0.0f64, |m, h| m.max(h.bound()));
+                }
             }
             Some((left, right)) => {
                 let (llo, lhi) = self.bbox(left);
@@ -412,8 +408,8 @@ impl<'a, M: Metric> KdTree<'a, M> {
                 let dr = rect_rect_min_sq(leaf.0, leaf.1, rlo, rhi);
                 let ((first, d1), (second, d2)) =
                     if dl <= dr { ((left, dl), (right, dr)) } else { ((right, dr), (left, dl)) };
-                self.group_knn_sq(first, d1, leaf, group, heaps, lost, tile);
-                self.group_knn_sq(second, d2, leaf, group, heaps, lost, tile);
+                self.group_knn_sq(first, d1, leaf, group, heaps, lost, group_bound, tile);
+                self.group_knn_sq(second, d2, leaf, group, heaps, lost, group_bound, tile);
             }
         }
     }
@@ -480,7 +476,7 @@ impl<'a, M: Metric> KdTree<'a, M> {
                         }
                         let sq = lof_core::distance::squared_euclidean(q, self.data.point(id));
                         let d = if sqrt_form { sq.sqrt() } else { sq };
-                        if d == radius && !heaps[gi].entries().iter().any(|e| e.1 == id) {
+                        if d == radius && !heaps[gi].entries().any(|(_, held)| held == id) {
                             pairs[gi].push((d, id));
                         }
                     }
@@ -623,13 +619,9 @@ impl LeafTile<'_> {
 fn rect_rect_min_sq(alo: &[f64], ahi: &[f64], blo: &[f64], bhi: &[f64]) -> f64 {
     let mut acc = 0.0;
     for d in 0..alo.len() {
-        let gap = if bhi[d] < alo[d] {
-            alo[d] - bhi[d]
-        } else if blo[d] > ahi[d] {
-            blo[d] - ahi[d]
-        } else {
-            0.0
-        };
+        // Branch-free: for non-empty intervals at most one side's gap is
+        // positive; a zero gap may come out as `-0.0`, which squares away.
+        let gap = (alo[d] - bhi[d]).max(blo[d] - ahi[d]).max(0.0);
         acc += gap * gap;
     }
     acc

@@ -104,27 +104,25 @@ fn shuffled_density_mixture() -> Dataset {
 
 #[test]
 fn parallel_materialization_keeps_leaf_groups_whole() {
-    // Regression: each worker must hand its whole id chunk to the kd join
-    // in one call. Split into small id batches, shuffled ids leave about
-    // one query per leaf group (~1 group per object, each paying a full
-    // traversal); whole chunks let every leaf form at most one group per
-    // worker. The global counter is read before and after: no other test
-    // in this binary publishes to it.
+    // Regression: the tree joins' workers claim whole leaf groups, so
+    // each leaf forms exactly one group — one traversal — at any thread
+    // count. A split by id chunk (each worker one `batch_k_nearest` call)
+    // formed up to one group per leaf per worker on shuffled ids, and
+    // 64-id batches about one per object. The global counter is read
+    // before and after: no other test in this binary publishes to it.
     let data = shuffled_density_mixture();
     let tree = KdTree::new(&data, Euclidean);
     // Every internal node has two children, so a binary tree with `m`
     // nodes has `(m + 1) / 2` leaves.
     let leaves = (tree.node_count() as u64).div_ceil(2);
     let groups = lof_obs::global().counter("core.join.groups");
-    let before = groups.value();
-    let table = build_table_parallel(&tree, 30, 2).unwrap();
-    let formed = groups.value() - before;
-    assert_eq!(table.len(), data.len());
-    assert!(
-        formed <= 2 * leaves,
-        "2 workers over {leaves} leaves formed {formed} groups (at most {} allowed)",
-        2 * leaves
-    );
+    for threads in [2, 3] {
+        let before = groups.value();
+        let table = build_table_parallel(&tree, 30, threads).unwrap();
+        let formed = groups.value() - before;
+        assert_eq!(table.len(), data.len());
+        assert_eq!(formed, leaves, "{threads} workers over {leaves} leaves formed {formed} groups");
+    }
 }
 
 #[test]
