@@ -28,11 +28,15 @@
 //! `lof-obs` registry: `tree.partitions()` split into its sprawl, profile
 //! and isolation-radius sub-spans (`index.partitions.*`), then the
 //! engine's `core.topn.envelopes` and `core.topn.refine` for the
-//! 1-thread cell's median round. `sprawl_leaves` and `sprawl_pieces`
-//! count the leaves the cover bisected and the pieces they became;
+//! 1-thread cell's median round; `envelope_passes` splits the envelope
+//! stage into its three passes (`core.topn.envelope.*`) for the median
+//! round of each cell. `sprawl_leaves` and `sprawl_pieces` count the
+//! leaves the cover bisected and the pieces they became,
+//! `isolation_pairs` and `isolation_evals` the partition pairs the
+//! isolation radii verified and the point distances that took;
 //! `refine_descents` and `refine_range_passes` count the provider
-//! queries the median round's refinement made. The stages and sprawl
-//! counts are zero in a build without the `obs` feature. The binary also
+//! queries the median round's refinement made. The stages and counters
+//! are zero in a build without the `obs` feature. The binary also
 //! aborts if the engine prunes no partition at all: the fixture is built
 //! for pruning, so a cover that prunes nothing is a regression.
 //!
@@ -124,54 +128,59 @@ fn counter(name: &str) -> u64 {
     lof_obs::global().counter(name).value()
 }
 
-/// One 1-thread engine round: its wall time, its `(envelopes, refine)`
-/// span times, and its result.
-struct SerialRound {
+/// The engine spans one round records: `core.topn.envelopes`, its three
+/// passes, and `core.topn.refine`.
+const ENGINE_SPANS: [&str; 5] = [
+    "core.topn.envelopes",
+    "core.topn.envelope.k_distance",
+    "core.topn.envelope.direct",
+    "core.topn.envelope.indirect",
+    "core.topn.refine",
+];
+
+/// One engine round: its wall time, its [`ENGINE_SPANS`] times, and its
+/// result.
+struct Round {
     secs: f64,
-    stages: [f64; 2],
+    stages: [f64; 5],
     result: TopNResult,
 }
 
 /// Times the engine at 1 and `nproc` threads, alternating round by round
 /// so host speed phases hit both cells alike, and asserts every round's
-/// ranking against `want`. Returns each cell's median round in seconds,
-/// the round count, and the 1-thread cell's median round.
+/// ranking against `want`. Returns the round count and each cell's
+/// median round, 1-thread cell first.
 fn engine_cells(
     tree: &KdTree<'_, Euclidean>,
     partitions: &[Partition],
     top_n: usize,
     want: &[(usize, f64)],
     nproc: usize,
-) -> ([f64; 2], usize, SerialRound) {
-    let mut serial: Vec<SerialRound> = Vec::new();
-    let mut parallel: Vec<f64> = Vec::new();
+) -> (usize, [Round; 2]) {
+    let mut cells: [Vec<Round>; 2] = [Vec::new(), Vec::new()];
     let start = std::time::Instant::now();
-    while serial.len() < CELL_MIN_ROUNDS || start.elapsed() < CELL_MIN_TIME {
-        for threads in [1, nproc] {
+    while cells[0].len() < CELL_MIN_ROUNDS || start.elapsed() < CELL_MIN_TIME {
+        for (cell, threads) in cells.iter_mut().zip([1, nproc]) {
             let engine = TopNEngine::new(MIN_PTS, top_n).with_threads(threads);
-            let spans_before = [span_s("core.topn.envelopes"), span_s("core.topn.refine")];
+            let spans_before = ENGINE_SPANS.map(span_s);
             let (result, t) = time(|| engine.run(tree, partitions).expect("engine run"));
+            let stages = std::array::from_fn(|i| span_s(ENGINE_SPANS[i]) - spans_before[i]);
             assert_ranking_identical(
                 &format!("engine({threads} threads) vs full sweep"),
                 &result.ranking,
                 want,
             );
-            if threads == 1 {
-                let stages = [
-                    span_s("core.topn.envelopes") - spans_before[0],
-                    span_s("core.topn.refine") - spans_before[1],
-                ];
-                serial.push(SerialRound { secs: t.as_secs_f64(), stages, result });
-            } else {
-                parallel.push(t.as_secs_f64());
-            }
+            cell.push(Round { secs: t.as_secs_f64(), stages, result });
         }
     }
-    let count = serial.len();
-    serial.sort_unstable_by(|a, b| a.secs.total_cmp(&b.secs));
-    parallel.sort_unstable_by(f64::total_cmp);
-    let median = serial.swap_remove(count / 2);
-    ([median.secs, parallel[parallel.len() / 2]], count, median)
+    let rounds = cells[0].len();
+    (
+        rounds,
+        cells.map(|mut cell| {
+            cell.sort_unstable_by(|a, b| a.secs.total_cmp(&b.secs));
+            cell.swap_remove(cell.len() / 2)
+        }),
+    )
 }
 
 fn main() {
@@ -193,6 +202,8 @@ fn main() {
         std::array::from_fn(|i| span_s(PARTITION_SPANS[i]) - spans_before[i]);
     let sprawl_leaves = counter("index.partitions.sprawl_leaves");
     let sprawl_pieces = counter("index.partitions.pieces");
+    let isolation_pairs = counter("index.partitions.isolation_pairs");
+    let isolation_evals = counter("index.partitions.isolation_evals");
     println!(
         "n={n} d={DIMS}: kd build {:.3}s, {} leaf partitions {:.3}s",
         build_time.as_secs_f64(),
@@ -204,9 +215,17 @@ fn main() {
     // sorted full sweep's head, bit for bit, at both thread counts.
     let (reference, reference_time) =
         time(|| topn_reference(&tree, MIN_PTS, top_n).expect("reference sweep"));
-    let ([serial_s, parallel_s], rounds, serial) =
-        engine_cells(&tree, &partitions, top_n, &reference, nproc);
-    let [envelopes_s, refine_s] = serial.stages;
+    let (rounds, [serial, parallel]) = engine_cells(&tree, &partitions, top_n, &reference, nproc);
+    let (serial_s, parallel_s) = (serial.secs, parallel.secs);
+    let [envelopes_s, _, _, _, refine_s] = serial.stages;
+    let passes = |round: &Round| {
+        let [_, k_distance, direct, indirect, _] = round.stages;
+        format!(
+            "{{\"k_distance_s\": {k_distance:.4}, \"direct_s\": {direct:.4}, \
+             \"indirect_s\": {indirect:.4}}}"
+        )
+    };
+    let (serial_passes, parallel_passes) = (passes(&serial), passes(&parallel));
     let serial = serial.result;
     println!("correctness gate: top-{top_n} bit-identical to the sorted full sweep");
 
@@ -228,8 +247,10 @@ fn main() {
     let partitions_s = partition_time.as_secs_f64();
     println!(
         "partitions {partitions_s:.3}s (sprawl {sprawl_s:.3}s: {sprawl_leaves} leaves bisected \
-         into {sprawl_pieces} pieces; profiles {profiles_s:.3}s; isolation {isolation_s:.3}s)"
+         into {sprawl_pieces} pieces; profiles {profiles_s:.3}s; isolation {isolation_s:.3}s: \
+         {isolation_pairs} pairs verified, {isolation_evals} point distances)"
     );
+    println!("envelope passes, 1 thread: {serial_passes}; {nproc} threads: {parallel_passes}");
     println!(
         "1-thread stages: envelopes {envelopes_s:.3}s, refine {refine_s:.3}s \
          ({} descents, {} range passes)",
@@ -260,9 +281,12 @@ fn main() {
          \"objects_refined\": {},\n  \"refine_descents\": {},\n  \
          \"refine_range_passes\": {},\n  \"threshold\": {:.6},\n  \
          \"sprawl_leaves\": {sprawl_leaves},\n  \"sprawl_pieces\": {sprawl_pieces},\n  \
+         \"isolation_pairs\": {isolation_pairs},\n  \"isolation_evals\": {isolation_evals},\n  \
          \"stages\": {{\"partitions_s\": {partitions_s:.4}, \"sprawl_s\": {sprawl_s:.4}, \
          \"profiles_s\": {profiles_s:.4}, \"isolation_s\": {isolation_s:.4}, \
          \"envelopes_s\": {envelopes_s:.4}, \"refine_s\": {refine_s:.4}}},\n  \
+         \"envelope_passes\": {{\"threads_1\": {serial_passes}, \
+         \"threads_nproc\": {parallel_passes}}},\n  \
          \"full_sweep_s\": {reference_s:.3},\n  \"engine_cells\": [{}, {}],\n  \
          \"pruning_speedup\": {pruning_speedup:.3},\n  \
          \"thread_speedup\": {thread_speedup:.3}\n}}\n",

@@ -188,6 +188,13 @@ impl BoundedMaxHeap {
         keys[i] = e;
     }
 
+    /// True once the heap holds `k` candidates: from then on its
+    /// [`bound`](Self::bound) is the k-th smallest distance offered.
+    #[inline]
+    pub fn is_full(&self) -> bool {
+        self.keys.len() >= self.k
+    }
+
     /// Current pruning bound: the k-th best distance seen, or `+∞` while
     /// fewer than `k` candidates have been offered. Subtrees whose minimum
     /// possible distance **exceeds** this bound cannot contribute.
@@ -201,7 +208,8 @@ impl BoundedMaxHeap {
     }
 
     /// The distance of the worst kept candidate — the exact `k`-distance
-    /// once the search has offered every candidate — or `None` if empty.
+    /// once the search has offered every candidate that could beat the
+    /// bound — or `None` if empty.
     pub fn kth_dist(&self) -> Option<f64> {
         self.keys.first().map(|&e| key_dist(e))
     }
@@ -212,6 +220,11 @@ impl BoundedMaxHeap {
     /// id)` order — in particular it contains **every** point strictly
     /// closer than the k-distance, which is what lets batch joins emit
     /// neighborhoods straight from the heap and search only for ties.
+    ///
+    /// The per-id k-distance descents of the tree indexes skip every
+    /// candidate tied with a full heap's bound: after them only
+    /// [`kth_dist`](Self::kth_dist) is meaningful, because the held ids
+    /// are no longer the canonical `k` smallest.
     pub fn entries(&self) -> impl ExactSizeIterator<Item = (f64, usize)> + '_ {
         self.keys.iter().map(|&e| key_pair(e))
     }

@@ -104,5 +104,6 @@ pub use scan::LinearScan;
 pub use simd::Isa;
 pub use spill::{OocScores, SpillStats, SpilledNeighborhoodTable};
 pub use topn::{
-    topn_reference, Partition, PartitionMetric, PartitionSource, TopNEngine, TopNResult, TopNStats,
+    set_isolation_radii, topn_reference, IsolationWork, Partition, PartitionMetric,
+    PartitionSource, TopNEngine, TopNResult, TopNStats,
 };

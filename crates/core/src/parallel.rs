@@ -40,14 +40,33 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
+    map_strided_with(items, threads, || (), |(), i| f(i))
+}
+
+/// [`map_strided`] with per-worker state: each worker (the calling
+/// thread when serial) makes one state with `init` and hands it to `f`
+/// for every index it maps, so buffers in it are reused across indices.
+/// `f` must not let the state change its results.
+pub(crate) fn map_strided_with<S, R, I, F>(items: usize, threads: usize, init: I, f: F) -> Vec<R>
+where
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> R + Sync,
+{
     let workers = effective_threads(threads, items);
     if workers <= 1 {
-        return (0..items).map(f).collect();
+        let mut state = init();
+        return (0..items).map(|i| f(&mut state, i)).collect();
     }
-    let f = &f;
+    let (init, f) = (&init, &f);
     let parts: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
-            .map(|w| scope.spawn(move || (w..items).step_by(workers).map(|i| (i, f(i))).collect()))
+            .map(|w| {
+                scope.spawn(move || {
+                    let mut state = init();
+                    (w..items).step_by(workers).map(|i| (i, f(&mut state, i))).collect()
+                })
+            })
             .collect();
         handles.into_iter().map(|h| h.join().expect("strided map worker panicked")).collect()
     });

@@ -205,6 +205,7 @@ impl Dataset {
 
     /// The raw row-major coordinate buffer (the mapped section itself for
     /// out-of-core datasets — no copy).
+    #[inline]
     pub fn as_flat(&self) -> &[f64] {
         self.coords.as_slice()
     }

@@ -129,11 +129,16 @@ fn io_err(what: &str, e: std::io::Error) -> LofError {
 
 /// Rows per segment: sized so one segment is roughly an eighth of the
 /// budget (a streaming read holds one segment, far below it) but at least
-/// 256 rows, so tiny budgets degrade to more reloads instead of pathological
-/// per-row I/O.
+/// 256 rows, so small budgets degrade to more reloads instead of
+/// pathological per-row I/O. The floor never outgrows the budget: below
+/// 256 rows' worth it shrinks to the rows that fit (at least one), so the
+/// one segment a streaming read holds stays within the budget whenever a
+/// row does.
 fn segment_rows(n: usize, max_k: usize, budget_bytes: usize) -> usize {
     let bytes_per_row = 16 * (max_k + 1) + 4;
-    let target = (budget_bytes / 8).max(256 * bytes_per_row);
+    // A segment's offsets hold one word more than it has rows.
+    let floor = (budget_bytes.saturating_sub(4) / bytes_per_row).clamp(1, 256);
+    let target = (budget_bytes / 8).max(floor * bytes_per_row);
     (target / bytes_per_row).min(n.max(1))
 }
 
@@ -547,6 +552,27 @@ mod tests {
         assert!(stats.segment_reloads > stats.segment_spills, "multi-pass reloads: {stats:?}");
         assert!(stats.segment_evictions > 0, "evictions: {stats:?}");
         assert!(stats.resident_bytes > 0);
+    }
+
+    #[test]
+    fn segments_stay_within_budgets_below_the_row_floor() {
+        let data = mixture(600);
+        let scan = LinearScan::new(&data, Euclidean);
+        // 16 KiB holds about 90 rows of 10 neighbors, far below 256 rows.
+        let budget = 16 << 10;
+        let spilled = SpilledNeighborhoodTable::build(&scan, 10, budget, &spill_dir()).unwrap();
+        assert!(spilled.segment_count() > 1);
+        let largest = spilled.segments.iter().map(SegmentMeta::byte_len).max().unwrap();
+        assert!(largest <= budget as u64, "a {largest}-byte segment under a {budget}-byte budget");
+        let mut peak = 0;
+        for k in [4, 10] {
+            spilled.lof_range(MinPtsRange::single(k).unwrap(), Aggregate::Max).unwrap();
+            peak = peak.max(spilled.stats().resident_bytes);
+        }
+        assert!(peak > 0 && peak <= budget as u64, "resident {peak} bytes");
+        // A budget that holds one row and no more gets one-row segments.
+        let tight = SpilledNeighborhoodTable::build(&scan, 10, 16 * 11 + 8, &spill_dir()).unwrap();
+        assert!(tight.segments.iter().all(|seg| seg.rows == 1));
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Geometric per-partition envelopes: everything the pruning engine knows
 //! about a partition *before* materializing a single neighborhood.
 //!
-//! The envelopes are computed from pure rectangle geometry over an
-//! auxiliary box tree built on the partition bounding boxes (so the cost
-//! is `O(L log L)`-ish over `L` partitions, never the `O(L²)` pairwise
-//! comparison):
+//! The envelopes are computed from pure rectangle geometry over the box
+//! tree on the partition bounding boxes ([`super::boxtree`], the same
+//! flat tree the isolation radii walk), so the cost is `O(L log L)`-ish
+//! over `L` partitions, never the `O(L²)` pairwise comparison. Each
+//! worker keeps its traversal heaps and stack across the partitions it
+//! bounds, so the passes do not allocate per partition:
 //!
 //! 1. **k-distance envelope** `[kd_lb, kd_ub]`: one best-first traversal
 //!    accumulates partition counts by rectangle-to-rectangle distance
@@ -32,13 +34,14 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use super::boxtree::{BoxTree, Key};
 use super::Partition;
 use crate::bounds::{
     clamp_envelope_lower, clamp_envelope_upper, theorem1_bounds, LofBounds, NeighborhoodStats,
 };
 use crate::distance::Metric;
 use crate::error::{LofError, Result};
-use crate::parallel::map_strided;
+use crate::parallel::map_strided_with;
 
 /// Everything the engine derives about one partition from geometry alone.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -76,139 +79,17 @@ impl PartitionEnvelope {
     }
 }
 
-/// A node of the auxiliary box tree over partition bounding boxes.
-struct BoxNode {
-    lo: Vec<f64>,
-    hi: Vec<f64>,
-    /// Total member count of the subtree.
-    count: usize,
-    children: Option<(usize, usize)>,
-    /// Partition index (leaves only; `usize::MAX` on internal nodes).
-    part: usize,
-    /// Subtree minimum of the per-partition statistic of the current
-    /// pass (k-distance lower bounds, then direct minima).
-    agg_lo: f64,
-    /// Subtree maximum of the current pass's statistic.
-    agg_hi: f64,
-}
-
-/// Arena box tree; children are pushed before their parent, so a single
-/// forward scan recomputes subtree aggregates bottom-up.
-struct BoxTree {
-    nodes: Vec<BoxNode>,
-    root: usize,
-}
-
-impl BoxTree {
-    fn build(parts: &[Partition]) -> BoxTree {
-        let dims = parts[0].lo.len();
-        let centers: Vec<Vec<f64>> = parts
-            .iter()
-            .map(|p| p.lo.iter().zip(&p.hi).map(|(l, h)| 0.5 * (l + h)).collect())
-            .collect();
-        let mut idx: Vec<usize> = (0..parts.len()).collect();
-        let mut nodes = Vec::with_capacity(2 * parts.len());
-        let root = Self::build_rec(parts, &centers, dims, &mut idx, &mut nodes);
-        BoxTree { nodes, root }
-    }
-
-    fn build_rec(
-        parts: &[Partition],
-        centers: &[Vec<f64>],
-        dims: usize,
-        idx: &mut [usize],
-        nodes: &mut Vec<BoxNode>,
-    ) -> usize {
-        if idx.len() == 1 {
-            let p = idx[0];
-            nodes.push(BoxNode {
-                lo: parts[p].lo.clone(),
-                hi: parts[p].hi.clone(),
-                count: parts[p].members.len(),
-                children: None,
-                part: p,
-                agg_lo: 0.0,
-                agg_hi: 0.0,
-            });
-            return nodes.len() - 1;
-        }
-        // Median split on the dimension with the widest center spread —
-        // the same heuristic the kd-tree uses, applied to boxes.
-        let mut best_dim = 0;
-        let mut best_spread = f64::NEG_INFINITY;
-        #[allow(clippy::needless_range_loop)] // indexes each center's d-th coordinate
-        for d in 0..dims {
-            let mut min = f64::INFINITY;
-            let mut max = f64::NEG_INFINITY;
-            for &i in idx.iter() {
-                min = min.min(centers[i][d]);
-                max = max.max(centers[i][d]);
-            }
-            if max - min > best_spread {
-                best_spread = max - min;
-                best_dim = d;
-            }
-        }
-        let mid = idx.len() / 2;
-        idx.select_nth_unstable_by(mid, |&a, &b| {
-            centers[a][best_dim].total_cmp(&centers[b][best_dim]).then(a.cmp(&b))
-        });
-        let (left_ids, right_ids) = idx.split_at_mut(mid);
-        let left = Self::build_rec(parts, centers, dims, left_ids, nodes);
-        let right = Self::build_rec(parts, centers, dims, right_ids, nodes);
-        let mut lo = nodes[left].lo.clone();
-        let mut hi = nodes[left].hi.clone();
-        for d in 0..dims {
-            lo[d] = lo[d].min(nodes[right].lo[d]);
-            hi[d] = hi[d].max(nodes[right].hi[d]);
-        }
-        nodes.push(BoxNode {
-            lo,
-            hi,
-            count: nodes[left].count + nodes[right].count,
-            children: Some((left, right)),
-            part: usize::MAX,
-            agg_lo: 0.0,
-            agg_hi: 0.0,
-        });
-        nodes.len() - 1
-    }
-
-    /// Loads per-partition statistics into the leaf aggregates and folds
-    /// them bottom-up (children precede parents in the arena).
-    fn set_aggregates(&mut self, stat_lo: &[f64], stat_hi: &[f64]) {
-        for i in 0..self.nodes.len() {
-            match self.nodes[i].children {
-                None => {
-                    let p = self.nodes[i].part;
-                    self.nodes[i].agg_lo = stat_lo[p];
-                    self.nodes[i].agg_hi = stat_hi[p];
-                }
-                Some((l, r)) => {
-                    self.nodes[i].agg_lo = self.nodes[l].agg_lo.min(self.nodes[r].agg_lo);
-                    self.nodes[i].agg_hi = self.nodes[l].agg_hi.max(self.nodes[r].agg_hi);
-                }
-            }
-        }
-    }
-}
-
-/// Totally ordered f64 priority for the best-first heaps.
-#[derive(PartialEq)]
-struct Key(f64);
-
-impl Eq for Key {}
-
-impl PartialOrd for Key {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Key {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
+/// One worker's traversal buffers, reused across its partitions and
+/// passes so that no traversal allocates once they are warm.
+#[derive(Default)]
+struct Walk {
+    /// Best-first node heap keyed by closest rectangle distance.
+    near: BinaryHeap<Reverse<(Key, usize)>>,
+    /// Waiting leaves keyed by farthest rectangle distance, with their
+    /// member counts.
+    far: BinaryHeap<Reverse<(Key, usize)>>,
+    /// Depth-first node stack of the reachable-set folds.
+    stack: Vec<usize>,
 }
 
 /// One end of a k-distance envelope: a running count over an ascending
@@ -318,6 +199,7 @@ fn drain_far(
 fn kd_bounds<M: Metric + ?Sized>(
     metric: &M,
     tree: &BoxTree,
+    walk: &mut Walk,
     src: &Partition,
     src_idx: usize,
     min_pts: usize,
@@ -336,14 +218,19 @@ fn kd_bounds<M: Metric + ?Sized>(
         pad: metric.max_dist_between_rects(&src.lo, &src.hi, &src.lo, &src.hi),
         ..lower
     };
-    let closest =
-        |node: &BoxNode| metric.min_dist_between_rects(&src.lo, &src.hi, &node.lo, &node.hi);
-    let farthest =
-        |node: &BoxNode| metric.max_dist_between_rects(&src.lo, &src.hi, &node.lo, &node.hi);
+    let closest = |ni: usize| {
+        let (lo, hi) = tree.bbox(ni);
+        metric.min_dist_between_rects(&src.lo, &src.hi, lo, hi)
+    };
+    let farthest = |ni: usize| {
+        let (lo, hi) = tree.bbox(ni);
+        metric.max_dist_between_rects(&src.lo, &src.hi, lo, hi)
+    };
     let (mut lo_end, mut hi_end) = (None, None);
-    let mut near: BinaryHeap<Reverse<(Key, usize)>> = BinaryHeap::new();
-    let mut far: BinaryHeap<Reverse<(Key, usize)>> = BinaryHeap::new();
-    near.push(Reverse((Key(closest(&tree.nodes[tree.root])), tree.root)));
+    let Walk { near, far, .. } = walk;
+    near.clear();
+    far.clear();
+    near.push(Reverse((Key(closest(tree.root)), tree.root)));
     while let Some(Reverse((Key(key), ni))) = near.pop() {
         // Everything still in `near` has a raw key >= the popped one, and
         // the isolation clamp is monotone, so after clamping intra
@@ -353,7 +240,7 @@ fn kd_bounds<M: Metric + ?Sized>(
             lo_end = lower.intra_upto(clamped);
         }
         if hi_end.is_none() {
-            hi_end = drain_far(&mut upper, &mut far, key);
+            hi_end = drain_far(&mut upper, far, key);
         }
         if let (Some(lo), Some(hi)) = (lo_end, hi_end) {
             return (lo, hi);
@@ -367,10 +254,10 @@ fn kd_bounds<M: Metric + ?Sized>(
                     // its farthest distance, so it waits in `far` at once.
                     if lo_end.is_some() && c.children.is_none() {
                         if c.part != src_idx {
-                            far.push(Reverse((Key(farthest(c)), c.count)));
+                            far.push(Reverse((Key(farthest(child)), c.count)));
                         }
                     } else {
-                        near.push(Reverse((Key(closest(c)), child)));
+                        near.push(Reverse((Key(closest(child)), child)));
                     }
                 }
             }
@@ -380,7 +267,7 @@ fn kd_bounds<M: Metric + ?Sized>(
                     lo_end = lower.take(node.count, clamped);
                 }
                 if hi_end.is_none() {
-                    far.push(Reverse((Key(farthest(node)), node.count)));
+                    far.push(Reverse((Key(farthest(ni)), node.count)));
                 }
             }
         }
@@ -389,7 +276,7 @@ fn kd_bounds<M: Metric + ?Sized>(
     // is unreachable when min_pts < total objects (validated by the
     // engine); the conservative ends stand in regardless.
     let lo = lo_end.or_else(|| lower.intra_upto(f64::INFINITY)).unwrap_or(0.0);
-    let hi = hi_end.or_else(|| drain_far(&mut upper, &mut far, f64::INFINITY));
+    let hi = hi_end.or_else(|| drain_far(&mut upper, far, f64::INFINITY));
     (lo, hi.unwrap_or(f64::INFINITY))
 }
 
@@ -417,6 +304,7 @@ fn kd_bounds<M: Metric + ?Sized>(
 fn reachable_envelope<M: Metric + ?Sized>(
     metric: &M,
     tree: &BoxTree,
+    walk: &mut Walk,
     src: &Partition,
     src_idx: usize,
     radius: f64,
@@ -424,17 +312,20 @@ fn reachable_envelope<M: Metric + ?Sized>(
 ) -> (f64, f64) {
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;
-    let mut stack = vec![tree.root];
+    let stack = &mut walk.stack;
+    stack.clear();
+    stack.push(tree.root);
     while let Some(ni) = stack.pop() {
         let node = &tree.nodes[ni];
-        let mut closest = metric.min_dist_between_rects(&src.lo, &src.hi, &node.lo, &node.hi);
+        let (node_lo, node_hi) = tree.bbox(ni);
+        let mut closest = metric.min_dist_between_rects(&src.lo, &src.hi, node_lo, node_hi);
         if node.children.is_none() && node.part != src_idx {
             closest = closest.max(src.isolation);
         }
         if closest > radius {
             continue;
         }
-        let farthest = metric.max_dist_between_rects(&src.lo, &src.hi, &node.lo, &node.hi);
+        let farthest = metric.max_dist_between_rects(&src.lo, &src.hi, node_lo, node_hi);
         let (cand_lo, cand_hi) = if with_distance {
             (node.agg_lo.max(closest), node.agg_hi.max(farthest.min(radius)))
         } else {
@@ -536,36 +427,39 @@ pub(super) fn envelopes_threaded<M: Metric + ?Sized>(
     }
 
     let mut tree = BoxTree::build(partitions);
-    let root = &tree.nodes[tree.root];
+    let (root_lo, root_hi) = tree.bbox(tree.root);
     // Metrics without rectangle geometry (max bound +∞) would force the
     // upper best-first traversal to expand the entire tree per partition;
     // short-circuit to vacuous envelopes — exact, just unprunable.
-    if !metric.max_dist_between_rects(&root.lo, &root.hi, &root.lo, &root.hi).is_finite() {
+    if !metric.max_dist_between_rects(root_lo, root_hi, root_lo, root_hi).is_finite() {
         return Ok(partitions.iter().map(|_| PartitionEnvelope::vacuous()).collect());
     }
 
     let n_parts = partitions.len();
     let span = lof_obs::span!("core.topn.envelope.k_distance");
     let (kd_lb, kd_ub): (Vec<f64>, Vec<f64>) =
-        map_strided(n_parts, threads, |i| kd_bounds(metric, &tree, &partitions[i], i, min_pts))
-            .into_iter()
-            .unzip();
+        map_strided_with(n_parts, threads, Walk::default, |walk, i| {
+            kd_bounds(metric, &tree, walk, &partitions[i], i, min_pts)
+        })
+        .into_iter()
+        .unzip();
     drop(span);
 
     let span = lof_obs::span!("core.topn.envelope.direct");
     tree.set_aggregates(&kd_lb, &kd_ub);
-    let (dir_min, dir_max): (Vec<f64>, Vec<f64>) = map_strided(n_parts, threads, |i| {
-        reachable_envelope(metric, &tree, &partitions[i], i, kd_ub[i], true)
-    })
-    .into_iter()
-    .unzip();
+    let (dir_min, dir_max): (Vec<f64>, Vec<f64>) =
+        map_strided_with(n_parts, threads, Walk::default, |walk, i| {
+            reachable_envelope(metric, &tree, walk, &partitions[i], i, kd_ub[i], true)
+        })
+        .into_iter()
+        .unzip();
     drop(span);
 
     let _span = lof_obs::span!("core.topn.envelope.indirect");
     tree.set_aggregates(&dir_min, &dir_max);
-    let out = map_strided(n_parts, threads, |i| {
+    let out = map_strided_with(n_parts, threads, Walk::default, |walk, i| {
         let (ind_min, ind_max) =
-            reachable_envelope(metric, &tree, &partitions[i], i, kd_ub[i], false);
+            reachable_envelope(metric, &tree, walk, &partitions[i], i, kd_ub[i], false);
         let t1 = theorem1_bounds(&NeighborhoodStats {
             direct_min: dir_min[i],
             direct_max: dir_max[i],
@@ -620,11 +514,11 @@ mod tests {
         let intra_val = |j: usize| -> f64 { ranks.get(j).copied().unwrap_or(pad) };
 
         let key_of = |ni: usize| -> f64 {
-            let node = &tree.nodes[ni];
-            if upper && node.children.is_none() {
-                metric.max_dist_between_rects(&src.lo, &src.hi, &node.lo, &node.hi)
+            let (lo, hi) = tree.bbox(ni);
+            if upper && tree.nodes[ni].children.is_none() {
+                metric.max_dist_between_rects(&src.lo, &src.hi, lo, hi)
             } else {
-                metric.min_dist_between_rects(&src.lo, &src.hi, &node.lo, &node.hi)
+                metric.min_dist_between_rects(&src.lo, &src.hi, lo, hi)
             }
         };
         let isolation = if upper { 0.0 } else { src.isolation };
@@ -908,6 +802,7 @@ mod tests {
         let mut exhausted = 0;
         for (label, parts) in &covers {
             let tree = BoxTree::build(parts);
+            let mut walk = Walk::default();
             // Manhattan rides along on the full cover only, to keep the
             // exhaustive traversals cheap.
             let metrics: &[&dyn Metric] =
@@ -915,7 +810,7 @@ mod tests {
             for &metric in metrics {
                 for min_pts in min_pts_values {
                     for (i, p) in parts.iter().enumerate() {
-                        let (lo, hi) = kd_bounds(metric, &tree, p, i, min_pts);
+                        let (lo, hi) = kd_bounds(metric, &tree, &mut walk, p, i, min_pts);
                         let want_lo = kd_bound(metric, &tree, p, i, min_pts, false);
                         let want_hi = kd_bound(metric, &tree, p, i, min_pts, true);
                         let at = format!("{label} min_pts={min_pts} partition {i}");

@@ -24,15 +24,18 @@
 //! suite in `tests/topn_differential.rs` enforces this for every index,
 //! metric, `MinPts`, and thread count.
 
+mod boxtree;
 mod envelope;
 mod refine;
 
 pub use envelope::{partition_envelopes, PartitionEnvelope};
 
+use crate::distance::{squared_euclidean, BlockedForm, Metric};
 use crate::error::{LofError, Result};
 use crate::lof::lof_values;
 use crate::materialize::NeighborhoodTable;
 use crate::neighbors::KnnProvider;
+use boxtree::{BoxTree, Key};
 
 /// One micro-partition: a bounding box, the ids it contains, and exact
 /// intra-partition distance profiles.
@@ -90,11 +93,16 @@ impl Partition {
     /// plus exact intra-partition rank profiles (all-pairs over the
     /// members, so keep partitions leaf-sized).
     ///
+    /// Under a squared-Euclidean form the rows are sorted and folded as
+    /// squared distances and each rank takes one `sqrt` at the end: `sqrt`
+    /// is monotone and correctly rounded, so the profiles are bit for bit
+    /// those of sorting `metric.distance` values.
+    ///
     /// `point_of` maps a member id to its coordinate slice. `members`
     /// must be non-empty and strictly ascending (checked downstream).
     pub fn from_member_points<'a, M, F>(metric: &M, members: Vec<usize>, point_of: F) -> Self
     where
-        M: crate::distance::Metric + ?Sized,
+        M: Metric + ?Sized,
         F: Fn(usize) -> &'a [f64],
     {
         let dims = members.first().map_or(0, |&id| point_of(id).len());
@@ -111,12 +119,16 @@ impl Partition {
         let ranks = m.saturating_sub(1);
         let mut min_rank_dists = vec![f64::INFINITY; ranks];
         let mut max_rank_dists = vec![f64::NEG_INFINITY; ranks];
+        let form = metric.blocked_form();
         let mut row = Vec::with_capacity(ranks);
         for (i, &a) in members.iter().enumerate() {
             row.clear();
             for (j, &b) in members.iter().enumerate() {
                 if i != j {
-                    row.push(metric.distance(point_of(a), point_of(b)));
+                    row.push(match form {
+                        BlockedForm::Generic => metric.distance(point_of(a), point_of(b)),
+                        _ => squared_euclidean(point_of(a), point_of(b)),
+                    });
                 }
             }
             row.sort_unstable_by(f64::total_cmp);
@@ -125,8 +137,157 @@ impl Partition {
                 max_rank_dists[r] = max_rank_dists[r].max(dist);
             }
         }
+        if form == BlockedForm::Euclidean {
+            for dist in min_rank_dists.iter_mut().chain(&mut max_rank_dists) {
+                *dist = dist.sqrt();
+            }
+        }
         Partition { lo, hi, members, min_rank_dists, max_rank_dists, isolation: 0.0 }
     }
+}
+
+/// Most candidate partitions one isolation query may verify exactly;
+/// past the cap the rectangle distance of the next candidate floors the
+/// radius instead (sound, just looser).
+const ISOLATION_CANDIDATE_CAP: usize = 64;
+
+/// Largest member-count product for which one candidate pair is verified
+/// point-by-point; bigger pairs (oversized duplicate leaves) fall back to
+/// the rectangle distance.
+const ISOLATION_PAIR_CAP: usize = 4096;
+
+/// The work one [`set_isolation_radii`] call did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IsolationWork {
+    /// Distinct unordered partition pairs verified point by point.
+    pub pairs: u64,
+    /// Point distances evaluated while verifying them.
+    pub evals: u64,
+}
+
+/// Sets every partition's [`Partition::isolation`] to its exact (capped)
+/// radius: the minimum distance from any member to any point outside the
+/// partition, which is also the minimum over other partitions of the
+/// bipartite closest-pair distance (the cover property). A
+/// single-partition cover has no non-members and gets `+inf`.
+///
+/// Each partition's query walks the box tree over the partitions
+/// best-first by rectangle distance, verifies candidate partitions
+/// point-by-point, and stops once the next rectangle distance cannot beat
+/// the best verified pair. Past `ISOLATION_CANDIDATE_CAP` (64) verified
+/// candidates, or for a pair over `ISOLATION_PAIR_CAP` (4,096) point
+/// pairs, the candidate's rectangle distance floors the radius instead.
+///
+/// A pair's value is its exact closest-pair distance, whichever side
+/// asks, so each unordered pair is verified once: the query of the
+/// lower-numbered partition hands its result to the other, and both
+/// queries count the pair against the caps, so a capped radius does not
+/// depend on the sharing. Under a squared-Euclidean form a pair is
+/// verified on squared distances with one `sqrt` at the end, which is
+/// exact for the same reason as the rank profiles'
+/// ([`Partition::from_member_points`]).
+///
+/// `point_of` maps an id to its coordinate slice; every partition needs a
+/// valid box ([`partition_envelopes`] checks).
+pub fn set_isolation_radii<'a, M, F>(
+    metric: &M,
+    parts: &mut [Partition],
+    point_of: F,
+) -> IsolationWork
+where
+    M: Metric + ?Sized,
+    F: Fn(usize) -> &'a [f64],
+{
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    let mut work = IsolationWork::default();
+    if parts.len() < 2 {
+        parts.iter_mut().for_each(|p| p.isolation = f64::INFINITY);
+        return work;
+    }
+    let tree = BoxTree::build(parts);
+    let form = metric.blocked_form();
+    // The closest-pair distance of two partitions, computed in full: a
+    // shared value must be the pair's exact minimum, not one cut short by
+    // the asking side's running best.
+    let mut closest_pair = |a: &Partition, b: &Partition| {
+        work.pairs += 1;
+        work.evals += (a.members.len() * b.members.len()) as u64;
+        let mut best = f64::INFINITY;
+        for &x in &a.members {
+            for &y in &b.members {
+                best = best.min(match form {
+                    BlockedForm::Generic => metric.distance(point_of(x), point_of(y)),
+                    _ => squared_euclidean(point_of(x), point_of(y)),
+                });
+            }
+        }
+        if form == BlockedForm::Euclidean {
+            best.sqrt()
+        } else {
+            best
+        }
+    };
+    // `inbox[j]` holds the `(i, value)` pairs that lower-numbered
+    // partitions `i` verified against `j`.
+    let mut inbox: Vec<Vec<(usize, f64)>> = vec![Vec::new(); parts.len()];
+    let mut heap: BinaryHeap<Reverse<(Key, usize)>> = BinaryHeap::new();
+    let mut radii = Vec::with_capacity(parts.len());
+    for (i, src) in parts.iter().enumerate() {
+        let received = std::mem::take(&mut inbox[i]);
+        heap.clear();
+        heap.push(Reverse((Key(0.0), tree.root)));
+        let mut best = f64::INFINITY;
+        let mut verified = 0usize;
+        while let Some(Reverse((Key(key), ni))) = heap.pop() {
+            if key >= best {
+                break;
+            }
+            let node = &tree.nodes[ni];
+            match node.children {
+                Some((l, r)) => {
+                    for child in [l, r] {
+                        let (lo, hi) = tree.bbox(child);
+                        let d = metric.min_dist_between_rects(&src.lo, &src.hi, lo, hi);
+                        if d < best {
+                            heap.push(Reverse((Key(d), child)));
+                        }
+                    }
+                }
+                None if node.part == i => {}
+                None => {
+                    let j = node.part;
+                    let other = &parts[j];
+                    let pairs = src.members.len() * other.members.len();
+                    if verified >= ISOLATION_CANDIDATE_CAP || pairs > ISOLATION_PAIR_CAP {
+                        // Fall back to the rectangle distance: looser
+                        // but sound, and it terminates the traversal.
+                        best = best.min(key);
+                        continue;
+                    }
+                    verified += 1;
+                    let shared = received.iter().find(|&&(from, _)| from == j);
+                    let value = match shared {
+                        Some(&(_, value)) => value,
+                        None => {
+                            let value = closest_pair(src, other);
+                            if j > i {
+                                inbox[j].push((i, value));
+                            }
+                            value
+                        }
+                    };
+                    best = best.min(value);
+                }
+            }
+        }
+        radii.push(best);
+    }
+    for (p, r) in parts.iter_mut().zip(radii) {
+        p.isolation = r;
+    }
+    work
 }
 
 /// Implemented by spatial indexes that can expose their leaf structure
@@ -256,7 +417,7 @@ impl TopNEngine {
     ) -> Result<TopNResult>
     where
         P: KnnProvider + Sync + ?Sized,
-        M: crate::distance::Metric + ?Sized,
+        M: Metric + ?Sized,
     {
         let n_objects = provider.len();
         if n_objects == 0 {
@@ -325,7 +486,7 @@ impl TopNEngine {
 /// argument.
 pub trait PartitionMetric {
     /// The metric governing this provider's distances.
-    fn partition_metric(&self) -> &dyn crate::distance::Metric;
+    fn partition_metric(&self) -> &dyn Metric;
 }
 
 /// The reference answer: a full-sweep materialization and scoring pass,

@@ -156,9 +156,17 @@ impl<'a, M: Metric> BallTree<'a, M> {
         let node = &self.nodes[node_id];
         match node.children {
             None => {
+                // Only the k-th distance is read afterwards, so a
+                // candidate tied with a full heap's bound is not offered.
+                // The node prune above keeps its rounding tolerance.
+                let mut bound = best.bound();
                 for &id in &self.ids[node.start..node.end] {
                     if Some(id) != exclude {
-                        best.offer(id, self.metric.distance(q, self.data.point(id)));
+                        let d = self.metric.distance(q, self.data.point(id));
+                        if d < bound || !best.is_full() {
+                            best.offer(id, d);
+                            bound = best.bound();
+                        }
                     }
                 }
             }

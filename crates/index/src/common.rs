@@ -298,16 +298,6 @@ fn splice_tie_overflow(
 /// before [`leaf_partitions`] bisects it.
 const SPRAWL_FACTOR: f64 = 4.0;
 
-/// Most candidate partitions one isolation query may verify exactly;
-/// past the cap the rectangle distance of the next candidate floors the
-/// radius instead (sound, just looser).
-const ISOLATION_CANDIDATE_CAP: usize = 64;
-
-/// Largest member-count product for which one candidate pair is verified
-/// point-by-point; bigger pairs (oversized duplicate leaves) fall back to
-/// the rectangle distance.
-const ISOLATION_PAIR_CAP: usize = 4096;
-
 /// Builds top-n [`lof_core::Partition`]s from a tree's leaves (each given
 /// as its member id slice): members sorted ascending (the engine's cover
 /// contract), tight bounding boxes and exact intra-partition rank
@@ -335,17 +325,14 @@ const ISOLATION_PAIR_CAP: usize = 4096;
 /// distance 0) even when the closest cross-leaf point pair sits a full
 /// neighbor-spacing apart. The envelope pass can only see geometry, so
 /// after the cover is final each partition gets the exact minimum
-/// member-to-non-member distance ([`lof_core::Partition::isolation`]),
-/// found by a best-first traversal over the partition boxes that
-/// verifies near candidates point-by-point and stops as soon as the next
-/// rectangle distance can no longer improve on the best verified pair.
+/// member-to-non-member distance ([`lof_core::Partition::isolation`])
+/// from [`lof_core::set_isolation_radii`]; this crate only supplies the
+/// leaves.
 ///
 /// Timed by the `index.partitions` span, split into
 /// `index.partitions.sprawl` (leaf boxes and bisection),
 /// `index.partitions.profiles` and `index.partitions.isolation`; the
-/// counters `index.partitions.sprawl_leaves` and
-/// `index.partitions.pieces` count the bisected leaves and the pieces
-/// they became.
+/// counters are listed at [`publish_partition_counts`].
 pub(crate) fn leaf_partitions<'a, M: lof_core::Metric>(
     data: &lof_core::Dataset,
     metric: &M,
@@ -375,10 +362,6 @@ pub(crate) fn leaf_partitions<'a, M: lof_core::Metric>(
             covers.push(members);
         }
     }
-    if lof_obs::enabled() {
-        lof_obs::global().counter("index.partitions.sprawl_leaves").add(sprawl_leaves);
-        lof_obs::global().counter("index.partitions.pieces").add(pieces);
-    }
     drop(sprawl_span);
 
     let profiles_span = lof_obs::span!("index.partitions.profiles");
@@ -390,12 +373,35 @@ pub(crate) fn leaf_partitions<'a, M: lof_core::Metric>(
         .collect();
     drop(profiles_span);
 
-    let _isolation_span = lof_obs::span!("index.partitions.isolation");
-    let radii = isolation_radii(data, metric, &parts);
-    for (p, r) in parts.iter_mut().zip(radii) {
-        p.isolation = r;
+    let isolation_span = lof_obs::span!("index.partitions.isolation");
+    let isolation = lof_core::set_isolation_radii(metric, &mut parts, |id| data.point(id));
+    drop(isolation_span);
+    if lof_obs::enabled() {
+        publish_partition_counts(lof_obs::global(), sprawl_leaves, pieces, isolation);
     }
     parts
+}
+
+/// Adds one cover's work to `registry`'s counters:
+/// `index.partitions.sprawl_leaves` and `index.partitions.pieces` (the
+/// leaves bisected and the pieces they became),
+/// `index.partitions.isolation_pairs` (distinct partition pairs verified
+/// point by point) and `index.partitions.isolation_evals` (the point
+/// distances that took).
+fn publish_partition_counts(
+    registry: &lof_obs::MetricsRegistry,
+    sprawl_leaves: u64,
+    pieces: u64,
+    isolation: lof_core::IsolationWork,
+) {
+    for (name, value) in [
+        ("index.partitions.sprawl_leaves", sprawl_leaves),
+        ("index.partitions.pieces", pieces),
+        ("index.partitions.isolation_pairs", isolation.pairs),
+        ("index.partitions.isolation_evals", isolation.evals),
+    ] {
+        registry.counter(name).add(value);
+    }
 }
 
 /// Tight bounding box of the members' points, in one pass.
@@ -474,160 +480,15 @@ fn bisect_sprawl<M: lof_core::Metric>(
     }
 }
 
-/// A node of the throwaway box tree behind [`isolation_radii`]; children
-/// precede their parent in the arena.
-struct IsoNode {
-    lo: Vec<f64>,
-    hi: Vec<f64>,
-    children: Option<(usize, usize)>,
-    /// Partition index (leaves only; `usize::MAX` on internal nodes).
-    part: usize,
-}
-
-fn iso_tree_rec(
-    parts: &[lof_core::Partition],
-    centers: &[Vec<f64>],
-    idx: &mut [usize],
-    nodes: &mut Vec<IsoNode>,
-) -> usize {
-    if idx.len() == 1 {
-        let p = idx[0];
-        nodes.push(IsoNode {
-            lo: parts[p].lo.clone(),
-            hi: parts[p].hi.clone(),
-            children: None,
-            part: p,
-        });
-        return nodes.len() - 1;
-    }
-    let dims = centers[0].len();
-    let mut best_dim = 0;
-    let mut best_spread = f64::NEG_INFINITY;
-    #[allow(clippy::needless_range_loop)] // indexes each center's d-th coordinate
-    for d in 0..dims {
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        for &i in idx.iter() {
-            min = min.min(centers[i][d]);
-            max = max.max(centers[i][d]);
-        }
-        if max - min > best_spread {
-            best_spread = max - min;
-            best_dim = d;
-        }
-    }
-    let mid = idx.len() / 2;
-    idx.select_nth_unstable_by(mid, |&a, &b| {
-        centers[a][best_dim].total_cmp(&centers[b][best_dim]).then(a.cmp(&b))
-    });
-    let (left_ids, right_ids) = idx.split_at_mut(mid);
-    let left = iso_tree_rec(parts, centers, left_ids, nodes);
-    let right = iso_tree_rec(parts, centers, right_ids, nodes);
-    let mut lo = nodes[left].lo.clone();
-    let mut hi = nodes[left].hi.clone();
-    for d in 0..lo.len() {
-        lo[d] = lo[d].min(nodes[right].lo[d]);
-        hi[d] = hi[d].max(nodes[right].hi[d]);
-    }
-    nodes.push(IsoNode { lo, hi, children: Some((left, right)), part: usize::MAX });
-    nodes.len() - 1
-}
-
-/// Exact (capped) isolation radius per partition: the minimum distance
-/// from any member to any point outside the partition, which is also the
-/// minimum over other partitions of the bipartite closest-pair distance
-/// (the cover property). Each query walks the box tree best-first by
-/// rectangle distance, verifies candidate partitions point-by-point, and
-/// stops once the next rectangle distance cannot beat the best verified
-/// pair. A single-partition cover has no non-members and gets `+inf`.
-fn isolation_radii<M: lof_core::Metric>(
-    data: &lof_core::Dataset,
-    metric: &M,
-    parts: &[lof_core::Partition],
-) -> Vec<f64> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    if parts.len() < 2 {
-        return vec![f64::INFINITY; parts.len()];
-    }
-    let centers: Vec<Vec<f64>> = parts
-        .iter()
-        .map(|p| p.lo.iter().zip(&p.hi).map(|(l, h)| 0.5 * (l + h)).collect())
-        .collect();
-    let mut idx: Vec<usize> = (0..parts.len()).collect();
-    let mut nodes = Vec::with_capacity(2 * parts.len());
-    let root = iso_tree_rec(parts, &centers, &mut idx, &mut nodes);
-
-    /// Totally ordered non-NaN f64 heap key.
-    #[derive(PartialEq)]
-    struct Key(f64);
-    impl Eq for Key {}
-    impl PartialOrd for Key {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Key {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            self.0.total_cmp(&other.0)
-        }
-    }
-
-    let mut heap: BinaryHeap<Reverse<(Key, usize)>> = BinaryHeap::new();
-    parts
-        .iter()
-        .enumerate()
-        .map(|(i, src)| {
-            heap.clear();
-            heap.push(Reverse((Key(0.0), root)));
-            let mut best = f64::INFINITY;
-            let mut verified = 0usize;
-            while let Some(Reverse((Key(key), ni))) = heap.pop() {
-                if key >= best {
-                    break;
-                }
-                let node = &nodes[ni];
-                match node.children {
-                    Some((l, r)) => {
-                        for child in [l, r] {
-                            let c = &nodes[child];
-                            let d = metric.min_dist_between_rects(&src.lo, &src.hi, &c.lo, &c.hi);
-                            if d < best {
-                                heap.push(Reverse((Key(d), child)));
-                            }
-                        }
-                    }
-                    None if node.part == i => {}
-                    None => {
-                        let other = &parts[node.part];
-                        let pairs = src.members.len() * other.members.len();
-                        if verified >= ISOLATION_CANDIDATE_CAP || pairs > ISOLATION_PAIR_CAP {
-                            // Fall back to the rectangle distance: looser
-                            // but sound, and it terminates the traversal.
-                            best = best.min(key);
-                            continue;
-                        }
-                        verified += 1;
-                        for &a in &src.members {
-                            for &b in &other.members {
-                                best = best.min(metric.distance(data.point(a), data.point(b)));
-                            }
-                        }
-                    }
-                }
-            }
-            best
-        })
-        .collect()
-}
-
 /// Implements [`lof_core::KnnProvider`] for an index type exposing the
 /// internal two-phase search API:
 ///
 /// * `fn search_k_distance(&self, q, k, exclude, scratch) -> f64` — exact
 ///   `k`-distance among candidates (excluding `exclude`), using the scratch
-///   buffers for all transient search state;
+///   buffers for all transient search state. Only the returned value is
+///   meaningful: the kd and ball descents skip candidates tied with a full
+///   heap's bound, so the ids the scratch heap holds afterwards need not
+///   be the canonical `k` smallest;
 /// * `fn search_within_into(&self, q, radius, exclude, scratch, out)` —
 ///   appends all candidates within `radius` (inclusive) to `out`, in any
 ///   order (the macro sorts the appended tail canonically);
@@ -949,10 +810,51 @@ mod tests {
         let pieces = registry.counter("index.partitions.pieces").value() - pieces_before;
         assert!(bisected >= sprawling as u64, "{bisected} < {sprawling}");
         assert!(pieces >= (parts.len() - (leaves.len() - sprawling)) as u64);
+        let mut again = parts.clone();
+        let work = lof_core::set_isolation_radii(&Euclidean, &mut again, |id| data.point(id));
+        assert!(work.pairs > 0 && work.evals >= work.pairs);
+        assert!(registry.counter("index.partitions.isolation_pairs").value() >= work.pairs);
+        assert!(registry.counter("index.partitions.isolation_evals").value() >= work.evals);
         for span in ["", ".sprawl", ".profiles", ".isolation"] {
             let name = format!("index.partitions{span}");
             assert!(registry.histogram(&name).count() > calls, "{name} not recorded");
         }
+    }
+
+    #[test]
+    fn isolation_counters_count_each_pair_once() {
+        // Three runs on a line, at 0..=2, 10..=11 and 30..=33. A's query
+        // verifies B and stops (C's box is farther than the pair found);
+        // B's query reuses that pair and stops; C's verifies B. Two
+        // distinct pairs, 3·2 + 2·4 point distances.
+        let xs = [0.0, 1.0, 2.0, 10.0, 11.0, 30.0, 31.0, 32.0, 33.0];
+        let rows: Vec<[f64; 1]> = xs.iter().map(|&x| [x]).collect();
+        let data = Dataset::from_rows(&rows).unwrap();
+        let mut parts: Vec<Partition> = [vec![0, 1, 2], vec![3, 4], vec![5, 6, 7, 8]]
+            .into_iter()
+            .map(|m| Partition::from_member_points(&Euclidean, m, |id| data.point(id)))
+            .collect();
+        let work = lof_core::set_isolation_radii(&Euclidean, &mut parts, |id| data.point(id));
+        assert_eq!(work, lof_core::IsolationWork { pairs: 2, evals: 14 });
+        let radii: Vec<f64> = parts.iter().map(|p| p.isolation).collect();
+        assert_eq!(radii, [8.0, 8.0, 19.0]);
+
+        if !lof_obs::enabled() {
+            return;
+        }
+        let registry = lof_obs::MetricsRegistry::new();
+        publish_partition_counts(&registry, 1, 3, work);
+        publish_partition_counts(&registry, 0, 0, work);
+        let read = |name: &str| registry.counter(&format!("index.partitions.{name}")).value();
+        assert_eq!(
+            [
+                read("sprawl_leaves"),
+                read("pieces"),
+                read("isolation_pairs"),
+                read("isolation_evals")
+            ],
+            [1, 3, 4, 28]
+        );
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! entirely in squared space (`min_dist_to_rect_sq` pruning, no square
 //! roots in the inner loop) and takes a single square root at the end —
 //! exact, because `sqrt` is monotone, so the k-th smallest squared
-//! distance maps to the k-th smallest distance.
+//! distance maps to the k-th smallest distance. The range pass prunes and
+//! filters in squared space too, and takes a square root only for the
+//! points it keeps.
 
 use crate::common::{impl_knn_provider, widen_sq};
 use lof_core::distance::BlockedForm;
@@ -142,6 +144,13 @@ impl<'a, M: Metric> KdTree<'a, M> {
     /// is the distance the heap holds and `rect` bounds it from below over
     /// a box. `node_dist` is this node's `rect` value, computed by its
     /// parent (the root's `-∞` never prunes).
+    ///
+    /// Only the k-th distance is read afterwards, so once the heap holds
+    /// `k` candidates nothing at or beyond its bound can change the
+    /// answer: a candidate tied with the bound is not offered, and a node
+    /// whose lower bound reaches it is pruned. The held ids are then some
+    /// `k` candidates at the `k` smallest distances, not necessarily the
+    /// canonical `(distance, id)`-smallest ones.
     #[allow(clippy::too_many_arguments)]
     fn knn_rec<R, D>(
         &self,
@@ -156,15 +165,20 @@ impl<'a, M: Metric> KdTree<'a, M> {
         R: Fn(&[f64], &[f64], &[f64]) -> f64,
         D: Fn(&[f64], &[f64]) -> f64,
     {
-        if node_dist > best.bound() {
+        if best.is_full() && node_dist >= best.bound() {
             return;
         }
         let node = &self.nodes[node_id];
         match node.children {
             None => {
+                let mut bound = best.bound();
                 for &id in &self.ids[node.start..node.end] {
                     if Some(id) != exclude {
-                        best.offer(id, point(q, self.data.point(id)));
+                        let d = point(q, self.data.point(id));
+                        if d < bound || !best.is_full() {
+                            best.offer(id, d);
+                            bound = best.bound();
+                        }
                     }
                 }
             }
@@ -181,6 +195,10 @@ impl<'a, M: Metric> KdTree<'a, M> {
         }
     }
 
+    /// Collects every point within `radius` (inclusive). Under a
+    /// squared-Euclidean form the pass prunes and filters on squared
+    /// distances and takes a square root only for the points that pass;
+    /// inclusion is still decided on the exact distance.
     fn search_within_into(
         &self,
         q: &[f64],
@@ -189,21 +207,53 @@ impl<'a, M: Metric> KdTree<'a, M> {
         _scratch: &mut KnnScratch,
         out: &mut Vec<Neighbor>,
     ) {
-        if self.root != usize::MAX {
-            self.range_rec(self.root, q, radius, exclude, out);
+        if self.root == usize::MAX {
+            return;
+        }
+        let metric = &self.metric;
+        let sq = |q: &[f64], p: &[f64]| lof_core::distance::squared_euclidean(q, p);
+        let rect_sq = |q: &[f64], lo: &[f64], hi: &[f64]| metric.min_dist_to_rect_sq(q, lo, hi);
+        match metric.blocked_form() {
+            // The widened cut keeps every point whose rounded square root
+            // is within `radius`; the exact test follows.
+            BlockedForm::Euclidean => {
+                let accept = |d_sq: f64| Some(d_sq.sqrt()).filter(|&d| d <= radius);
+                let cut = widen_sq(radius * radius);
+                self.range_rec(self.root, q, cut, exclude, &rect_sq, &sq, &accept, out);
+            }
+            BlockedForm::SquaredEuclidean => {
+                self.range_rec(self.root, q, radius, exclude, &rect_sq, &sq, &Some, out);
+            }
+            BlockedForm::Generic => {
+                let rect = |q: &[f64], lo: &[f64], hi: &[f64]| metric.min_dist_to_rect(q, lo, hi);
+                let dist = |q: &[f64], p: &[f64]| metric.distance(q, p);
+                self.range_rec(self.root, q, radius, exclude, &rect, &dist, &Some, out);
+            }
         }
     }
 
-    fn range_rec(
+    /// Depth-first range pass under one distance form: nodes whose `rect`
+    /// bound exceeds `cut` are pruned, points whose `point` value exceeds
+    /// it are skipped, and `accept` maps a remaining value to the
+    /// neighbor's distance, or rejects it.
+    #[allow(clippy::too_many_arguments)]
+    fn range_rec<R, D, A>(
         &self,
         node_id: usize,
         q: &[f64],
-        radius: f64,
+        cut: f64,
         exclude: Option<usize>,
+        rect: &R,
+        point: &D,
+        accept: &A,
         out: &mut Vec<Neighbor>,
-    ) {
+    ) where
+        R: Fn(&[f64], &[f64], &[f64]) -> f64,
+        D: Fn(&[f64], &[f64]) -> f64,
+        A: Fn(f64) -> Option<f64>,
+    {
         let (lo, hi) = self.bbox(node_id);
-        if self.metric.min_dist_to_rect(q, lo, hi) > radius {
+        if rect(q, lo, hi) > cut {
             return;
         }
         let node = &self.nodes[node_id];
@@ -213,15 +263,17 @@ impl<'a, M: Metric> KdTree<'a, M> {
                     if Some(id) == exclude {
                         continue;
                     }
-                    let d = self.metric.distance(q, self.data.point(id));
-                    if d <= radius {
-                        out.push(Neighbor::new(id, d));
+                    let value = point(q, self.data.point(id));
+                    if value <= cut {
+                        if let Some(d) = accept(value) {
+                            out.push(Neighbor::new(id, d));
+                        }
                     }
                 }
             }
             Some((left, right)) => {
-                self.range_rec(left, q, radius, exclude, out);
-                self.range_rec(right, q, radius, exclude, out);
+                self.range_rec(left, q, cut, exclude, rect, point, accept, out);
+                self.range_rec(right, q, cut, exclude, rect, point, accept, out);
             }
         }
     }

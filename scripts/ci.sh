@@ -30,10 +30,15 @@ echo "== parallel tree joins: identity under every dispatch target =="
 # exact distances: 4 lanes on AVX2, 2 on SSE2/NEON, 1 on the scalar
 # path. The lane width follows the target; the bits must not. kd and
 # ball build_table_parallel must equal the serial scan table under each.
+#
+# The top-n geometry identity suite rides along: partition radii and
+# rank profiles against brute force, the recorded digest of a capped
+# cover, and the kd range pass and k-distance descents against the scan.
 for target in "" "LOF_FORCE_SCALAR=1" "LOF_SIMD=sse2"; do
   echo "-- dispatch: ${target:-native}"
   env $target cargo test -q -p lof-index --test batch_consistency parallel_tree_tables
   env $target cargo test -q --test parallel_materialize
+  env $target cargo test -q --test topn_geometry_identity
 done
 
 echo "== streaming subsystem: build + tests + serve integration =="
