@@ -27,18 +27,31 @@
 //! The stage split (`stages`) reads the library's own spans from the
 //! `lof-obs` registry: `tree.partitions()` split into its sprawl, profile
 //! and isolation-radius sub-spans (`index.partitions.*`), then the
-//! engine's `core.topn.envelopes` and `core.topn.refine` for the
-//! 1-thread cell's median round; `envelope_passes` splits the envelope
-//! stage into its three passes (`core.topn.envelope.*`) for the median
-//! round of each cell. `sprawl_leaves` and `sprawl_pieces` count the
-//! leaves the cover bisected and the pieces they became,
+//! engine's stages for the 1-thread cell's median round, in run order:
+//! the k-distance envelope pass, the exact seed (`core.topn.seed`), the
+//! direct and indirect passes at the seed's θ, and `core.topn.refine`
+//! (`envelopes_s` sums the three passes). `envelope_passes` splits the
+//! envelope work into its three passes (`core.topn.envelope.*`) for the
+//! median round of each cell. `sprawl_leaves` and `sprawl_pieces` count
+//! the leaves the cover bisected and the pieces they became,
 //! `isolation_pairs` and `isolation_evals` the partition pairs the
 //! isolation radii verified and the point distances that took;
-//! `refine_descents` and `refine_range_passes` count the provider
-//! queries the median round's refinement made. The stages and counters
-//! are zero in a build without the `obs` feature. The binary also
-//! aborts if the engine prunes no partition at all: the fixture is built
-//! for pruning, so a cover that prunes nothing is a regression.
+//! `seed_objects`, `k_distances`, `k_distance_batches`,
+//! `k_distance_gather_overflows` (batches whose candidate gather passed
+//! its cap and fell back to per-id descents), `range_passes` and
+//! `nodes_folded_at_theta` are the median round's `TopNStats`, and
+//! `seed_theta` is θ after the seed. The stages are zero in a build
+//! without the `obs` feature. The binary also aborts if the engine
+//! prunes no partition at all: the fixture is built for pruning, so a
+//! cover that prunes nothing is a regression.
+//!
+//! `misleading_isolation` records the seed's worst case: the same
+//! lattices with a sparse lattice of `4n` points whose leaves are the
+//! most isolated of the cover, and `n / 2` planted outliers a few units
+//! off the dense lattices instead of the far uniform ones. The seed then
+//! scores only inliers; the cell records its θ, the final θ, the seed's
+//! objects, the k-distance batches and gather overflows and the
+//! 1-thread engine's median time, after the same bit-identity gate.
 //!
 //! Writes `BENCH_topn.json` (override with `BENCH_TOPN_OUT`). Run with
 //! `--release`; pin the point count with `LOF_TOPN_POINTS` and the
@@ -64,6 +77,14 @@ const CELL_MIN_TIME: std::time::Duration = std::time::Duration::from_secs(5);
 /// Smallest accepted speedup of the `nproc`-thread engine cell over the
 /// 1-thread cell, when `nproc >= 2`.
 const MIN_THREAD_SPEEDUP: f64 = 1.3;
+/// Spacing of the misleading fixture's sparse lattice: far above its
+/// planted outliers' gap to the dense lattices.
+const SPARSE_SPACING: f64 = 40.0;
+/// The misleading fixture's outliers sit this far beyond a lattice side.
+const DECOY_GAP: f64 = 6.0;
+/// Engine rounds of the misleading-isolation cell, which scores nearly
+/// every object (about 25 s a round at 1M points).
+const MISLEADING_ROUNDS: usize = 3;
 
 /// Unit-spacing lattice clusters scattered far apart, plus uniform
 /// planted outliers: the density contrast LOF exists to detect, at a
@@ -74,7 +95,54 @@ const MIN_THREAD_SPEEDUP: f64 = 1.3;
 fn clustered_dataset(seed: u64, n: usize) -> Dataset {
     let mut rng = seeded(seed);
     let mut data = Dataset::new(DIMS);
-    let body = n.saturating_sub(OUTLIERS).max(CLUSTERS);
+    push_lattices(&mut rng, &mut data, n.saturating_sub(OUTLIERS).max(CLUSTERS));
+    for _ in 0..n.saturating_sub(data.len()) {
+        let p: Vec<f64> = (0..DIMS).map(|_| rng.random_range(0.0..1000.0)).collect();
+        data.push(&p).expect("outlier has the mixture's dimensionality");
+    }
+    data
+}
+
+/// The seed's worst case: `n` points as [`CLUSTERS`] unit lattices, a
+/// sparse lattice of `4 · top_n` of them at [`SPARSE_SPACING`] far from
+/// the rest, and `top_n / 2` planted outliers [`DECOY_GAP`] beyond a
+/// lattice side. Every sparse leaf is more isolated than every outlier,
+/// so the seed's `2 · top_n` objects are all sparse inliers (LOF ≈ 1).
+fn misleading_dataset(seed: u64, n: usize, top_n: usize) -> Dataset {
+    let (sparse, decoys) = (4 * top_n, top_n / 2);
+    let mut rng = seeded(seed);
+    let mut data = Dataset::new(DIMS);
+    let lattices = push_lattices(&mut rng, &mut data, n.saturating_sub(sparse + decoys));
+    let side = (sparse as f64).powf(1.0 / DIMS as f64).ceil() as usize;
+    for i in 0..sparse {
+        let mut rest = i;
+        let row: Vec<f64> = (0..DIMS)
+            .map(|_| {
+                let offset = (rest % side) as f64;
+                rest /= side;
+                1500.0 + SPARSE_SPACING * offset
+            })
+            .collect();
+        data.push(&row).expect("sparse point has the mixture's dimensionality");
+    }
+    for j in 0..decoys {
+        let (center, reach) = &lattices[j % lattices.len()];
+        let mut row = center.clone();
+        row[(j / lattices.len()) % DIMS] += reach + DECOY_GAP;
+        data.push(&row).expect("outlier has the mixture's dimensionality");
+    }
+    data
+}
+
+/// Appends `body` points as [`CLUSTERS`] hypercubic unit lattices around
+/// random centers in `[0, 1000)^DIMS`; returns each lattice's center and
+/// how far it reaches past the center on every axis.
+fn push_lattices(
+    rng: &mut lof_data::rng::WorkloadRng,
+    data: &mut Dataset,
+    body: usize,
+) -> Vec<(Vec<f64>, f64)> {
+    let mut lattices = Vec::with_capacity(CLUSTERS);
     let mut remaining = body;
     for c in 0..CLUSTERS {
         let share = (body / CLUSTERS + usize::from(c < body % CLUSTERS)).min(remaining);
@@ -94,12 +162,9 @@ fn clustered_dataset(seed: u64, n: usize) -> Dataset {
             let row: Vec<f64> = p.iter().zip(&center).map(|(o, c)| c + o).collect();
             data.push(&row).expect("lattice point has the mixture's dimensionality");
         }
+        lattices.push((center, side as f64 - 1.0 - half));
     }
-    for _ in 0..n.saturating_sub(data.len()) {
-        let p: Vec<f64> = (0..DIMS).map(|_| rng.random_range(0.0..1000.0)).collect();
-        data.push(&p).expect("outlier has the mixture's dimensionality");
-    }
-    data
+    lattices
 }
 
 /// Aborts on the first divergence between the engine ranking and the
@@ -128,11 +193,11 @@ fn counter(name: &str) -> u64 {
     lof_obs::global().counter(name).value()
 }
 
-/// The engine spans one round records: `core.topn.envelopes`, its three
-/// passes, and `core.topn.refine`.
+/// The engine spans one round records, in run order: the k-distance
+/// pass, the seed, the direct and indirect passes, and refinement.
 const ENGINE_SPANS: [&str; 5] = [
-    "core.topn.envelopes",
     "core.topn.envelope.k_distance",
+    "core.topn.seed",
     "core.topn.envelope.direct",
     "core.topn.envelope.indirect",
     "core.topn.refine",
@@ -183,6 +248,62 @@ fn engine_cells(
     )
 }
 
+/// The misleading-isolation cell (module docs): the 1-thread engine on
+/// [`misleading_dataset`], gated on bit-identity every round, for
+/// [`MISLEADING_ROUNDS`] rounds. Returns its JSON object.
+fn misleading_cell(n: usize, top_n: usize) -> String {
+    let data = misleading_dataset(11, n, top_n);
+    let tree = KdTree::new(&data, Euclidean);
+    let partitions = tree.partitions();
+    let want = topn_reference(&tree, MIN_PTS, top_n).expect("reference sweep");
+    let engine = TopNEngine::new(MIN_PTS, top_n);
+    let mut rounds: Vec<(f64, TopNResult)> = (0..MISLEADING_ROUNDS)
+        .map(|_| {
+            let (result, t) = time(|| engine.run(&tree, &partitions).expect("engine run"));
+            assert_ranking_identical(
+                "misleading isolation: engine vs full sweep",
+                &result.ranking,
+                &want,
+            );
+            (t.as_secs_f64(), result)
+        })
+        .collect();
+    let count = rounds.len();
+    rounds.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+    let (median_s, result) = rounds.swap_remove(count / 2);
+    let stats = &result.stats;
+    println!(
+        "misleading isolation: engine, 1 thread {median_s:.3}s (median of {count}); seed \
+         threshold {:.4} from {} objects, final threshold {:.4}; pruned {} of {} partitions, \
+         {} objects scored; {} k-distance batches, {} past the gather cap",
+        result.seed_theta,
+        stats.seed_objects,
+        result.threshold,
+        stats.partitions_pruned,
+        stats.partitions,
+        stats.objects_refined,
+        stats.k_distance_batches,
+        stats.k_distance_gather_overflows
+    );
+    format!(
+        "{{\"dataset_size\": {n}, \"sparse_points\": {}, \"planted_outliers\": {}, \
+         \"threads\": 1, \"rounds\": {count}, \"median_s\": {median_s:.4}, \
+         \"seed_theta\": {:.6}, \"threshold\": {:.6}, \"seed_objects\": {}, \
+         \"partitions\": {}, \"partitions_pruned\": {}, \"objects_refined\": {}, \
+         \"k_distance_batches\": {}, \"k_distance_gather_overflows\": {}}}",
+        4 * top_n,
+        top_n / 2,
+        result.seed_theta,
+        result.threshold,
+        stats.seed_objects,
+        stats.partitions,
+        stats.partitions_pruned,
+        stats.objects_refined,
+        stats.k_distance_batches,
+        stats.k_distance_gather_overflows
+    )
+}
+
 fn main() {
     banner("bench_topn", "bound-driven top-n pruning vs the full materialize-sort sweep");
     let n: usize =
@@ -217,9 +338,10 @@ fn main() {
         time(|| topn_reference(&tree, MIN_PTS, top_n).expect("reference sweep"));
     let (rounds, [serial, parallel]) = engine_cells(&tree, &partitions, top_n, &reference, nproc);
     let (serial_s, parallel_s) = (serial.secs, parallel.secs);
-    let [envelopes_s, _, _, _, refine_s] = serial.stages;
+    let [k_distance_s, seed_s, direct_s, indirect_s, refine_s] = serial.stages;
+    let envelopes_s = k_distance_s + direct_s + indirect_s;
     let passes = |round: &Round| {
-        let [_, k_distance, direct, indirect, _] = round.stages;
+        let [k_distance, _, direct, indirect, _] = round.stages;
         format!(
             "{{\"k_distance_s\": {k_distance:.4}, \"direct_s\": {direct:.4}, \
              \"indirect_s\": {indirect:.4}}}"
@@ -241,8 +363,13 @@ fn main() {
     );
     println!(
         "pruned {} of {} partitions; {} of {n} objects never scored ({pruned_pct:.1}%); \
-         final threshold {:.4}",
-        stats.partitions_pruned, stats.partitions, stats.objects_pruned, serial.threshold
+         seed threshold {:.4} from {} objects, final threshold {:.4}",
+        stats.partitions_pruned,
+        stats.partitions,
+        stats.objects_pruned,
+        serial.seed_theta,
+        stats.seed_objects,
+        serial.threshold
     );
     let partitions_s = partition_time.as_secs_f64();
     println!(
@@ -252,9 +379,15 @@ fn main() {
     );
     println!("envelope passes, 1 thread: {serial_passes}; {nproc} threads: {parallel_passes}");
     println!(
-        "1-thread stages: envelopes {envelopes_s:.3}s, refine {refine_s:.3}s \
-         ({} descents, {} range passes)",
-        stats.descents, stats.range_passes
+        "1-thread stages: k-distance envelopes {k_distance_s:.3}s, seed {seed_s:.3}s, \
+         direct + indirect {:.3}s ({} nodes folded at θ), refine {refine_s:.3}s; \
+         {} k-distances in {} batches ({} past the gather cap), {} range passes",
+        direct_s + indirect_s,
+        stats.nodes_folded_at_theta,
+        stats.k_distances,
+        stats.k_distance_batches,
+        stats.k_distance_gather_overflows,
+        stats.range_passes
     );
     assert!(
         stats.partitions_pruned > 0,
@@ -266,6 +399,7 @@ fn main() {
         "engine at {nproc} threads is only {thread_speedup:.2}x the 1-thread engine \
          (gate: {MIN_THREAD_SPEEDUP}x)"
     );
+    let misleading = misleading_cell(n, top_n);
     let cell = |threads: usize, median_s: f64| {
         format!(
             "{{\"nproc\": {nproc}, \"isa\": \"{isa}\", \"threads\": {threads}, \
@@ -278,26 +412,37 @@ fn main() {
          \"planted_outliers\": {OUTLIERS},\n  \"min_pts\": {MIN_PTS},\n  \"top_n\": {top_n},\n  \
          \"partitions\": {},\n  \"partitions_pruned\": {},\n  \
          \"partitions_refined\": {},\n  \"objects_pruned\": {},\n  \
-         \"objects_refined\": {},\n  \"refine_descents\": {},\n  \
-         \"refine_range_passes\": {},\n  \"threshold\": {:.6},\n  \
+         \"objects_refined\": {},\n  \"seed_objects\": {},\n  \"k_distances\": {},\n  \
+         \"k_distance_batches\": {},\n  \"k_distance_gather_overflows\": {},\n  \
+         \"range_passes\": {},\n  \
+         \"nodes_folded_at_theta\": {},\n  \"seed_theta\": {:.6},\n  \"threshold\": {:.6},\n  \
          \"sprawl_leaves\": {sprawl_leaves},\n  \"sprawl_pieces\": {sprawl_pieces},\n  \
          \"isolation_pairs\": {isolation_pairs},\n  \"isolation_evals\": {isolation_evals},\n  \
          \"stages\": {{\"partitions_s\": {partitions_s:.4}, \"sprawl_s\": {sprawl_s:.4}, \
          \"profiles_s\": {profiles_s:.4}, \"isolation_s\": {isolation_s:.4}, \
-         \"envelopes_s\": {envelopes_s:.4}, \"refine_s\": {refine_s:.4}}},\n  \
+         \"k_distance_s\": {k_distance_s:.4}, \"seed_s\": {seed_s:.4}, \
+         \"reach_passes_s\": {:.4}, \"envelopes_s\": {envelopes_s:.4}, \
+         \"refine_s\": {refine_s:.4}}},\n  \
          \"envelope_passes\": {{\"threads_1\": {serial_passes}, \
          \"threads_nproc\": {parallel_passes}}},\n  \
          \"full_sweep_s\": {reference_s:.3},\n  \"engine_cells\": [{}, {}],\n  \
          \"pruning_speedup\": {pruning_speedup:.3},\n  \
-         \"thread_speedup\": {thread_speedup:.3}\n}}\n",
+         \"thread_speedup\": {thread_speedup:.3},\n  \
+         \"misleading_isolation\": {misleading}\n}}\n",
         stats.partitions,
         stats.partitions_pruned,
         stats.partitions_refined,
         stats.objects_pruned,
         stats.objects_refined,
-        stats.descents,
+        stats.seed_objects,
+        stats.k_distances,
+        stats.k_distance_batches,
+        stats.k_distance_gather_overflows,
         stats.range_passes,
+        stats.nodes_folded_at_theta,
+        serial.seed_theta,
         serial.threshold,
+        direct_s + indirect_s,
         cell(1, serial_s),
         cell(nproc, parallel_s),
     );

@@ -19,14 +19,18 @@ pub fn k_distance_of(neighborhood: &[Neighbor]) -> f64 {
     neighborhood.last().expect("k-distance of empty neighborhood").dist
 }
 
-/// Computes `k-distance(p)` directly from a provider, through
-/// [`KnnProvider::k_distance_into`] on the calling thread's scratch.
+/// Computes `k-distance(p)` directly from a provider, through a one-id
+/// [`KnnProvider::k_distances_into`] on the calling thread's scratch.
 ///
 /// # Errors
 ///
 /// Propagates the provider's validation errors.
 pub fn k_distance<P: KnnProvider + ?Sized>(provider: &P, id: usize, k: usize) -> Result<f64> {
-    with_thread_scratch(|scratch| provider.k_distance_into(id, k, scratch))
+    with_thread_scratch(|scratch| {
+        let mut out = Vec::with_capacity(1);
+        provider.k_distances_into(&[id], k, f64::INFINITY, scratch, &mut out)?;
+        Ok(out[0])
+    })
 }
 
 /// The *k-distinct-distance* neighborhood of `id`.

@@ -289,6 +289,9 @@ pub struct KnnScratch {
     /// [`crate::simd::exact_sq_columns`] and shared by every query of the
     /// active group.
     pub leaf_cols: Vec<f64>,
+    /// Batched k-distances of the kd and ball trees: the candidate ids
+    /// gathered once around a batch's bounding box.
+    pub gather: Vec<usize>,
     /// Leaf-grouped batch self-join: one bounded heap per query sharing a
     /// leaf (tree providers traverse once per leaf group).
     pub heaps: Vec<BoundedMaxHeap>,

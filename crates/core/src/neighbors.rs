@@ -130,28 +130,45 @@ pub trait KnnProvider {
         Ok(list.len())
     }
 
-    /// `k-distance(id)` (definition 3) alone: the distance of the last
-    /// entry of [`KnnProvider::k_nearest_into`], bit for bit, without
-    /// materializing the neighborhood where the provider can avoid it.
+    /// `k-distance(id)` (definition 3) of each of `ids`, appended to `out`
+    /// in `ids` order: the distance of the last entry of
+    /// [`KnnProvider::k_nearest_into`], bit for bit, without materializing
+    /// the neighborhoods where the provider can avoid it.
     ///
-    /// The default runs `k_nearest_into` and reads its last entry, so it
-    /// saves nothing over a full query: a caller that later reads the
-    /// neighborhood through [`KnnProvider::within`] pays a second range
-    /// pass. The spatial indexes in `lof-index` override it with their
-    /// k-distance descent alone (no range pass, no sort).
+    /// `radius` is the caller's promise that no asked k-distance exceeds
+    /// it (`+∞` promises nothing); a provider may use it to answer the
+    /// batch from one shared candidate gather. One id with `radius = +∞`
+    /// is a plain per-id k-distance query.
+    ///
+    /// The default loops over the ids, runs `k_nearest_into` for each and
+    /// reads its last entry, so it saves nothing over a full query: a
+    /// caller that later reads the neighborhood through
+    /// [`KnnProvider::within`] pays a second range pass. The spatial
+    /// indexes in `lof-index` override it with their k-distance descent
+    /// alone (no range pass, no sort), and the kd and ball trees answer a
+    /// batch with a finite `radius` from one gather around the ids'
+    /// bounding box.
     ///
     /// # Errors
     ///
-    /// Same as [`KnnProvider::k_nearest`].
-    fn k_distance_into(
+    /// Same as [`KnnProvider::k_nearest`], for the first failing id; on
+    /// error, partially appended output must be considered garbage.
+    fn k_distances_into(
         &self,
-        id: usize,
+        ids: &[usize],
         k: usize,
+        radius: f64,
         scratch: &mut crate::knn::KnnScratch,
-    ) -> Result<f64> {
-        let mut out = Vec::new();
-        self.k_nearest_into(id, k, scratch, &mut out)?;
-        Ok(crate::kdistance::k_distance_of(&out))
+        out: &mut Vec<f64>,
+    ) -> Result<()> {
+        let _ = radius;
+        let mut hood = Vec::new();
+        for &id in ids {
+            hood.clear();
+            self.k_nearest_into(id, k, scratch, &mut hood)?;
+            out.push(crate::kdistance::k_distance_of(&hood));
+        }
+        Ok(())
     }
 
     /// Materializes the neighborhoods of a contiguous id range in one

@@ -51,6 +51,12 @@ pub struct KernelStats {
     /// Remainder dimension lanes (`d mod lanes` per dot product) that
     /// took the masked/peeled path.
     pub simd_remainder_lanes: u64,
+    /// Batched k-distance queries whose candidate gather passed its cap,
+    /// so each id fell back to a per-id descent. Counted with `obs` on or
+    /// off (one addition per batch, outside the hot loops) and not
+    /// published from here: the top-n engine reports it in
+    /// [`TopNStats::k_distance_gather_overflows`](crate::TopNStats).
+    pub gather_overflows: u64,
 }
 
 macro_rules! bump {
@@ -160,8 +166,12 @@ pub(crate) struct CoreMetrics {
     pub topn_partitions_refined: Arc<Counter>,
     pub topn_objects_pruned: Arc<Counter>,
     pub topn_objects_refined: Arc<Counter>,
-    pub topn_descents: Arc<Counter>,
+    pub topn_seed_objects: Arc<Counter>,
+    pub topn_k_distances: Arc<Counter>,
+    pub topn_k_distance_batches: Arc<Counter>,
+    pub topn_k_distance_gather_overflows: Arc<Counter>,
     pub topn_range_passes: Arc<Counter>,
+    pub topn_nodes_folded_at_theta: Arc<Counter>,
     pub topn_tightenings: Arc<Counter>,
     pub topn_heap_churn: Arc<Counter>,
     pub ooc_panel_faults: Arc<Counter>,
@@ -206,8 +216,12 @@ impl CoreMetrics {
             topn_partitions_refined: r.counter("core.topn.partitions_refined"),
             topn_objects_pruned: r.counter("core.topn.objects_pruned"),
             topn_objects_refined: r.counter("core.topn.objects_refined"),
-            topn_descents: r.counter("core.topn.descents"),
+            topn_seed_objects: r.counter("core.topn.seed_objects"),
+            topn_k_distances: r.counter("core.topn.k_distances"),
+            topn_k_distance_batches: r.counter("core.topn.k_distance_batches"),
+            topn_k_distance_gather_overflows: r.counter("core.topn.k_distance_gather_overflows"),
             topn_range_passes: r.counter("core.topn.range_passes"),
+            topn_nodes_folded_at_theta: r.counter("core.topn.nodes_folded_at_theta"),
             topn_tightenings: r.counter("core.topn.threshold_tightenings"),
             topn_heap_churn: r.counter("core.topn.heap_churn"),
             ooc_panel_faults: r.counter("core.ooc.panel_faults"),
@@ -275,8 +289,12 @@ fn publish_topn_to(m: &CoreMetrics, stats: &crate::topn::TopNStats) {
         (&m.topn_partitions_refined, stats.partitions_refined),
         (&m.topn_objects_pruned, stats.objects_pruned),
         (&m.topn_objects_refined, stats.objects_refined),
-        (&m.topn_descents, stats.descents),
+        (&m.topn_seed_objects, stats.seed_objects),
+        (&m.topn_k_distances, stats.k_distances),
+        (&m.topn_k_distance_batches, stats.k_distance_batches),
+        (&m.topn_k_distance_gather_overflows, stats.k_distance_gather_overflows),
         (&m.topn_range_passes, stats.range_passes),
+        (&m.topn_nodes_folded_at_theta, stats.nodes_folded_at_theta),
         (&m.topn_tightenings, stats.threshold_tightenings),
         (&m.topn_heap_churn, stats.heap_churn),
     ] {
@@ -410,8 +428,12 @@ mod tests {
             partitions_refined: 3,
             objects_pruned: 90,
             objects_refined: 10,
-            descents: 30,
+            seed_objects: 6,
+            k_distances: 30,
+            k_distance_batches: 3,
+            k_distance_gather_overflows: 1,
             range_passes: 12,
+            nodes_folded_at_theta: 7,
             threshold_tightenings: 4,
             heap_churn: 2,
         };
@@ -421,6 +443,10 @@ mod tests {
             publish_topn_to(&m, &stats);
             assert_eq!(registry.counter("core.topn.runs").value(), 1);
             assert_eq!(registry.counter("core.topn.objects_pruned").value(), 90);
+            assert_eq!(registry.counter("core.topn.seed_objects").value(), 6);
+            assert_eq!(registry.counter("core.topn.k_distance_batches").value(), 3);
+            assert_eq!(registry.counter("core.topn.k_distance_gather_overflows").value(), 1);
+            assert_eq!(registry.counter("core.topn.nodes_folded_at_theta").value(), 7);
         }
         #[cfg(not(feature = "obs"))]
         {

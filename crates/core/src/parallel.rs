@@ -59,22 +59,21 @@ where
         return (0..items).map(|i| f(&mut state, i)).collect();
     }
     let (init, f) = (&init, &f);
-    let parts: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
+    let parts: Vec<Vec<R>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 scope.spawn(move || {
                     let mut state = init();
-                    (w..items).step_by(workers).map(|i| (i, f(&mut state, i))).collect()
+                    (w..items).step_by(workers).map(|i| f(&mut state, i)).collect()
                 })
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("strided map worker panicked")).collect()
     });
-    let mut out: Vec<Option<R>> = (0..items).map(|_| None).collect();
-    for (i, r) in parts.into_iter().flatten() {
-        out[i] = Some(r);
-    }
-    out.into_iter().map(|r| r.expect("every index computed")).collect()
+    // Worker `w` mapped `w, w + workers, ...` in order, so index `i` is
+    // the next result of worker `i % workers`.
+    let mut parts: Vec<_> = parts.into_iter().map(Vec::into_iter).collect();
+    (0..items).map(|i| parts[i % workers].next().expect("every index computed")).collect()
 }
 
 /// Builds the materialization table with `threads` worker threads (step

@@ -33,6 +33,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use super::boxtree::{BoxTree, Key};
 use super::Partition;
@@ -280,8 +281,26 @@ fn kd_bounds<M: Metric + ?Sized>(
     (lo, hi.unwrap_or(f64::INFINITY))
 }
 
+/// When a reachable-set fold may take a whole subtree at its node-level
+/// values although full tightness would descend into it.
+#[derive(Clone, Copy)]
+enum Loose {
+    /// Never: full tightness ([`partition_envelopes`], or no θ yet).
+    Never,
+    /// The direct pass: fold while the running upper end stays below the
+    /// limit, `θ` times a floor under every indirect minimum; the
+    /// partition's `LOFmax` then stays below θ.
+    Below(f64),
+    /// The indirect pass: fold while the running lower end stays above
+    /// the limit, the partition's `direct_max / θ`; its `LOFmax` then
+    /// stays below θ.
+    Above(f64),
+}
+
 /// Folds the current aggregates over partition `src`'s reachable set —
 /// every partition whose closest rectangle distance is within `radius`.
+/// Returns the two ends and the internal nodes folded by `loose` where
+/// full tightness would have descended.
 ///
 /// With `with_distance` set (the direct pass) each reachable leaf
 /// contributes `[max(agg_lo, closest), max(agg_hi, min(radius, farthest))]`,
@@ -296,11 +315,18 @@ fn kd_bounds<M: Metric + ?Sized>(
 /// has `closest = 0`, and folding it blindly would pull `lo` down to its
 /// subtree-min aggregate even when every individual leaf sits far away.
 ///
+/// A [`Loose`] rule trades that tightness away where θ cannot use it: a
+/// node it accepts is folded at its node-level values even when it
+/// straddles the radius or would move an end. Its subtree holds every
+/// reachable partition below it, and its values bound each of theirs, so
+/// the result is still a valid envelope, only a looser one.
+///
 /// In the direct pass, leaves other than `src`'s own are clamped to
 /// `src`'s isolation radius, exactly as in [`kd_bounds`]: their members
 /// provably sit at least that far from every member of `src`. Internal
 /// nodes keep the raw rectangle distance — their subtree may contain
 /// `src` itself, which the clamp must never apply to.
+#[allow(clippy::too_many_arguments)]
 fn reachable_envelope<M: Metric + ?Sized>(
     metric: &M,
     tree: &BoxTree,
@@ -309,9 +335,11 @@ fn reachable_envelope<M: Metric + ?Sized>(
     src_idx: usize,
     radius: f64,
     with_distance: bool,
-) -> (f64, f64) {
+    loose: Loose,
+) -> (f64, f64, u64) {
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;
+    let mut folded = 0;
     let stack = &mut walk.stack;
     stack.clear();
     stack.push(tree.root);
@@ -335,20 +363,30 @@ fn reachable_envelope<M: Metric + ?Sized>(
             // A subtree straddling the radius may hold unreachable
             // partitions; one whose node-level contribution could still
             // move an end must be resolved leaf-by-leaf (for the direct
-            // pass `closest` is only exact per leaf). Both cases descend.
+            // pass `closest` is only exact per leaf). Both cases descend,
+            // unless θ has no use for the tightness.
             if farthest > radius || cand_lo < lo || cand_hi > hi {
-                stack.push(l);
-                stack.push(r);
-                continue;
+                let fold = match loose {
+                    Loose::Never => false,
+                    Loose::Below(limit) => hi.max(cand_hi) < limit,
+                    Loose::Above(limit) => lo.min(cand_lo) > limit,
+                };
+                if !fold {
+                    stack.push(l);
+                    stack.push(r);
+                    continue;
+                }
+                folded += 1;
             }
         }
         lo = lo.min(cand_lo);
         hi = hi.max(cand_hi);
     }
-    (lo, hi)
+    (lo, hi, folded)
 }
 
-/// Computes the full set of [`PartitionEnvelope`]s for a partitioning.
+/// Computes the full set of [`PartitionEnvelope`]s for a partitioning,
+/// at full tightness.
 ///
 /// Pure geometry: needs the metric and the partition boxes, never the
 /// points. Every envelope is conservative, so downstream pruning against
@@ -364,20 +402,47 @@ pub fn partition_envelopes<M: Metric + ?Sized>(
     partitions: &[Partition],
     min_pts: usize,
 ) -> Result<Vec<PartitionEnvelope>> {
-    envelopes_threaded(metric, partitions, min_pts, 1)
+    envelopes_threaded(metric, partitions, min_pts, f64::NEG_INFINITY, 1).map(|(envs, _)| envs)
 }
 
-/// [`partition_envelopes`] with each of the three per-partition passes
-/// strided across `threads` workers. Every envelope is a pure function of
-/// the box tree and the previous pass's aggregates, so the output is
-/// bit-identical at any thread count; the only barriers are the
-/// aggregate loads between passes.
-pub(super) fn envelopes_threaded<M: Metric + ?Sized>(
+/// All three passes at threshold `theta` on `threads` workers; also
+/// returns the nodes folded at θ ([`reach_passes`]).
+fn envelopes_threaded<M: Metric + ?Sized>(
+    metric: &M,
+    partitions: &[Partition],
+    min_pts: usize,
+    theta: f64,
+    threads: usize,
+) -> Result<(Vec<PartitionEnvelope>, u64)> {
+    let mut kd = k_distance_pass(metric, partitions, min_pts, threads)?;
+    Ok(reach_passes(metric, &mut kd.tree, partitions, &kd.lower, &kd.upper, theta, threads))
+}
+
+/// The k-distance envelope pass's output.
+pub(super) struct KdPass {
+    /// The box tree the later passes walk; `None` when the metric has no
+    /// rectangle geometry and every envelope is vacuous.
+    pub tree: Option<BoxTree>,
+    /// Each partition's `k_distance_lower`.
+    pub lower: Vec<f64>,
+    /// Each partition's `k_distance_upper`.
+    pub upper: Vec<f64>,
+}
+
+/// Validates the partitions and runs the k-distance envelope pass
+/// ([`kd_bounds`]) strided across `threads` workers. Each envelope is a
+/// pure function of the box tree, so the output is bit-identical at any
+/// thread count.
+///
+/// # Errors
+///
+/// As [`partition_envelopes`].
+pub(super) fn k_distance_pass<M: Metric + ?Sized>(
     metric: &M,
     partitions: &[Partition],
     min_pts: usize,
     threads: usize,
-) -> Result<Vec<PartitionEnvelope>> {
+) -> Result<KdPass> {
     if partitions.is_empty() {
         return Err(LofError::InvalidPartition("no partitions".to_owned()));
     }
@@ -426,40 +491,92 @@ pub(super) fn envelopes_threaded<M: Metric + ?Sized>(
         }
     }
 
-    let mut tree = BoxTree::build(partitions);
+    let tree = BoxTree::build(partitions);
     let (root_lo, root_hi) = tree.bbox(tree.root);
     // Metrics without rectangle geometry (max bound +∞) would force the
     // upper best-first traversal to expand the entire tree per partition;
     // short-circuit to vacuous envelopes — exact, just unprunable.
     if !metric.max_dist_between_rects(root_lo, root_hi, root_lo, root_hi).is_finite() {
-        return Ok(partitions.iter().map(|_| PartitionEnvelope::vacuous()).collect());
+        let n_parts = partitions.len();
+        return Ok(KdPass {
+            tree: None,
+            lower: vec![0.0; n_parts],
+            upper: vec![f64::INFINITY; n_parts],
+        });
     }
 
-    let n_parts = partitions.len();
-    let span = lof_obs::span!("core.topn.envelope.k_distance");
-    let (kd_lb, kd_ub): (Vec<f64>, Vec<f64>) =
-        map_strided_with(n_parts, threads, Walk::default, |walk, i| {
-            kd_bounds(metric, &tree, walk, &partitions[i], i, min_pts)
-        })
-        .into_iter()
-        .unzip();
-    drop(span);
+    let _span = lof_obs::span!("core.topn.envelope.k_distance");
+    let (lower, upper) = map_strided_with(partitions.len(), threads, Walk::default, |walk, i| {
+        kd_bounds(metric, &tree, walk, &partitions[i], i, min_pts)
+    })
+    .into_iter()
+    .unzip();
+    Ok(KdPass { tree: Some(tree), lower, upper })
+}
 
+/// The direct and indirect passes over a [`KdPass`], each strided across
+/// `threads` workers, and the Theorem 1 bounds they imply. Returns the
+/// envelopes and how many box-tree nodes were folded at θ.
+///
+/// The passes are θ-aware. A partition is pruned when its
+/// `LOFmax = direct_max / indirect_min` is below `theta`, so tightness
+/// beyond that buys nothing ([`Loose`]):
+///
+/// * The direct pass does not know any `indirect_min` yet. Every
+///   reach-dist is at least some k-distance, so the smallest
+///   `k_distance_lower` floors every `indirect_min`; a node whose fold
+///   keeps `direct_max < θ · floor` is folded whole.
+/// * The indirect pass knows the partition's `direct_max`; a node whose
+///   fold keeps `indirect_min > direct_max / θ` is folded whole.
+///
+/// A `theta` that is not positive (`-∞` before any θ exists), and in the
+/// direct pass a floor of 0 (duplicate piles), fold at full tightness,
+/// bit for bit [`partition_envelopes`]. Every envelope stays
+/// conservative, so downstream pruning against it stays exact; each is a
+/// pure function of the box tree, the previous pass's aggregates and
+/// `theta`, so the output is bit-identical at any thread count.
+pub(super) fn reach_passes<M: Metric + ?Sized>(
+    metric: &M,
+    tree: &mut Option<BoxTree>,
+    partitions: &[Partition],
+    kd_lb: &[f64],
+    kd_ub: &[f64],
+    theta: f64,
+    threads: usize,
+) -> (Vec<PartitionEnvelope>, u64) {
+    let Some(tree) = tree else {
+        return (partitions.iter().map(|_| PartitionEnvelope::vacuous()).collect(), 0);
+    };
+    let n_parts = partitions.len();
+    let floor = kd_lb.iter().copied().fold(f64::INFINITY, f64::min);
+    let direct_rule =
+        if theta > 0.0 && floor > 0.0 { Loose::Below(theta * floor) } else { Loose::Never };
+
+    let folded = AtomicU64::new(0);
+    let count_folds = |n: u64| {
+        if n > 0 {
+            folded.fetch_add(n, Ordering::Relaxed);
+        }
+    };
     let span = lof_obs::span!("core.topn.envelope.direct");
-    tree.set_aggregates(&kd_lb, &kd_ub);
-    let (dir_min, dir_max): (Vec<f64>, Vec<f64>) =
-        map_strided_with(n_parts, threads, Walk::default, |walk, i| {
-            reachable_envelope(metric, &tree, walk, &partitions[i], i, kd_ub[i], true)
-        })
-        .into_iter()
-        .unzip();
+    tree.set_aggregates(kd_lb, kd_ub);
+    let direct = map_strided_with(n_parts, threads, Walk::default, |walk, i| {
+        let (lo, hi, n) =
+            reachable_envelope(metric, tree, walk, &partitions[i], i, kd_ub[i], true, direct_rule);
+        count_folds(n);
+        (lo, hi)
+    });
     drop(span);
+    let (dir_min, dir_max): (Vec<f64>, Vec<f64>) = direct.into_iter().unzip();
 
     let _span = lof_obs::span!("core.topn.envelope.indirect");
     tree.set_aggregates(&dir_min, &dir_max);
+    let tree = &*tree;
     let out = map_strided_with(n_parts, threads, Walk::default, |walk, i| {
-        let (ind_min, ind_max) =
-            reachable_envelope(metric, &tree, walk, &partitions[i], i, kd_ub[i], false);
+        let rule = if theta > 0.0 { Loose::Above(dir_max[i] / theta) } else { Loose::Never };
+        let (ind_min, ind_max, n) =
+            reachable_envelope(metric, tree, walk, &partitions[i], i, kd_ub[i], false, rule);
+        count_folds(n);
         let t1 = theorem1_bounds(&NeighborhoodStats {
             direct_min: dir_min[i],
             direct_max: dir_max[i],
@@ -479,7 +596,7 @@ pub(super) fn envelopes_threaded<M: Metric + ?Sized>(
             },
         }
     });
-    Ok(out)
+    (out, folded.into_inner())
 }
 
 #[cfg(test)]
@@ -726,8 +843,8 @@ mod tests {
     /// runs, a pile of eight duplicates, and twelve stragglers as
     /// singleton partitions (what the trees' sprawl split emits), every
     /// partition with its exact isolation radius. Returns the cover and
-    /// the object count.
-    fn mixed_cover() -> (Vec<Partition>, usize) {
+    /// the dataset.
+    fn mixed_cover() -> (Vec<Partition>, Dataset) {
         let mut rows: Vec<[f64; 2]> = Vec::new();
         for y in 0..30 {
             for x in 0..40 {
@@ -769,12 +886,13 @@ mod tests {
             }
             part.isolation = isolation;
         }
-        (parts, data.len())
+        (parts, data)
     }
 
     #[test]
     fn one_traversal_k_distance_bounds_match_the_two_pass_oracle() {
-        let (mixed, n_objects) = mixed_cover();
+        let (mixed, data) = mixed_cover();
+        let n_objects = data.len();
         assert!(mixed.iter().all(|p| p.members.len() <= 8));
         let mut bare = mixed.clone();
         let mut truncated = mixed.clone();
@@ -824,34 +942,89 @@ mod tests {
         assert!(exhausted > 0, "some MinPts must exhaust the box tree");
     }
 
+    fn bits(e: &PartitionEnvelope) -> [u64; 8] {
+        [
+            e.k_distance_lower,
+            e.k_distance_upper,
+            e.direct_min,
+            e.direct_max,
+            e.indirect_min,
+            e.indirect_max,
+            e.lof.lower,
+            e.lof.upper,
+        ]
+        .map(f64::to_bits)
+    }
+
     #[test]
     fn threaded_envelopes_match_serial_bit_for_bit() {
         let (parts, _) = mixed_cover();
         assert!(parts.len() >= 200, "every worker needs work: {} partitions", parts.len());
 
-        let bits = |e: &PartitionEnvelope| {
-            [
-                e.k_distance_lower,
-                e.k_distance_upper,
-                e.direct_min,
-                e.direct_max,
-                e.indirect_min,
-                e.indirect_max,
-                e.lof.lower,
-                e.lof.upper,
-            ]
-            .map(f64::to_bits)
-        };
         for min_pts in [4, 9] {
             let serial = partition_envelopes(&Euclidean, &parts, min_pts).unwrap();
             assert!(serial.iter().any(|e| e.lof.upper.is_finite()), "bounds must be informative");
             for threads in [2, 3, 7] {
-                let threaded = envelopes_threaded(&Euclidean, &parts, min_pts, threads).unwrap();
+                let (threaded, _) =
+                    envelopes_threaded(&Euclidean, &parts, min_pts, f64::NEG_INFINITY, threads)
+                        .unwrap();
                 assert_eq!(threaded.len(), serial.len());
                 for (pi, (t, s)) in threaded.iter().zip(&serial).enumerate() {
                     assert_eq!(bits(t), bits(s), "min_pts={min_pts} threads={threads} part {pi}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn theta_aware_passes_at_minus_infinity_are_partition_envelopes() {
+        let (parts, _) = mixed_cover();
+        for min_pts in [4, 9] {
+            let full = partition_envelopes(&Euclidean, &parts, min_pts).unwrap();
+            for threads in [1, 3] {
+                let (aware, folded) =
+                    envelopes_threaded(&Euclidean, &parts, min_pts, f64::NEG_INFINITY, threads)
+                        .unwrap();
+                assert_eq!(folded, 0, "min_pts={min_pts} threads={threads}");
+                for (pi, (a, f)) in aware.iter().zip(&full).enumerate() {
+                    assert_eq!(bits(a), bits(f), "min_pts={min_pts} threads={threads} part {pi}");
+                }
+            }
+        }
+    }
+
+    /// Every θ-aware envelope still brackets each member's exact LOF, is
+    /// never tighter than full tightness (so no partition full tightness
+    /// keeps is pruned), and on this cover prunes exactly the partitions
+    /// full tightness prunes, while folding nodes at θ.
+    #[test]
+    fn theta_aware_passes_stay_sound_and_prune_what_full_tightness_prunes() {
+        let (parts, data) = mixed_cover();
+        let scan = LinearScan::new(&data, Euclidean);
+        for min_pts in [4, 9] {
+            let table = NeighborhoodTable::build(&scan, min_pts).unwrap();
+            let lof = lof_values(&table, min_pts).unwrap();
+            let mut ranked = lof.clone();
+            ranked.sort_unstable_by(|a, b| b.total_cmp(a));
+            let full = partition_envelopes(&Euclidean, &parts, min_pts).unwrap();
+            let mut folded_somewhere = false;
+            for n in [1, 5, 20, 100] {
+                let theta = ranked[n - 1];
+                for threads in [1, 3] {
+                    let (aware, folded) =
+                        envelopes_threaded(&Euclidean, &parts, min_pts, theta, threads).unwrap();
+                    folded_somewhere |= folded > 0;
+                    for (pi, (a, f)) in aware.iter().zip(&full).enumerate() {
+                        let at = format!("min_pts={min_pts} θ={theta} threads={threads} part {pi}");
+                        for &id in &parts[pi].members {
+                            assert!(a.lof.contains(lof[id]), "{at}: id {id} lof {}", lof[id]);
+                        }
+                        assert!(a.lof.upper >= f.lof.upper, "{at}: tighter than full");
+                        assert_eq!(a.lof.upper < theta, f.lof.upper < theta, "{at}: prune differs");
+                    }
+                }
+            }
+            assert!(folded_somewhere, "min_pts={min_pts}: θ must fold some node");
         }
     }
 

@@ -3,21 +3,28 @@
 //! The full two-step algorithm scores every object; but the question
 //! users actually ask — "which are the n most outlying objects?" — can
 //! usually be answered while *scoring only a sliver of the dataset*. The
-//! engine here does that without giving up exactness:
+//! engine here does that without giving up exactness, in five stages:
 //!
 //! 1. **Partition**: the caller supplies micro-partitions (spatial
 //!    indexes expose their leaf structure through [`PartitionSource`];
 //!    any exact cover with valid bounding boxes works).
-//! 2. **Bound**: [`partition_envelopes`] turns pure rectangle geometry
-//!    into per-partition `[LOFmin, LOFmax]` via Theorem 1 (the engine runs
-//!    its per-partition passes on its worker threads).
-//! 3. **Prune**: a threshold θ — always an exactly-known lower bound on
-//!    the final n-th best score — eliminates whole partitions whose
-//!    `LOFmax` falls strictly below it.
-//! 4. **Refine**: surviving partitions are scored exactly (per-object
-//!    Theorem 2 bounds give each object one more chance to be pruned),
-//!    in parallel, over one store that materializes each neighborhood
-//!    exactly once with a per-id k-NN query, whichever worker needs it.
+//! 2. **k-distance envelopes**: pure rectangle geometry bounds every
+//!    partition's k-distances (the first of [`partition_envelopes`]'s
+//!    three passes, on the engine's worker threads).
+//! 3. **Seed θ**: the members of the most isolated partitions (by
+//!    [`Partition::isolation`]) are scored exactly until `2n` objects
+//!    are; θ is the n-th best of those scores. It is an exact score of a
+//!    real object, so it is a sound threshold on any data.
+//! 4. **Direct and indirect envelopes, at θ**: the other two passes turn
+//!    the k-distance envelopes into per-partition `[LOFmin, LOFmax]` via
+//!    Theorem 1, folding whole box-tree subtrees wherever the tightness
+//!    they give up could not lift a partition's `LOFmax` to θ.
+//! 5. **Refine**: partitions whose `LOFmax` is not strictly below θ are
+//!    scored exactly (per-object Theorem 2 bounds give each object one
+//!    more chance to be pruned), in parallel, over the seed's store,
+//!    which answers each object's k-distance and neighborhood at most
+//!    once, whichever worker needs it, and each k-distance a partition at
+//!    a time.
 //!
 //! The result is **bit-identical** to sorting a full sweep's scores by
 //! `(score desc, id asc)` and truncating — the differential property
@@ -303,26 +310,36 @@ pub trait PartitionSource {
 pub struct TopNStats {
     /// Total partitions supplied.
     pub partitions: u64,
-    /// Partitions eliminated by the θ check without materializing
-    /// anything.
+    /// Partitions eliminated by the θ check without being scored by
+    /// refinement (the seed may have scored some of them).
     pub partitions_pruned: u64,
-    /// Partitions that reached refinement.
+    /// Partitions that passed the θ check.
     pub partitions_refined: u64,
-    /// Objects skipped — via partition pruning or the per-object
-    /// Theorem 2 bound.
+    /// Objects not counted in `objects_refined`: members of pruned
+    /// partitions, and objects pruned by the per-object Theorem 2 bound.
     pub objects_pruned: u64,
-    /// Objects scored exactly.
+    /// Objects of partitions that passed the θ check that were scored
+    /// exactly, by the seed or by refinement.
     pub objects_refined: u64,
-    /// `k_distance_into` calls refinement ran: one per object it read
-    /// anything of. Each is one k-distance descent on a provider that
-    /// overrides `k_distance_into` (the `lof-index` trees); under the
-    /// trait's default it is a whole `k_nearest_into`, whose range pass
-    /// [`TopNStats::range_passes`] does not count.
-    pub descents: u64,
-    /// `within` calls refinement ran: one per object whose neighborhood
-    /// it read, at that object's known k-distance.
+    /// Objects the seed scored exactly, including members of partitions
+    /// the θ check later prunes.
+    pub seed_objects: u64,
+    /// k-distances the seed and refinement asked for: every member of
+    /// each partition of which they read any k-distance.
+    pub k_distances: u64,
+    /// `k_distances_into` calls that asked for them, one per partition.
+    pub k_distance_batches: u64,
+    /// Those calls whose provider gave up on one shared candidate gather
+    /// and answered each id by its own descent (kd and ball trees: the
+    /// gather around the partition passed its cap).
+    pub k_distance_gather_overflows: u64,
+    /// `within` calls the seed and refinement ran: one per object whose
+    /// neighborhood they read, at that object's known k-distance.
     pub range_passes: u64,
-    /// Times θ was raised after its seed value.
+    /// Box-tree nodes the direct and indirect envelope passes folded
+    /// whole at θ where full tightness would have descended.
+    pub nodes_folded_at_theta: u64,
+    /// Times refinement raised θ above the seed's value.
     pub threshold_tightenings: u64,
     /// Evictions from the candidate heap (set instability).
     pub heap_churn: u64,
@@ -335,9 +352,13 @@ pub struct TopNResult {
     /// `(score desc, id asc)` — exactly the prefix of a sorted full
     /// sweep. Shorter than `n` only when the dataset is.
     pub ranking: Vec<(usize, f64)>,
-    /// Final pruning threshold θ (the n-th best exact score, or the
-    /// envelope seed if nothing beat it).
+    /// Final pruning threshold θ: the n-th best exact score, `-∞` when
+    /// the dataset holds fewer than `n` objects.
     pub threshold: f64,
+    /// θ after the seed, before any envelope beyond the k-distances: the
+    /// n-th best score among the seed's objects (`-∞` if it scored fewer
+    /// than `n`). Equal to `threshold` when the seed found the answer.
+    pub seed_theta: f64,
     /// Work accounting.
     pub stats: TopNStats,
 }
@@ -382,7 +403,8 @@ impl TopNEngine {
         self.threads
     }
 
-    /// Runs the partition → bound → prune → refine pipeline.
+    /// Runs the partition → k-distance envelope → seed → envelope at θ
+    /// → refine pipeline.
     ///
     /// `partitions` must exactly cover the provider's id space (see
     /// [`Partition`]); pass an index's [`PartitionSource::partitions`]
@@ -433,14 +455,39 @@ impl TopNEngine {
             stats.partitions_pruned = stats.partitions;
             stats.objects_pruned = n_objects as u64;
             publish_stats(&stats);
-            return Ok(TopNResult { ranking: Vec::new(), threshold: f64::INFINITY, stats });
+            return Ok(TopNResult {
+                ranking: Vec::new(),
+                threshold: f64::INFINITY,
+                seed_theta: f64::INFINITY,
+                stats,
+            });
         }
 
-        let envelopes = {
-            let _span = lof_obs::span!("core.topn.envelopes");
-            envelope::envelopes_threaded(metric, partitions, self.min_pts, self.threads)?
+        let mut kd = envelope::k_distance_pass(metric, partitions, self.min_pts, self.threads)?;
+        let store =
+            refine::Store::new(provider, partitions, &part_of, &kd.upper, self.min_pts, self.n);
+
+        let seed_order = seed_partitions(partitions, self.n.saturating_mul(2));
+        let mut seeded = vec![false; partitions.len()];
+        for &pi in &seed_order {
+            seeded[pi] = true;
+        }
+        let seed = {
+            let _span = lof_obs::span!("core.topn.seed");
+            let stage = refine::Stage { order: &seed_order, envelopes: None, seeded: &seeded };
+            store.run(&stage, self.threads)?
         };
-        let theta0 = seed_threshold(&envelopes, partitions, self.n);
+        let seed_theta = store.theta();
+
+        let (envelopes, folded) = envelope::reach_passes(
+            metric,
+            &mut kd.tree,
+            partitions,
+            &kd.lower,
+            &kd.upper,
+            seed_theta,
+            self.threads,
+        );
 
         // Refine in envelope-LOFmax order: likely outliers first, so θ
         // tightens as early as possible.
@@ -448,37 +495,49 @@ impl TopNEngine {
         order.sort_unstable_by(|&a, &b| {
             envelopes[b].lof.upper.total_cmp(&envelopes[a].lof.upper).then(a.cmp(&b))
         });
-
-        let outcome = {
+        let refined = {
             let _span = lof_obs::span!("core.topn.refine");
-            refine::refine(
-                provider,
-                partitions,
-                &envelopes,
-                &order,
-                &part_of,
-                self.min_pts,
-                self.n,
-                theta0,
-                self.threads,
-            )?
+            let stage =
+                refine::Stage { order: &order, envelopes: Some(&envelopes), seeded: &seeded };
+            store.run(&stage, self.threads)?
         };
+        let outcome = store.finish();
 
         let mut ranking = outcome.scored;
         ranking.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         ranking.truncate(self.n);
 
-        stats.partitions_pruned = outcome.partitions_pruned;
-        stats.partitions_refined = outcome.partitions_refined;
-        stats.objects_pruned = outcome.objects_pruned;
-        stats.objects_refined = outcome.objects_refined;
-        stats.descents = outcome.descents;
-        stats.range_passes = outcome.range_passes;
+        stats.partitions_pruned = refined.partitions_pruned;
+        stats.partitions_refined = refined.partitions_refined;
+        stats.objects_pruned = refined.objects_pruned;
+        stats.objects_refined = refined.objects_refined;
+        stats.seed_objects = seed.objects_refined;
+        stats.k_distances = seed.k_distances + refined.k_distances;
+        stats.k_distance_batches = seed.batches + refined.batches;
+        stats.k_distance_gather_overflows = seed.gather_overflows + refined.gather_overflows;
+        stats.range_passes = seed.range_passes + refined.range_passes;
+        stats.nodes_folded_at_theta = folded;
         stats.threshold_tightenings = outcome.tightenings;
         stats.heap_churn = outcome.heap_churn;
         publish_stats(&stats);
-        Ok(TopNResult { ranking, threshold: outcome.threshold, stats })
+        Ok(TopNResult { ranking, threshold: outcome.threshold, seed_theta, stats })
     }
+}
+
+/// The seed's partitions: in falling isolation radius (ties by index),
+/// until they hold `budget` objects or run out.
+fn seed_partitions(partitions: &[Partition], budget: usize) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..partitions.len()).collect();
+    order.sort_unstable_by(|&a, &b| {
+        partitions[b].isolation.total_cmp(&partitions[a].isolation).then(a.cmp(&b))
+    });
+    let mut covered = 0usize;
+    let take = order.iter().position(|&pi| {
+        covered += partitions[pi].members.len();
+        covered >= budget
+    });
+    order.truncate(take.map_or(order.len(), |i| i + 1));
+    order
 }
 
 /// Providers that know the metric their geometry lives in, letting
@@ -544,23 +603,6 @@ fn validate_cover(partitions: &[Partition], n_objects: usize) -> Result<Vec<usiz
         )));
     }
     Ok(part_of)
-}
-
-/// Seeds θ from geometry alone: sort partitions by envelope `LOFmin`
-/// descending and accumulate member counts until they reach `n` — at
-/// least `n` objects then provably score at or above the crossing
-/// partition's `LOFmin`, so it is a valid (if loose) initial θ.
-fn seed_threshold(envelopes: &[PartitionEnvelope], partitions: &[Partition], n: usize) -> f64 {
-    let mut by_lower: Vec<usize> = (0..envelopes.len()).collect();
-    by_lower.sort_unstable_by(|&a, &b| envelopes[b].lof.lower.total_cmp(&envelopes[a].lof.lower));
-    let mut covered = 0usize;
-    for &pi in &by_lower {
-        covered += partitions[pi].members.len();
-        if covered >= n {
-            return envelopes[pi].lof.lower;
-        }
-    }
-    f64::NEG_INFINITY
 }
 
 /// Mirrors the run's accounting into the lof-obs registry (no-op when

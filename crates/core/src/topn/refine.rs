@@ -1,33 +1,40 @@
-//! Refinement: turning envelope-level candidates into exact LOF values.
+//! Exact scoring for the engine's two scoring stages: the seed, which
+//! scores the most isolated partitions whole to fix θ before the direct
+//! and indirect envelope passes, and refinement, which scores what those
+//! passes cannot prune.
 //!
-//! Workers pull partitions off a shared cursor (ordered by envelope
-//! `LOFmax` descending, so the likeliest outliers are scored first and
-//! the threshold θ rises quickly), re-check each partition against θ at
-//! claim time, and score the survivors exactly. Before paying for an
-//! exact score, each object gets one more chance to be pruned: its
-//! *materialized* neighborhood is grouped by partition and pushed through
-//! the Theorem 2 machinery ([`theorem2_envelope_bounds`]) with the
-//! now-exact direct distances — a per-object upper bound that is usually
-//! far tighter than the partition envelope.
+//! Both stages run over one [`Store`]. Its workers pull partitions off a
+//! shared cursor: the seed's in falling isolation radius, refinement's in
+//! falling envelope `LOFmax`, so the likeliest outliers are scored first.
+//! Refinement re-checks each partition against θ at claim time and scores
+//! the survivors exactly, skipping partitions the seed already scored.
+//! Before paying for an exact score, each object gets one more chance to
+//! be pruned: its *materialized* neighborhood is grouped by partition and
+//! pushed through the Theorem 2 machinery ([`theorem2_envelope_bounds`])
+//! with the now-exact direct distances — a per-object upper bound that is
+//! usually far tighter than the partition envelope. The seed has no
+//! direct envelopes yet, so it scores every member.
 //!
-//! All workers share one store with write-once slots per object, and
-//! each id is asked only for what LOF reads of it. By Definition 5 an
-//! lrd reads nothing of a neighbor `o` but `k-distance(o)`, so an id
-//! whose neighborhood is never read gets one k-distance descent
-//! ([`KnnProvider::k_distance_into`]) and nothing else. An id whose
-//! neighborhood *is* read gets, on top of that descent, one range pass at
-//! that radius (`within(id, k-distance)`), which by Definition 4 is the
-//! same set in the same canonical order as `k_nearest_into`. Both slots
-//! are `OnceLock`s, filled k-distance first: the first worker
-//! to need a value computes it and every other worker waits for it
-//! instead of repeating the query. At any thread count an id therefore
-//! gets at most one descent and at most one range pass, and since a
+//! The store has write-once slots, and each id is asked only for what
+//! LOF reads of it. By Definition 5 an lrd reads nothing of a neighbor
+//! `o` but `k-distance(o)`, so an id whose neighborhood is never read
+//! gets its k-distance and nothing else. k-distances are answered a
+//! partition at a time: the first worker to need any member's k-distance
+//! asks the provider for the whole partition in one
+//! [`KnnProvider::k_distances_into`] call, promising the partition's
+//! envelope `k_distance_upper` as the radius. An id whose neighborhood
+//! *is* read also gets one range pass at its k-distance
+//! (`within(id, k-distance)`), which by Definition 4 is the same set in
+//! the same canonical order as `k_nearest_into`. Both are `OnceLock`s,
+//! the partition's k-distances first: the first worker to need a value
+//! computes it and every other worker waits for it instead of repeating
+//! the query. At any thread count an id's k-distance is therefore
+//! answered at most once and it gets at most one range pass, and since a
 //! filled slot never changes, scoring borrows neighborhoods straight out
-//! of the store. Each lrd is memoized in the same slot.
+//! of the store. Each lrd is memoized in its slot.
 //!
 //! Exactness invariant: θ only ever holds *exact* scores (the n-th best
-//! seen so far, or the envelope seed θ₀ which at least `n` objects
-//! provably meet), and pruning is strict (`upper < θ`). A pruned object
+//! seen so far), and pruning is strict (`upper < θ`). A pruned object
 //! therefore cannot belong to the final top n even on ties, so the final
 //! ranking — exact scores sorted by `(score desc, id asc)` — is
 //! bit-identical to sorting a full sweep, independent of thread
@@ -111,15 +118,13 @@ impl TopHeap {
     }
 }
 
-/// One object's write-once refinement state, shared by every worker.
+/// One object's write-once scoring state, shared by every worker.
 struct Slot {
     /// `N_MinPts(id)` in canonical order, filled by exactly one range
-    /// pass at `k_distance`, which is always set first. Empty marks a
-    /// failed query; the error itself sits in [`Shared::first_error`].
+    /// pass at the object's k-distance, which is always known first.
+    /// Empty marks a failed query; the error itself sits in
+    /// [`Store::first_error`].
     hood: OnceLock<Box<[Neighbor]>>,
-    /// `k-distance(id)`, filled by exactly one k-distance descent. NaN
-    /// marks a failed query.
-    k_distance: OnceLock<f64>,
     /// `lrd_MinPts(id)` as f64 bits, [`LRD_UNSET`] until computed. An lrd
     /// is a pure function of write-once neighborhoods, so two workers
     /// racing on it store the same bits.
@@ -130,7 +135,7 @@ struct Slot {
 const LRD_UNSET: u64 = u64::MAX;
 
 // The store holds one slot per object, touched or not.
-const _: () = assert!(std::mem::size_of::<Slot>() <= 48);
+const _: () = assert!(std::mem::size_of::<Slot>() <= 32);
 
 /// Reusable per-worker state.
 #[derive(Default)]
@@ -138,26 +143,30 @@ struct Local {
     scratch: KnnScratch,
     groups: Vec<(usize, PartEnvelope)>,
     envs: Vec<PartEnvelope>,
-    /// `k_distance_into` calls run.
-    descents: u64,
+    /// `k_distances_into` calls run.
+    batches: u64,
+    /// Ids those calls answered.
+    k_distances: u64,
     /// `within` calls run.
     range_passes: u64,
 }
 
-/// Worker-shared refinement state.
-struct Shared<'a, P: ?Sized> {
+/// The exactly-once store and candidate heap shared by the seed and
+/// refinement, with their workers.
+pub(super) struct Store<'a, P: ?Sized> {
     provider: &'a P,
     partitions: &'a [Partition],
-    envelopes: &'a [PartitionEnvelope],
-    /// Partition indexes ordered by envelope `LOFmax` descending.
-    order: &'a [usize],
     /// `part_of[id]` = index of the partition holding `id`.
     part_of: &'a [usize],
+    /// Each partition's envelope `k_distance_upper`: the radius its
+    /// batched k-distance query promises.
+    kd_radius: &'a [f64],
     min_pts: usize,
-    /// The exactly-once neighborhood store, indexed by object id.
+    /// One slot per object id.
     slots: Vec<Slot>,
-    /// Next `order` slot to claim.
-    cursor: AtomicUsize,
+    /// Each partition's member k-distances in member order, filled by one
+    /// batched query. Empty marks a failed query.
+    k_distances: Vec<OnceLock<Box<[f64]>>>,
     /// Monotone pruning threshold θ as f64 bits, read lock-free on the
     /// hot path and only ever raised under the state mutex.
     theta_bits: AtomicU64,
@@ -169,12 +178,133 @@ struct Shared<'a, P: ?Sized> {
 struct TopState {
     heap: TopHeap,
     scored: Vec<(usize, f64)>,
+    /// Raises of θ during refinement (the seed's are not counted).
     tightenings: u64,
 }
 
-impl<P: KnnProvider + Sync + ?Sized> Shared<'_, P> {
-    fn theta(&self) -> f64 {
+/// One scoring stage's partitions and what it knows about them.
+pub(super) struct Stage<'s> {
+    /// Partition indexes in claim order.
+    pub order: &'s [usize],
+    /// The partition envelopes, or `None` for the seed, which scores
+    /// every member of every partition in `order`.
+    pub envelopes: Option<&'s [PartitionEnvelope]>,
+    /// Partitions the seed scored: refinement classifies them against θ
+    /// without scoring them again.
+    pub seeded: &'s [bool],
+}
+
+/// Per-stage tallies, merged over the stage's workers.
+#[derive(Debug, Default, Clone, Copy)]
+pub(super) struct Tally {
+    pub partitions_pruned: u64,
+    pub partitions_refined: u64,
+    pub objects_pruned: u64,
+    /// Objects of refined partitions scored exactly, by this stage or (for
+    /// seeded partitions) by the seed; the seed counts what it scored.
+    pub objects_refined: u64,
+    pub batches: u64,
+    /// Batches whose gather passed its cap (per-id descents answered).
+    pub gather_overflows: u64,
+    pub k_distances: u64,
+    pub range_passes: u64,
+}
+
+impl Tally {
+    fn add(&mut self, other: &Tally) {
+        self.partitions_pruned += other.partitions_pruned;
+        self.partitions_refined += other.partitions_refined;
+        self.objects_pruned += other.objects_pruned;
+        self.objects_refined += other.objects_refined;
+        self.batches += other.batches;
+        self.gather_overflows += other.gather_overflows;
+        self.k_distances += other.k_distances;
+        self.range_passes += other.range_passes;
+    }
+}
+
+/// What the engine gets back once both stages have run.
+pub(super) struct Outcome {
+    /// Every exactly-scored `(id, score)` pair, unordered.
+    pub scored: Vec<(usize, f64)>,
+    /// Final θ.
+    pub threshold: f64,
+    pub tightenings: u64,
+    pub heap_churn: u64,
+}
+
+impl<'a, P: KnnProvider + Sync + ?Sized> Store<'a, P> {
+    /// An empty store over a validated cover, keeping the best `n` scores.
+    pub fn new(
+        provider: &'a P,
+        partitions: &'a [Partition],
+        part_of: &'a [usize],
+        kd_radius: &'a [f64],
+        min_pts: usize,
+        n: usize,
+    ) -> Self {
+        Store {
+            provider,
+            partitions,
+            part_of,
+            kd_radius,
+            min_pts,
+            slots: (0..provider.len())
+                .map(|_| Slot { hood: OnceLock::new(), lrd: AtomicU64::new(LRD_UNSET) })
+                .collect(),
+            k_distances: (0..partitions.len()).map(|_| OnceLock::new()).collect(),
+            theta_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
+            state: Mutex::new(TopState {
+                heap: TopHeap::new(n),
+                scored: Vec::new(),
+                tightenings: 0,
+            }),
+            stop: AtomicBool::new(false),
+            first_error: Mutex::new(None),
+        }
+    }
+
+    /// The current θ: the n-th best exact score so far, `-∞` before `n`
+    /// objects are scored.
+    pub fn theta(&self) -> f64 {
         f64::from_bits(self.theta_bits.load(Ordering::Relaxed))
+    }
+
+    /// Runs one stage with `threads` workers.
+    ///
+    /// # Errors
+    ///
+    /// The first provider error any worker hit.
+    pub fn run(&self, stage: &Stage<'_>, threads: usize) -> Result<Tally> {
+        let cursor = AtomicUsize::new(0);
+        let threads = threads.max(1).min(stage.order.len().max(1));
+        let mut tally = Tally::default();
+        if threads == 1 {
+            tally = self.worker(stage, &cursor);
+        } else {
+            std::thread::scope(|s| {
+                let handles: Vec<_> =
+                    (0..threads).map(|_| s.spawn(|| self.worker(stage, &cursor))).collect();
+                for h in handles {
+                    tally.add(&h.join().expect("top-n scoring worker panicked"));
+                }
+            });
+        }
+        match self.first_error.lock().expect("error mutex poisoned").take() {
+            Some(e) => Err(e),
+            None => Ok(tally),
+        }
+    }
+
+    /// The scores, final θ and heap accounting.
+    pub fn finish(self) -> Outcome {
+        let state = self.state.into_inner().expect("top-n state mutex poisoned");
+        Outcome {
+            scored: state.scored,
+            threshold: f64::from_bits(self.theta_bits.into_inner()),
+            tightenings: state.tightenings,
+            heap_churn: state.heap.churn,
+        }
     }
 
     /// Records the run's first error and tells every worker to stop.
@@ -189,7 +319,7 @@ impl<P: KnnProvider + Sync + ?Sized> Shared<'_, P> {
     /// `N_MinPts(id)`: one range pass at `k-distance(id)` (Definition 4),
     /// run by the first caller; concurrent callers block on the slot
     /// until it is filled. `None` once a query has failed (the error is
-    /// recorded through [`Shared::fail`]).
+    /// recorded through [`Store::fail`]).
     fn hood(&self, id: usize, local: &mut Local) -> Option<&[Neighbor]> {
         let k_distance = self.k_distance(id, local)?;
         let hood = self.slots[id].hood.get_or_init(|| {
@@ -208,19 +338,35 @@ impl<P: KnnProvider + Sync + ?Sized> Shared<'_, P> {
         (!hood.is_empty()).then_some(&**hood)
     }
 
-    /// `k-distance(id)`, filled by one descent on first use.
+    /// `k-distance(id)`, filled for the whole of `id`'s partition by one
+    /// batched query on first use.
     fn k_distance(&self, id: usize, local: &mut Local) -> Option<f64> {
-        let k_distance = *self.slots[id].k_distance.get_or_init(|| {
-            local.descents += 1;
-            match self.provider.k_distance_into(id, self.min_pts, &mut local.scratch) {
-                Ok(k_distance) => k_distance,
+        let pi = self.part_of[id];
+        let members = &self.partitions[pi].members;
+        let k_distances = self.k_distances[pi].get_or_init(|| {
+            local.batches += 1;
+            local.k_distances += members.len() as u64;
+            let mut out = Vec::with_capacity(members.len());
+            let asked = self.provider.k_distances_into(
+                members,
+                self.min_pts,
+                self.kd_radius[pi],
+                &mut local.scratch,
+                &mut out,
+            );
+            match asked {
+                Ok(()) => {
+                    assert_eq!(out.len(), members.len(), "provider skipped k-distances");
+                    out.into_boxed_slice()
+                }
                 Err(e) => {
                     self.fail(e);
-                    f64::NAN
+                    Box::default()
                 }
             }
         });
-        (!k_distance.is_nan()).then_some(k_distance)
+        let pos = members.binary_search(&id).expect("part_of maps ids to their partition");
+        k_distances.get(pos).copied()
     }
 
     /// Memoized `lrd_MinPts(id)`. Same arithmetic as
@@ -242,181 +388,107 @@ impl<P: KnnProvider + Sync + ?Sized> Shared<'_, P> {
         slot.lrd.store(lrd.to_bits(), Ordering::Relaxed);
         Some(lrd)
     }
-}
 
-/// Per-worker prune/refine tallies, merged after the scope joins.
-#[derive(Default, Clone, Copy)]
-struct WorkerTally {
-    partitions_pruned: u64,
-    partitions_refined: u64,
-    objects_pruned: u64,
-    objects_refined: u64,
-    descents: u64,
-    range_passes: u64,
-}
-
-/// What the engine gets back from a refinement run.
-pub(super) struct RefineOutcome {
-    /// Every exactly-scored `(id, score)` pair, unordered.
-    pub scored: Vec<(usize, f64)>,
-    /// Final θ.
-    pub threshold: f64,
-    pub partitions_pruned: u64,
-    pub partitions_refined: u64,
-    pub objects_pruned: u64,
-    pub objects_refined: u64,
-    pub descents: u64,
-    pub range_passes: u64,
-    pub tightenings: u64,
-    pub heap_churn: u64,
-}
-
-/// Runs the refinement stage with `threads` workers.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn refine<P>(
-    provider: &P,
-    partitions: &[Partition],
-    envelopes: &[PartitionEnvelope],
-    order: &[usize],
-    part_of: &[usize],
-    min_pts: usize,
-    n: usize,
-    theta0: f64,
-    threads: usize,
-) -> Result<RefineOutcome>
-where
-    P: KnnProvider + Sync + ?Sized,
-{
-    let shared = Shared {
-        provider,
-        partitions,
-        envelopes,
-        order,
-        part_of,
-        min_pts,
-        slots: (0..provider.len())
-            .map(|_| Slot {
-                hood: OnceLock::new(),
-                k_distance: OnceLock::new(),
-                lrd: AtomicU64::new(LRD_UNSET),
-            })
-            .collect(),
-        cursor: AtomicUsize::new(0),
-        theta_bits: AtomicU64::new(theta0.to_bits()),
-        state: Mutex::new(TopState { heap: TopHeap::new(n), scored: Vec::new(), tightenings: 0 }),
-        stop: AtomicBool::new(false),
-        first_error: Mutex::new(None),
-    };
-
-    let threads = threads.max(1).min(order.len().max(1));
-    let mut tally = WorkerTally::default();
-    if threads == 1 {
-        tally = worker(&shared);
-    } else {
-        let tallies = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads).map(|_| s.spawn(|| worker(&shared))).collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("top-n refinement worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        for t in tallies {
-            tally.partitions_pruned += t.partitions_pruned;
-            tally.partitions_refined += t.partitions_refined;
-            tally.objects_pruned += t.objects_pruned;
-            tally.objects_refined += t.objects_refined;
-            tally.descents += t.descents;
-            tally.range_passes += t.range_passes;
+    /// One worker: claim partitions off the cursor until it runs out.
+    fn worker(&self, stage: &Stage<'_>, cursor: &AtomicUsize) -> Tally {
+        let mut tally = Tally::default();
+        let mut local = Local::default();
+        loop {
+            if self.stop.load(Ordering::Relaxed) {
+                break;
+            }
+            let slot = cursor.fetch_add(1, Ordering::Relaxed);
+            if slot >= stage.order.len() {
+                break;
+            }
+            let pi = stage.order[slot];
+            let members = self.partitions[pi].members.len() as u64;
+            if let Some(envelopes) = stage.envelopes {
+                // Claim-time check: θ may have risen past this partition's
+                // envelope since the order was fixed. Strict `<` keeps ties.
+                if envelopes[pi].lof.upper < self.theta() {
+                    tally.partitions_pruned += 1;
+                    tally.objects_pruned += members;
+                    continue;
+                }
+                tally.partitions_refined += 1;
+                if stage.seeded[pi] {
+                    tally.objects_refined += members;
+                    continue;
+                }
+            }
+            let Some((pruned, refined)) = self.score_partition(pi, stage.envelopes, &mut local)
+            else {
+                break;
+            };
+            tally.objects_pruned += pruned;
+            tally.objects_refined += refined;
         }
+        // Flush this worker's kernel counters before the scratch dies.
+        tally.gather_overflows = local.scratch.stats.gather_overflows;
+        local.scratch.stats.publish_and_reset();
+        tally.batches = local.batches;
+        tally.k_distances = local.k_distances;
+        tally.range_passes = local.range_passes;
+        tally
     }
 
-    if let Some(e) = shared.first_error.into_inner().expect("error mutex poisoned") {
-        return Err(e);
-    }
-    let state = shared.state.into_inner().expect("top-n state mutex poisoned");
-    Ok(RefineOutcome {
-        scored: state.scored,
-        threshold: f64::from_bits(shared.theta_bits.into_inner()),
-        partitions_pruned: tally.partitions_pruned,
-        partitions_refined: tally.partitions_refined,
-        objects_pruned: tally.objects_pruned,
-        objects_refined: tally.objects_refined,
-        descents: tally.descents,
-        range_passes: tally.range_passes,
-        tightenings: state.tightenings,
-        heap_churn: state.heap.churn,
-    })
-}
+    /// Scores one partition; returns `(objects_pruned, objects_refined)`,
+    /// or `None` once a k-NN query has failed. With envelopes, each object
+    /// first faces its Theorem 2 bound against θ.
+    fn score_partition(
+        &self,
+        pi: usize,
+        envelopes: Option<&[PartitionEnvelope]>,
+        local: &mut Local,
+    ) -> Option<(u64, u64)> {
+        let part = &self.partitions[pi];
+        let mut scored: Vec<(usize, f64)> = Vec::with_capacity(part.members.len());
+        let mut objects_pruned = 0u64;
+        for &id in &part.members {
+            let hood = self.hood(id, local)?;
+            if let Some(envelopes) = envelopes {
+                let theta = self.theta();
+                if theta > f64::NEG_INFINITY
+                    && object_upper_bound(envelopes, self.part_of, hood, local) < theta
+                {
+                    objects_pruned += 1;
+                    continue;
+                }
+            }
+            scored.push((id, self.exact_lof(id, hood, local)?));
+        }
 
-/// One worker: claim partitions off the cursor until it runs out.
-fn worker<P: KnnProvider + Sync + ?Sized>(shared: &Shared<'_, P>) -> WorkerTally {
-    let mut tally = WorkerTally::default();
-    let mut local = Local::default();
-    loop {
-        if shared.stop.load(Ordering::Relaxed) {
-            break;
+        let objects_refined = scored.len() as u64;
+        if !scored.is_empty() {
+            let mut state = self.state.lock().expect("top-n state mutex poisoned");
+            for &(id, score) in &scored {
+                state.heap.offer(Cand { id, score });
+            }
+            let new_theta = state.heap.threshold();
+            if new_theta > self.theta() {
+                // Monotone by construction: every writer holds this mutex.
+                self.theta_bits.store(new_theta.to_bits(), Ordering::Relaxed);
+                state.tightenings += u64::from(envelopes.is_some());
+            }
+            state.scored.append(&mut scored);
         }
-        let slot = shared.cursor.fetch_add(1, Ordering::Relaxed);
-        if slot >= shared.order.len() {
-            break;
-        }
-        let pi = shared.order[slot];
-        // Claim-time check: θ may have risen past this partition's
-        // envelope since the order was fixed. Strict `<` keeps ties.
-        if shared.envelopes[pi].lof.upper < shared.theta() {
-            tally.partitions_pruned += 1;
-            tally.objects_pruned += shared.partitions[pi].members.len() as u64;
-            continue;
-        }
-        tally.partitions_refined += 1;
-        let Some((pruned, refined)) = refine_partition(shared, pi, &mut local) else {
-            break;
-        };
-        tally.objects_pruned += pruned;
-        tally.objects_refined += refined;
-    }
-    // Flush this worker's kernel counters before the scratch dies.
-    local.scratch.stats.publish_and_reset();
-    tally.descents = local.descents;
-    tally.range_passes = local.range_passes;
-    tally
-}
-
-/// Scores one surviving partition; returns `(objects_pruned,
-/// objects_refined)`, or `None` once a k-NN query has failed.
-fn refine_partition<P: KnnProvider + Sync + ?Sized>(
-    shared: &Shared<'_, P>,
-    pi: usize,
-    local: &mut Local,
-) -> Option<(u64, u64)> {
-    let part = &shared.partitions[pi];
-    let mut scored: Vec<(usize, f64)> = Vec::with_capacity(part.members.len());
-    let mut objects_pruned = 0u64;
-    for &id in &part.members {
-        let hood = shared.hood(id, local)?;
-        let theta = shared.theta();
-        if theta > f64::NEG_INFINITY && object_upper_bound(shared, hood, local) < theta {
-            objects_pruned += 1;
-            continue;
-        }
-        scored.push((id, exact_lof(shared, id, hood, local)?));
+        Some((objects_pruned, objects_refined))
     }
 
-    let objects_refined = scored.len() as u64;
-    if !scored.is_empty() {
-        let mut state = shared.state.lock().expect("top-n state mutex poisoned");
-        for &(id, score) in &scored {
-            state.heap.offer(Cand { id, score });
+    /// Exact `LOF_MinPts(id)` through the 2-hop neighborhood (`hood` is
+    /// `N_MinPts(id)`), arithmetic bit-identical to the full-sweep path
+    /// ([`crate::lof::lof_values`]): same reach-dist / lrd conventions,
+    /// same summation order (canonical neighborhood order), same final
+    /// division.
+    fn exact_lof(&self, id: usize, hood: &[Neighbor], local: &mut Local) -> Option<f64> {
+        let lrd_id = self.lrd(id, local)?;
+        let mut sum = 0.0;
+        for nb in hood {
+            sum += lrd_ratio(self.lrd(nb.id, local)?, lrd_id);
         }
-        let new_theta = state.heap.threshold();
-        if new_theta > shared.theta() {
-            // Monotone by construction: every writer holds this mutex.
-            shared.theta_bits.store(new_theta.to_bits(), Ordering::Relaxed);
-            state.tightenings += 1;
-        }
-        state.scored.append(&mut scored);
+        Some(sum / hood.len() as f64)
     }
-    Some((objects_pruned, objects_refined))
 }
 
 /// Theorem 2 upper bound for a single object from its *exact* direct
@@ -425,15 +497,16 @@ fn refine_partition<P: KnnProvider + Sync + ?Sized>(
 /// `max(neighbor partition's k-distance envelope, exact distance)` folded
 /// over the group, and each group's indirect envelope is its partition's
 /// direct envelope.
-fn object_upper_bound<P: ?Sized>(
-    shared: &Shared<'_, P>,
+fn object_upper_bound(
+    envelopes: &[PartitionEnvelope],
+    part_of: &[usize],
     hood: &[Neighbor],
     local: &mut Local,
 ) -> f64 {
     local.groups.clear();
     for nb in hood {
-        let qp = shared.part_of[nb.id];
-        let env = &shared.envelopes[qp];
+        let qp = part_of[nb.id];
+        let env = &envelopes[qp];
         let lo = env.k_distance_lower.max(nb.dist);
         let hi = env.k_distance_upper.max(nb.dist);
         match local.groups.iter_mut().find(|(part, _)| *part == qp) {
@@ -457,24 +530,6 @@ fn object_upper_bound<P: ?Sized>(
     local.envs.clear();
     local.envs.extend(local.groups.iter().map(|(_, group)| *group));
     theorem2_envelope_bounds(&local.envs).map_or(f64::INFINITY, |b| b.upper)
-}
-
-/// Exact `LOF_MinPts(id)` through the 2-hop neighborhood (`hood` is
-/// `N_MinPts(id)`), arithmetic bit-identical to the full-sweep path
-/// ([`crate::lof::lof_values`]): same reach-dist / lrd conventions, same
-/// summation order (canonical neighborhood order), same final division.
-fn exact_lof<P: KnnProvider + Sync + ?Sized>(
-    shared: &Shared<'_, P>,
-    id: usize,
-    hood: &[Neighbor],
-    local: &mut Local,
-) -> Option<f64> {
-    let lrd_id = shared.lrd(id, local)?;
-    let mut sum = 0.0;
-    for nb in hood {
-        sum += lrd_ratio(shared.lrd(nb.id, local)?, lrd_id);
-    }
-    Some(sum / hood.len() as f64)
 }
 
 #[cfg(test)]

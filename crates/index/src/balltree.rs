@@ -224,6 +224,57 @@ impl<'a, M: Metric> BallTree<'a, M> {
         }
     }
 
+    /// Collects into `out` every point within `radius` of the box
+    /// `[lo, hi]` by the metric's rectangle bound, with the rounding
+    /// tolerance of [`BallTree::prune`]; false, with `out` cut short, once
+    /// more than `cap` points qualify. A ball is skipped when its center's
+    /// rectangle bound minus its radius exceeds `radius` (the triangle
+    /// inequality). Backs the batched `k_distances_into`
+    /// ([`crate::common::gathered_k_distances`]).
+    fn gather_near_box(
+        &self,
+        lo: &[f64],
+        hi: &[f64],
+        radius: f64,
+        cap: usize,
+        out: &mut Vec<usize>,
+    ) -> bool {
+        self.root == usize::MAX || self.gather_rec(self.root, lo, hi, radius, cap, out)
+    }
+
+    fn gather_rec(
+        &self,
+        node_id: usize,
+        lo: &[f64],
+        hi: &[f64],
+        radius: f64,
+        cap: usize,
+        out: &mut Vec<usize>,
+    ) -> bool {
+        let node = &self.nodes[node_id];
+        let min_dist = (self.metric.min_dist_to_rect(&node.center, lo, hi) - node.radius).max(0.0);
+        if Self::prune(min_dist, radius) {
+            return true;
+        }
+        match node.children {
+            None => {
+                for &id in &self.ids[node.start..node.end] {
+                    if !Self::prune(
+                        self.metric.min_dist_to_rect(self.data.point(id), lo, hi),
+                        radius,
+                    ) {
+                        out.push(id);
+                    }
+                }
+                out.len() <= cap
+            }
+            Some((left, right)) => {
+                self.gather_rec(left, lo, hi, radius, cap, out)
+                    && self.gather_rec(right, lo, hi, radius, cap, out)
+            }
+        }
+    }
+
     /// True-space lower bound between a query ball (the group's leaf) and
     /// a tree node: center distance minus both radii, clamped at zero. By
     /// the triangle inequality no point of the node can be closer than

@@ -278,6 +278,81 @@ impl<'a, M: Metric> KdTree<'a, M> {
         }
     }
 
+    /// Collects into `out` every point whose rectangle bound to the box
+    /// `[lo, hi]` is within `radius`, widened for rounding the way the
+    /// range pass widens its cut (in squared space under a squared form,
+    /// the metric's own rectangle bounds otherwise); false, with `out`
+    /// cut short, once more than `cap` points qualify. Backs the batched
+    /// `k_distances_into` ([`crate::common::gathered_k_distances`]).
+    fn gather_near_box(
+        &self,
+        lo: &[f64],
+        hi: &[f64],
+        radius: f64,
+        cap: usize,
+        out: &mut Vec<usize>,
+    ) -> bool {
+        let metric = &self.metric;
+        let mut squared = |r_sq: f64| {
+            self.gather_rec(
+                self.root,
+                widen_sq(r_sq),
+                cap,
+                &|nlo: &[f64], nhi: &[f64]| rect_rect_min_sq(lo, hi, nlo, nhi),
+                &|p: &[f64]| metric.min_dist_to_rect_sq(p, lo, hi),
+                out,
+            )
+        };
+        match metric.blocked_form() {
+            BlockedForm::Euclidean => squared(radius * radius),
+            BlockedForm::SquaredEuclidean => squared(radius),
+            BlockedForm::Generic => self.gather_rec(
+                self.root,
+                radius * (1.0 + 1e-9) + f64::MIN_POSITIVE,
+                cap,
+                &|nlo: &[f64], nhi: &[f64]| metric.min_dist_between_rects(lo, hi, nlo, nhi),
+                &|p: &[f64]| metric.min_dist_to_rect(p, lo, hi),
+                out,
+            ),
+        }
+    }
+
+    /// Depth-first body of [`KdTree::gather_near_box`]: `node` bounds a
+    /// node box's distance to the query box, `point` a point's.
+    fn gather_rec<R, P>(
+        &self,
+        node_id: usize,
+        cut: f64,
+        cap: usize,
+        node: &R,
+        point: &P,
+        out: &mut Vec<usize>,
+    ) -> bool
+    where
+        R: Fn(&[f64], &[f64]) -> f64,
+        P: Fn(&[f64]) -> f64,
+    {
+        let (nlo, nhi) = self.bbox(node_id);
+        if node(nlo, nhi) > cut {
+            return true;
+        }
+        let n = &self.nodes[node_id];
+        match n.children {
+            None => {
+                for &id in &self.ids[n.start..n.end] {
+                    if point(self.data.point(id)) <= cut {
+                        out.push(id);
+                    }
+                }
+                out.len() <= cap
+            }
+            Some((left, right)) => {
+                self.gather_rec(left, cut, cap, node, point, out)
+                    && self.gather_rec(right, cut, cap, node, point, out)
+            }
+        }
+    }
+
     /// Answers one leaf group of the batch self-join (driven by
     /// [`crate::common::leaf_grouped_batch`] and
     /// [`crate::common::leaf_grouped_table`]): a shared k-distance

@@ -34,11 +34,15 @@ echo "== parallel tree joins: identity under every dispatch target =="
 # The top-n geometry identity suite rides along: partition radii and
 # rank profiles against brute force, the recorded digest of a capped
 # cover, and the kd range pass and k-distance descents against the scan.
+# So does the misleading-isolation fixture, whose seed scores only
+# inliers: the batched k-distances score gathered candidates as one
+# lane-parallel tile, so its ranking must not move under any target.
 for target in "" "LOF_FORCE_SCALAR=1" "LOF_SIMD=sse2"; do
   echo "-- dispatch: ${target:-native}"
   env $target cargo test -q -p lof-index --test batch_consistency parallel_tree_tables
   env $target cargo test -q --test parallel_materialize
   env $target cargo test -q --test topn_geometry_identity
+  env $target cargo test -q --test topn_misleading_isolation
 done
 
 echo "== streaming subsystem: build + tests + serve integration =="
@@ -121,13 +125,15 @@ echo "== topn: fixed-seed differential + forced-scalar rerun =="
 # sweep on every index, cover, metric, and thread count — and again with
 # the SIMD kernels pinned to scalar, since refinement runs per-id k-NN
 # queries through the same kernels. topn_exactly_once pins the shared
-# store (no id gets a second descent or range pass at 1/2/4 threads);
-# k_distance_identity pins the provider identities the store relies on
-# (k_distance_into == the neighborhood's last distance, within at it ==
-# the neighborhood) for every index and every metric `lof topn` offers;
-# the envelope unit tests pin the threaded passes to the serial ones and
-# the one-traversal k-distance bounds to the two-pass oracle, bit for
-# bit. topn_contamination pins sprawl splitting on a fixture where about
+# store (no id's k-distance is answered twice, and no id gets a second
+# range pass, at 1/2/4 threads); k_distance_identity pins the provider
+# identities the store relies on (the per-id k-distance == the
+# neighborhood's last distance, within at it == the neighborhood, and
+# on kd and ball every gathered batch == the per-id answers) for every
+# index and every metric `lof topn` offers; the envelope unit tests pin
+# the threaded passes to the serial ones, the one-traversal k-distance
+# bounds to the two-pass oracle, bit for bit, and the θ-aware passes to
+# sound bounds that prune what full tightness prunes. topn_contamination pins sprawl splitting on a fixture where about
 # half the kd leaves hold an outlier (the engine must still prune), and
 # lof-index's common::tests pin the bisected cover itself (exact,
 # disjoint, ascending, every piece within the sprawl threshold, cluster

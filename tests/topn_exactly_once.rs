@@ -1,9 +1,10 @@
-//! The top-n engine's refinement workers share one store and ask each
-//! object only for what LOF reads of it: per engine run, at any thread
-//! count, every object gets at most one k-distance descent and at most
-//! one range pass, objects whose neighborhoods are never read get no
-//! range pass at all, and the ranking stays bit-identical to the sorted
-//! full sweep.
+//! The top-n engine's seed and refinement workers share one store and
+//! ask each object only for what LOF reads of it: per engine run, at any
+//! thread count, every object's k-distance is answered at most once (in
+//! one batched query per partition) and every object gets at most one
+//! range pass, objects whose neighborhoods are never read get no range
+//! pass at all, and the ranking stays bit-identical to the sorted full
+//! sweep.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -12,19 +13,26 @@ use lof::{
     topn_reference, Dataset, Euclidean, KdTree, KnnProvider, Neighbor, PartitionSource, TopNEngine,
 };
 
-/// A [`KdTree`] that counts, per object id, the descents
-/// (`k_distance_into`, `k_nearest_into`) and range passes (`within`,
-/// `k_nearest_into`) it answers.
+/// A [`KdTree`] that counts, per object id, the k-distances
+/// (`k_distances_into`, `k_nearest_into`) and range passes (`within`,
+/// `k_nearest_into`) it answers, and forwards the batched hook to the
+/// tree so the engine runs its real gather.
 struct CountingTree<'a> {
     tree: &'a KdTree<'a, Euclidean>,
-    descents: Vec<AtomicU32>,
+    k_distances: Vec<AtomicU32>,
     range_passes: Vec<AtomicU32>,
+    batches: AtomicU32,
 }
 
 impl<'a> CountingTree<'a> {
     fn new(tree: &'a KdTree<'a, Euclidean>) -> Self {
         let counters = || (0..tree.len()).map(|_| AtomicU32::new(0)).collect();
-        CountingTree { tree, descents: counters(), range_passes: counters() }
+        CountingTree {
+            tree,
+            k_distances: counters(),
+            range_passes: counters(),
+            batches: AtomicU32::new(0),
+        }
     }
 }
 
@@ -52,19 +60,24 @@ impl KnnProvider for CountingTree<'_> {
         scratch: &mut KnnScratch,
         out: &mut Vec<Neighbor>,
     ) -> lof::core::Result<usize> {
-        self.descents[id].fetch_add(1, Ordering::Relaxed);
+        self.k_distances[id].fetch_add(1, Ordering::Relaxed);
         self.range_passes[id].fetch_add(1, Ordering::Relaxed);
         self.tree.k_nearest_into(id, k, scratch, out)
     }
 
-    fn k_distance_into(
+    fn k_distances_into(
         &self,
-        id: usize,
+        ids: &[usize],
         k: usize,
+        radius: f64,
         scratch: &mut KnnScratch,
-    ) -> lof::core::Result<f64> {
-        self.descents[id].fetch_add(1, Ordering::Relaxed);
-        self.tree.k_distance_into(id, k, scratch)
+        out: &mut Vec<f64>,
+    ) -> lof::core::Result<()> {
+        self.batches.fetch_add(1, Ordering::Relaxed);
+        for &id in ids {
+            self.k_distances[id].fetch_add(1, Ordering::Relaxed);
+        }
+        self.tree.k_distances_into(ids, k, radius, scratch, out)
     }
 
     fn within(&self, id: usize, radius: f64) -> lof::core::Result<Vec<Neighbor>> {
@@ -136,19 +149,35 @@ fn refine_queries_each_neighborhood_at_most_once_at_any_thread_count() {
             got.stats
         );
         for id in 0..data.len() {
-            let (descents, ranges) =
-                (load(&counting.descents[id]), load(&counting.range_passes[id]));
-            assert!(descents <= 1, "threads={threads}: object {id} descended {descents} times");
+            let (k_distances, ranges) =
+                (load(&counting.k_distances[id]), load(&counting.range_passes[id]));
+            assert!(
+                k_distances <= 1,
+                "threads={threads}: object {id}'s k-distance was answered {k_distances} times"
+            );
             assert!(ranges <= 1, "threads={threads}: object {id} got {ranges} range passes");
-            assert!(ranges <= descents, "threads={threads}: object {id} ranged before descending");
+            assert!(
+                ranges <= k_distances,
+                "threads={threads}: object {id} ranged before its k-distance was known"
+            );
         }
-        let (descents, ranges) = (total(&counting.descents), total(&counting.range_passes));
-        assert_eq!(got.stats.descents, descents, "threads={threads}");
+        let (k_distances, ranges) = (total(&counting.k_distances), total(&counting.range_passes));
+        assert_eq!(got.stats.k_distances, k_distances, "threads={threads}");
         assert_eq!(got.stats.range_passes, ranges, "threads={threads}");
+        assert_eq!(
+            got.stats.k_distance_batches,
+            u64::from(load(&counting.batches)),
+            "threads={threads}"
+        );
         assert!(
-            ranges > 0 && ranges < descents,
+            got.stats.k_distance_batches < k_distances,
+            "threads={threads}: k-distances must come a partition at a time: {:?}",
+            got.stats
+        );
+        assert!(
+            ranges > 0 && ranges < k_distances,
             "threads={threads}: some touched objects must skip their range pass \
-             ({descents} descents, {ranges} range passes)"
+             ({k_distances} k-distances, {ranges} range passes)"
         );
     }
 }

@@ -18,14 +18,16 @@
 //!   and the flat box tree landed;
 //! * (c) the kd `within` equals `LinearScan::within` at exact lattice tie
 //!   radii and at every id's k-distance, and the kd and ball
-//!   `k_distance_into` equal `LinearScan`'s with `k` above the size of a
-//!   duplicate pile.
+//!   per-id k-distances (`kdistance::k_distance`, a one-id
+//!   `k_distances_into`) equal `LinearScan`'s with `k` above the size of
+//!   a duplicate pile.
 
+use lof_core::kdistance::k_distance;
 use lof_core::{
     set_isolation_radii,
     topn::{partition_envelopes, PartitionEnvelope},
-    Dataset, Euclidean, KnnProvider, KnnScratch, LinearScan, Manhattan, Metric, Partition,
-    PartitionSource, SquaredEuclidean,
+    Dataset, Euclidean, KnnProvider, LinearScan, Manhattan, Metric, Partition, PartitionSource,
+    SquaredEuclidean,
 };
 use lof_index::{BallTree, KdTree};
 
@@ -310,10 +312,9 @@ fn check_k_distance<P: KnnProvider>(
     k: usize,
     label: &str,
 ) {
-    let (mut a, mut b) = (KnnScratch::new(), KnnScratch::new());
     for id in 0..data.len() {
-        let want = scan.k_distance_into(id, k, &mut a).unwrap();
-        let got = tree.k_distance_into(id, k, &mut b).unwrap();
+        let want = k_distance(scan, id, k).unwrap();
+        let got = k_distance(tree, id, k).unwrap();
         assert_eq!(got.to_bits(), want.to_bits(), "{label}: id {id} at k={k}");
     }
 }
@@ -330,24 +331,20 @@ fn kd_range_passes_and_k_distance_descents_match_the_scan() {
     // k = 25 exceeds the 20-point duplicate pile.
     for k in [6, 25] {
         let scan = LinearScan::new(&data, Euclidean);
-        let mut scratch = KnnScratch::new();
-        let kd: Vec<f64> =
-            (0..data.len()).map(|id| scan.k_distance_into(id, k, &mut scratch).unwrap()).collect();
+        let kd: Vec<f64> = (0..data.len()).map(|id| k_distance(&scan, id, k).unwrap()).collect();
         check_within(&data, Euclidean, "euclidean k-distance", |id| kd[id]);
         check_k_distance(&data, &scan, &KdTree::new(&data, Euclidean), k, "kd euclidean");
         check_k_distance(&data, &scan, &BallTree::new(&data, Euclidean), k, "ball euclidean");
 
         let scan_sq = LinearScan::new(&data, SquaredEuclidean);
-        let kd_sq: Vec<f64> = (0..data.len())
-            .map(|id| scan_sq.k_distance_into(id, k, &mut scratch).unwrap())
-            .collect();
+        let kd_sq: Vec<f64> =
+            (0..data.len()).map(|id| k_distance(&scan_sq, id, k).unwrap()).collect();
         check_within(&data, SquaredEuclidean, "squared k-distance", |id| kd_sq[id]);
         check_k_distance(&data, &scan_sq, &KdTree::new(&data, SquaredEuclidean), k, "kd squared");
 
         let scan_l1 = LinearScan::new(&data, Manhattan);
-        let kd_l1: Vec<f64> = (0..data.len())
-            .map(|id| scan_l1.k_distance_into(id, k, &mut scratch).unwrap())
-            .collect();
+        let kd_l1: Vec<f64> =
+            (0..data.len()).map(|id| k_distance(&scan_l1, id, k).unwrap()).collect();
         check_within(&data, Manhattan, "manhattan k-distance", |id| kd_l1[id]);
         check_k_distance(&data, &scan_l1, &KdTree::new(&data, Manhattan), k, "kd manhattan");
         check_k_distance(&data, &scan_l1, &BallTree::new(&data, Manhattan), k, "ball manhattan");
