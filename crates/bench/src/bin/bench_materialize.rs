@@ -10,6 +10,12 @@
 //! which is what the CI smoke gate (`scripts/ci.sh`, `LOF_MATERIALIZE_N=2000`)
 //! relies on.
 //!
+//! The blocked scan is timed on the dispatched SIMD target and pinned to
+//! the scalar microkernel, in interleaved rounds; unless the process is
+//! pinned to scalar itself, the dispatched cell's median round must be at
+//! least [`MIN_SIMD_MATERIALIZE_SPEEDUP`] times faster than the scalar
+//! cell's, or the binary aborts.
+//!
 //! Parallel cells time step 1 through `build_table_parallel` for the kd
 //! and ball trees at one thread and at `nproc` threads, on the same
 //! points with shuffled ids (so every leaf holds ids from all over the
@@ -58,16 +64,19 @@ const OOC_IDENTITY_MAX: usize = 1_000_000;
 const ROUNDS: usize = 2;
 /// Extra rounds for the (cheaper) sweep timings.
 const SWEEP_ROUNDS: usize = 3;
-/// Least rounds, and least wall time, spent on each pair of parallel
-/// cells. The speedup gate compares the median round of each cell; on a
-/// shared host the second core comes and goes in phases lasting seconds,
-/// so the interleaved rounds must span enough phases that no single one
-/// holds half of them.
-const PARALLEL_MIN_ROUNDS: usize = 11;
-const PARALLEL_MIN_TIME: std::time::Duration = std::time::Duration::from_secs(10);
+/// Least rounds, and least wall time, spent on each pair of gated cells.
+/// The speedup gates compare the median round of each cell; on a shared
+/// host the second core comes and goes in phases lasting seconds, so the
+/// interleaved rounds must span enough phases that no single one holds
+/// half of them.
+const GATED_MIN_ROUNDS: usize = 11;
+const GATED_MIN_TIME: std::time::Duration = std::time::Duration::from_secs(10);
 /// Smallest accepted kd-tree speedup of the `nproc`-thread parallel
 /// build over the 1-thread build, when `nproc >= 2`.
 const MIN_PARALLEL_SPEEDUP: f64 = 1.4;
+/// Smallest accepted speedup of the blocked scan on the dispatched SIMD
+/// target over the same scan pinned to the scalar microkernel.
+const MIN_SIMD_MATERIALIZE_SPEEDUP: f64 = 1.0;
 
 /// Runs `f` `rounds` times and reports the fastest wall-clock duration
 /// alongside `f`'s (deterministic) result. On small machines first-touch
@@ -123,52 +132,65 @@ fn shuffled(data: &Dataset) -> Dataset {
     out
 }
 
-/// Times `build_table_parallel` at 1 and `nproc` threads, asserting each
-/// table equals `want` bit for bit. Returns the two cells' ns/object.
+/// Times the two `cells` in interleaved rounds and returns each cell's
+/// median round in ns per object, handing every result to `check`
+/// (with the cell's index) outside the timed call.
 ///
-/// The two thread counts take turns within each round, in `1, nproc`
-/// order on even rounds and `nproc, 1` on odd ones, so host speed phases
-/// and drift hit both cells alike; each cell reports its median round. A
-/// fastest round would follow whether the second core happened to be
-/// free during one lucky `nproc` round; the median follows the host's
+/// The cells take turns within each round, in `0, 1` order on even
+/// rounds and `1, 0` on odd ones, so host speed phases and drift hit both
+/// alike. A fastest round would follow whether the second core happened
+/// to be free during one lucky round; the median follows the host's
 /// usual state and needs over half the rounds disturbed to move.
+fn interleaved_medians<T>(
+    objects: usize,
+    cells: [&dyn Fn() -> T; 2],
+    mut check: impl FnMut(usize, T),
+) -> [f64; 2] {
+    let mut times: [Vec<std::time::Duration>; 2] = [Vec::new(), Vec::new()];
+    let start = std::time::Instant::now();
+    let mut rounds = 0;
+    while rounds < GATED_MIN_ROUNDS || start.elapsed() < GATED_MIN_TIME {
+        let order = if rounds % 2 == 0 { [0, 1] } else { [1, 0] };
+        rounds += 1;
+        for slot in order {
+            let (result, t) = time(cells[slot]);
+            times[slot].push(t);
+            check(slot, result);
+        }
+    }
+    times.map(|mut cell| {
+        cell.sort_unstable();
+        cell[cell.len() / 2].as_nanos() as f64 / objects as f64
+    })
+}
+
+/// Times `build_table_parallel` at 1 and `nproc` threads
+/// ([`interleaved_medians`]), asserting each table equals `want` bit for
+/// bit. Returns the two cells' ns/object.
 fn parallel_cells<P: KnnProvider + Sync>(
     label: &str,
     provider: &P,
     want: &NeighborhoodTable,
     nproc: usize,
 ) -> [(usize, f64); 2] {
-    let mut times: [Vec<std::time::Duration>; 2] = [Vec::new(), Vec::new()];
-    let start = std::time::Instant::now();
-    let mut rounds = 0;
-    while rounds < PARALLEL_MIN_ROUNDS || start.elapsed() < PARALLEL_MIN_TIME {
-        let order = if rounds % 2 == 0 { [0, 1] } else { [1, 0] };
-        rounds += 1;
-        for slot in order {
-            let threads = [1, nproc][slot];
-            let (table, t) =
-                time(|| build_table_parallel(provider, MAX_K, threads).expect("valid table"));
-            times[slot].push(t);
-            for id in 0..want.len() {
-                let (got, exp) =
-                    (table.full_neighborhood(id).unwrap(), want.full_neighborhood(id).unwrap());
-                assert!(
-                    got.len() == exp.len()
-                        && got
-                            .iter()
-                            .zip(exp)
-                            .all(|(g, w)| g.id == w.id && g.dist.to_bits() == w.dist.to_bits()),
-                    "{label} parallel build (threads={threads}) diverges from the scan at id={id}"
-                );
-            }
+    let build = |threads| build_table_parallel(provider, MAX_K, threads).expect("valid table");
+    let check = |slot: usize, table: NeighborhoodTable| {
+        let threads = [1, nproc][slot];
+        for id in 0..want.len() {
+            let (got, exp) =
+                (table.full_neighborhood(id).unwrap(), want.full_neighborhood(id).unwrap());
+            assert!(
+                got.len() == exp.len()
+                    && got
+                        .iter()
+                        .zip(exp)
+                        .all(|(g, w)| g.id == w.id && g.dist.to_bits() == w.dist.to_bits()),
+                "{label} parallel build (threads={threads}) diverges from the scan at id={id}"
+            );
         }
-    }
-    let median = |cell: &mut Vec<std::time::Duration>| {
-        cell.sort_unstable();
-        cell[cell.len() / 2].as_nanos() as f64 / want.len() as f64
     };
-    let [one, many] = &mut times;
-    [(1, median(one)), (nproc, median(many))]
+    let [one, many] = interleaved_medians(want.len(), [&|| build(1), &|| build(nproc)], check);
+    [(1, one), (nproc, many)]
 }
 
 /// Aborts on the first bit divergence between two flat materializations.
@@ -318,15 +340,20 @@ fn main() {
 
     // Correctness gate: all four materializations must agree bit for bit.
     // CI runs this binary at n=2000 precisely for these assertions.
-    let (scan_mat, scan_time) = best_of(ROUNDS, || batched_materialize(&scan, n));
+    let scan_mat = batched_materialize(&scan, n);
     // Dispatch differential: the same blocked scan pinned to the scalar
     // microkernel — must agree bit for bit, and the gap isolates the
     // SIMD contribution to full materialization.
     let simd_isa = lof_core::simd::active();
     let scalar_scan = LinearScan::with_isa(&data, Euclidean, lof_core::Isa::Scalar);
-    let (scalar_scan_mat, scalar_scan_time) =
-        best_of(ROUNDS, || batched_materialize(&scalar_scan, n));
-    assert_flat_identical("scalar-pinned vs dispatched scan", &scalar_scan_mat, &scan_mat);
+    let [scan_ns, scalar_scan_ns] = interleaved_medians(
+        n,
+        [&|| batched_materialize(&scan, n), &|| batched_materialize(&scalar_scan, n)],
+        |slot, mat| {
+            let label = ["dispatched scan", "scalar-pinned vs dispatched scan"][slot];
+            assert_flat_identical(label, &mat, &scan_mat);
+        },
+    );
     let (kd_per_query_mat, kd_per_query_time) = best_of(ROUNDS, || per_query_materialize(&kd, n));
     let (kd_batched_mat, kd_batched_time) = best_of(ROUNDS, || batched_materialize(&kd, n));
     let (ball_batched_mat, ball_batched_time) = best_of(ROUNDS, || batched_materialize(&ball, n));
@@ -336,8 +363,6 @@ fn main() {
     println!("correctness gate: all materialization paths bit-identical over {n} objects");
 
     let per_object = |d: std::time::Duration| d.as_nanos() as f64 / n as f64;
-    let scan_ns = per_object(scan_time);
-    let scalar_scan_ns = per_object(scalar_scan_time);
     let simd_materialize_speedup = scalar_scan_ns / scan_ns;
     let kd_per_query_ns = per_object(kd_per_query_time);
     let kd_batched_ns = per_object(kd_batched_time);
@@ -350,6 +375,13 @@ fn main() {
     println!("kd per-query        {kd_per_query_ns:10.0} ns/object");
     println!("kd batched join     {kd_batched_ns:10.0} ns/object ({kd_speedup:.2}x vs per-query)");
     println!("ball batched join   {ball_batched_ns:10.0} ns/object");
+    assert!(
+        simd_isa == lof_core::Isa::Scalar
+            || simd_materialize_speedup >= MIN_SIMD_MATERIALIZE_SPEEDUP,
+        "the {} scan is only {simd_materialize_speedup:.2}x the scalar-pinned scan \
+         (gate: {MIN_SIMD_MATERIALIZE_SPEEDUP}x)",
+        simd_isa.key()
+    );
 
     // Parallel step 1 on shuffled ids, gated: leaf-group workers must
     // scale the kd join.

@@ -14,11 +14,11 @@
 //!   streamed tile by tile, so each data tile is loaded from memory once
 //!   per query *block* rather than once per query.
 //! * **Fused squared-space selection.** Candidate selection runs on the
-//!   squared surrogate keys *inside* the streaming loop — a threshold
-//!   scan captures candidates as they are computed, so no `n`-sized
-//!   distance row is ever written back. Only the few candidates that
-//!   survive a conservative cutoff are refined with the exact scalar
-//!   distance (and, for [`Euclidean`](crate::distance::Euclidean), a
+//!   squared surrogate keys *inside* the streaming loop — each query's
+//!   [`Capture`] takes a tile row as it is computed, branch-free, so no
+//!   `n`-sized distance row is ever written back. Only the few
+//!   candidates that survive a conservative cutoff are refined with the
+//!   exact scalar distance (and, for [`Euclidean`](crate::distance::Euclidean), a
 //!   single `sqrt` each).
 //!
 //! ## Exactness
@@ -39,7 +39,7 @@
 //! `crates/index/tests/batch_consistency.rs` enforce this.
 
 use crate::distance::{squared_euclidean, BlockedForm, Metric};
-use crate::knn::KnnScratch;
+use crate::knn::{Capture, KnnScratch};
 use crate::neighbors::{select_k_tie_inclusive_in_place, Neighbor};
 use crate::point::Dataset;
 use crate::simd::{self, Isa};
@@ -121,23 +121,6 @@ impl BlockKernel {
         self.isa
     }
 
-    /// Norm-form surrogate squared distances from object `qid` to each of
-    /// `cands` (a tree leaf's id block), replacing the contents of `out`.
-    ///
-    /// Same guarantees as the streaming path: each value differs from the
-    /// exact scalar squared distance by at most [`BlockKernel::slack`], so
-    /// callers may discard candidates whose surrogate exceeds their bound
-    /// plus `2·slack` and refine the survivors exactly without losing a
-    /// single true neighbor.
-    pub fn surrogates_into(&self, data: &Dataset, qid: usize, cands: &[usize], out: &mut Vec<f64>) {
-        let d = data.dims();
-        let coords = data.as_flat();
-        let q = &coords[qid * d..][..d];
-        out.clear();
-        out.resize(cands.len(), 0.0);
-        simd::surrogate_gather(self.isa, q, self.norms[qid], coords, &self.norms, d, cands, out);
-    }
-
     /// How many queries one block processes for a dataset of `n` points.
     fn query_block(n: usize) -> usize {
         (ROWS_BUDGET_BYTES / (8 * n.max(1))).clamp(1, MAX_QUERY_BLOCK)
@@ -170,38 +153,24 @@ impl BlockKernel {
     /// *any* summation order up to [`simd::MAX_LANES`] partial chains,
     /// and the exact-refine phase makes final results independent of it.
     ///
-    /// Candidate selection per query is a pure threshold scan: the hot
-    /// loop pays one predictable register compare per pair, and accepted
-    /// pairs land in `scratch.block_pairs[qi]`. Whenever a list outgrows
-    /// its working limit, a `select_nth` compaction re-derives the running
-    /// k-th surrogate and tightens the acceptance threshold to it plus
-    /// `2·slack`. The running threshold is monotone non-increasing toward
-    /// the final widened cutoff, so every pair inside that cutoff is
-    /// captured (a superset — [`BlockKernel::finalize_query`] filters by
-    /// the exact final cutoff). Compactions that fail to shrink a list —
-    /// massive tie groups all inside the slack window — double its limit
-    /// instead, keeping the amortized cost O(1) per scanned pair. No heap,
-    /// no per-query allocation once the lists are warm.
+    /// Each query's row of the panel goes whole into its [`Capture`]
+    /// (`scratch.captures[qi]`), whose accept bound is the running k-th
+    /// surrogate widened by `2·slack`: it never drops below the final
+    /// widened cutoff, so every pair inside that cutoff is captured (a
+    /// superset — [`BlockKernel::finalize_query`] filters by the exact
+    /// final cutoff). No heap, no branch per pair, no per-query
+    /// allocation once the buffers are warm.
     fn stream_block(&self, data: &Dataset, ids: Range<usize>, k: usize, scratch: &mut KnnScratch) {
         let n = data.len();
         let d = data.dims();
         let coords = data.as_flat();
         let qb = ids.len();
         debug_assert!(qb <= MAX_QUERY_BLOCK, "caller blocks queries");
-        if scratch.block_pairs.len() < qb {
-            scratch.block_pairs.resize_with(qb, Vec::new);
-        }
-        for pairs in &mut scratch.block_pairs[..qb] {
-            pairs.clear();
-        }
-        let norms = &self.norms[..n];
-        let two_slack = 2.0 * self.slack;
-        let by_key = |a: &(f64, usize), b: &(f64, usize)| a.0.total_cmp(&b.0);
-        let mut accepts = [f64::INFINITY; MAX_QUERY_BLOCK];
-        let mut limits = [(4 * k).max(64); MAX_QUERY_BLOCK];
         // Disjoint field borrows: the panel staging buffer is written by
-        // the microkernel and read by the capture scan.
-        let KnnScratch { block_pairs, tile_sq, stats, .. } = scratch;
+        // the microkernel and read by the captures.
+        let KnnScratch { captures, tile_sq, stats, .. } = scratch;
+        let captures = Capture::reset_first(captures, qb, k, 2.0 * self.slack);
+        let norms = &self.norms[..n];
         // The block's query rows are contiguous, so the microkernel can
         // register-tile across queries as well as points.
         let q_rows = &coords[ids.start * d..ids.end * d];
@@ -233,48 +202,10 @@ impl BlockKernel {
             stats.bump_simd_panels(panels);
             stats.bump_simd_remainder_lanes(rem_lanes);
 
-            for (qi, qid) in ids.clone().enumerate() {
-                stats.bump_tile_pairs(tile_len as u64);
-                let buf = &panel[qi * tile_len..][..tile_len];
-
-                // Capture scan. The dispatched skip primitive rejects
-                // whole [`simd::SKIP_BLOCK`] windows with one vector
-                // compare — exact, so a skipped window provably holds no
-                // candidate — and windows that may hit run the original
-                // scalar body against the *live* threshold, keeping
-                // captures (and the obs counters) identical on every
-                // target. The scalar target degenerates to the plain
-                // per-element loop.
-                let pairs = &mut block_pairs[qi];
-                let mut accept = accepts[qi];
-                let mut limit = limits[qi];
-                let mut ti = 0;
-                while ti < tile_len {
-                    ti = simd::next_hit_block(self.isa, buf, ti, accept);
-                    if ti >= tile_len {
-                        break;
-                    }
-                    let end = (ti + simd::SKIP_BLOCK).min(tile_len);
-                    for (off, &sq) in buf[ti..end].iter().enumerate() {
-                        if sq <= accept {
-                            let j = tile_start + ti + off;
-                            if j != qid {
-                                pairs.push((sq, j));
-                                stats.bump_captures(1);
-                                if pairs.len() >= limit {
-                                    stats.bump_compactions(1);
-                                    pairs.select_nth_unstable_by(k - 1, by_key);
-                                    accept = pairs[k - 1].0 + two_slack;
-                                    pairs.retain(|&(sq, _)| sq <= accept);
-                                    limit = (2 * pairs.len()).max(limit);
-                                }
-                            }
-                        }
-                    }
-                    ti = end;
-                }
-                accepts[qi] = accept;
-                limits[qi] = limit;
+            for ((row, qid), capture) in
+                panel.chunks_exact(tile_len).zip(ids.clone()).zip(&mut *captures)
+            {
+                capture.offer(row, tile_start..tile_end, qid, stats);
             }
             tile_start = tile_end;
         }
@@ -282,7 +213,7 @@ impl BlockKernel {
 
     /// Selects the tie-inclusive `k`-neighborhood of `qid` from the
     /// candidates [`BlockKernel::stream_block`] captured in
-    /// `scratch.block_pairs[qi]`, refining every candidate inside the
+    /// `scratch.captures[qi]`, refining every candidate inside the
     /// widened cutoff with the exact scalar distance. Appends to `out`,
     /// returns the neighborhood size.
     fn finalize_query(
@@ -298,24 +229,18 @@ impl BlockKernel {
         let coords = data.as_flat();
         // Disjoint field borrows: candidates are read while the
         // exact-refine staging buffer is written.
-        let KnnScratch { neighbors, block_pairs, stats, .. } = scratch;
-        let pairs = &mut block_pairs[qi];
-        debug_assert!(pairs.len() >= k, "caller guarantees k < n");
+        let KnnScratch { neighbors, captures, stats, .. } = scratch;
+        let capture = &mut captures[qi];
 
         // The k-th smallest surrogate key over the whole dataset: the
-        // capture threshold never dropped below `kth + 2·slack`, so the
-        // k smallest surrogates are all present.
-        let by_key = |a: &(f64, usize), b: &(f64, usize)| a.0.total_cmp(&b.0);
-        let (_, kth, _) = pairs.select_nth_unstable_by(k - 1, by_key);
-        let approx_kth = kth.0;
-
-        // Every true neighbor's surrogate lies within the widened cutoff
-        // (see module docs) and therefore among the captured candidates;
-        // refine those exactly.
-        let cutoff = approx_kth + 2.0 * self.slack;
+        // accept bound never dropped below `kth + 2·slack`, so the k
+        // smallest surrogates are all captured. Every true neighbor's
+        // surrogate lies within the widened cutoff (see module docs) and
+        // therefore among the captured candidates; refine those exactly.
+        let cutoff = capture.kth() + 2.0 * self.slack;
         let q = &coords[qid * d..(qid + 1) * d];
         neighbors.clear();
-        for &(sq, j) in pairs.iter() {
+        for &(sq, j) in capture.captured() {
             if sq <= cutoff {
                 let exact_sq = squared_euclidean(q, &coords[j * d..(j + 1) * d]);
                 let dist = match self.form {

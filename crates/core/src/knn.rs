@@ -9,6 +9,7 @@
 //! afterwards, making the steady-state query path allocation-free.
 
 use crate::neighbors::Neighbor;
+use crate::obs::KernelStats;
 use std::cell::RefCell;
 
 /// A bounded max-heap over `(distance, id)` pairs tracking the `k`
@@ -31,10 +32,6 @@ pub struct BoundedMaxHeap {
     /// Binary max-heap of [`key`]s; the canonical-order-largest candidate
     /// sits at index 0 and is evicted first.
     keys: Vec<u128>,
-    /// Offers since the last reset (instrumentation; absent with `obs`
-    /// off so the hot offer paths stay untouched).
-    #[cfg(feature = "obs")]
-    offers: u64,
 }
 
 /// The sign-magnitude bits of `d` remapped so unsigned order is
@@ -87,65 +84,16 @@ impl BoundedMaxHeap {
         self.k = k;
         self.keys.clear();
         self.keys.reserve(k + 1);
-        #[cfg(feature = "obs")]
-        {
-            self.offers = 0;
-        }
-    }
-
-    /// Offers seen since the last [`reset`](Self::reset); always 0 with
-    /// `obs` off. The batch joins sum this per heap after a group descent
-    /// to attribute offer counts without touching the offer fast path.
-    #[inline]
-    pub fn offers(&self) -> u64 {
-        #[cfg(feature = "obs")]
-        {
-            self.offers
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            0
-        }
     }
 
     /// Offers a candidate; keeps it only if it beats the current worst.
     #[inline]
     pub fn offer(&mut self, id: usize, dist: f64) {
-        #[cfg(feature = "obs")]
-        {
-            self.offers += 1;
-        }
         let e = key(dist, id);
         if self.keys.len() < self.k {
             self.push(e);
         } else if self.keys[0] > e {
             self.replace_top(e);
-        }
-    }
-
-    /// Offers a candidate while recording, in `lost_min`, the smallest
-    /// distance among the candidates this heap has rejected or evicted.
-    ///
-    /// Any lost candidate is `(distance, id)`-greater than the final k-th
-    /// entry, so after a complete search `lost_min` is at least the
-    /// k-distance — and reaches it exactly when the id tie-break dropped a
-    /// candidate *at* the k-distance. That is the only situation in which
-    /// the batch join's shell pass has anything to recover, so the joins
-    /// use this to skip the shell traversal entirely for tie-free queries.
-    #[inline]
-    pub fn offer_tracking(&mut self, id: usize, dist: f64, lost_min: &mut f64) {
-        #[cfg(feature = "obs")]
-        {
-            self.offers += 1;
-        }
-        let e = key(dist, id);
-        if self.keys.len() < self.k {
-            self.push(e);
-        } else if self.keys[0] > e {
-            *lost_min = lost_min.min(key_dist(self.keys[0]));
-            self.replace_top(e);
-        } else {
-            *lost_min = lost_min.min(dist);
         }
     }
 
@@ -217,9 +165,7 @@ impl BoundedMaxHeap {
     /// The held `(distance, id)` candidates in arbitrary (heap) order,
     /// without draining them. Once a search has offered every candidate,
     /// this is exactly the set of `k` smallest in canonical `(distance,
-    /// id)` order — in particular it contains **every** point strictly
-    /// closer than the k-distance, which is what lets batch joins emit
-    /// neighborhoods straight from the heap and search only for ties.
+    /// id)` order.
     ///
     /// The per-id k-distance descents of the tree indexes skip every
     /// candidate tied with a full heap's bound: after them only
@@ -244,6 +190,186 @@ impl BoundedMaxHeap {
     pub fn append_to(&mut self, out: &mut Vec<Neighbor>) {
         out.extend(self.entries().map(|(d, id)| Neighbor::new(id, d)));
         self.keys.clear();
+    }
+}
+
+/// Widens a distance bound, squared or not, by a relative `1e-9` plus
+/// `MIN_POSITIVE`. Pruning and capture cuts that must keep every point
+/// whose *emitted* distance can reach a radius use it: a relative `1e-9`
+/// lies far above any `sqrt` rounding, and `MIN_POSITIVE` covers zero
+/// radii. Inclusion is always decided on exact distances afterwards, so
+/// the widening costs a few extra candidates, never a wrong answer.
+#[inline]
+pub fn widen_sq(r_sq: f64) -> f64 {
+    r_sq * (1.0 + 1e-9) + f64::MIN_POSITIVE
+}
+
+/// One query's tie-inclusive k-nearest-neighbor capture: the candidate
+/// buffer behind the kd and ball self-joins and the blocked scan.
+///
+/// Callers evaluate a run of candidates at once (a tree leaf's exact
+/// distances, a data tile's surrogates) and hand the whole run to
+/// [`Capture::offer`], which writes every lane into the buffer and then
+/// advances its length by `(d <= accept) as usize`: no branch per lane.
+/// Once the buffer holds `2k` entries, a `select_nth_unstable` compaction
+/// finds the running k-th distance, tightens the accept bound to
+/// [`widen_sq`] of it plus the caller's margin, and drops everything
+/// beyond. A compaction that cannot shrink the buffer (a tie pile larger
+/// than `k`) raises the next limit to twice what it kept, so every lane
+/// costs amortized O(1).
+///
+/// The running k-th of a subset is never below the k-th of all
+/// candidates, so the bound only falls and never below the widened final
+/// k-th distance. Once every candidate has been offered, the buffer holds
+/// every candidate within that cut: each tie at the k-distance, and each
+/// candidate whose square root ties it. [`Capture::neighborhood_into`]
+/// then selects the k-distance once and keeps what lies within it; no
+/// second traversal is needed.
+#[derive(Debug, Default)]
+pub struct Capture {
+    /// `(distance, id)` pairs: `entries[..len]` are captured, the rest is
+    /// room for the lane writes of the next run.
+    entries: Vec<(f64, usize)>,
+    len: usize,
+    k: usize,
+    /// Added to every compaction's widened k-th distance.
+    margin: f64,
+    accept: f64,
+    /// The length at which the next compaction runs.
+    limit: usize,
+}
+
+impl Capture {
+    /// Empties the buffer for a query of `k` neighbors. `margin` widens
+    /// every accept bound beyond [`widen_sq`]: 0 for exact distances,
+    /// twice the surrogate slack for the blocked scan's surrogates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k == 0`.
+    pub fn reset(&mut self, k: usize, margin: f64) {
+        assert!(k > 0, "Capture requires k >= 1");
+        self.len = 0;
+        self.k = k;
+        self.margin = margin;
+        self.accept = f64::INFINITY;
+        self.limit = 2 * k;
+    }
+
+    /// The first `n` captures of `captures`, grown if needed, each reset
+    /// ([`Capture::reset`]) for a query of `k` neighbors.
+    pub fn reset_first(
+        captures: &mut Vec<Capture>,
+        n: usize,
+        k: usize,
+        margin: f64,
+    ) -> &mut [Capture] {
+        if captures.len() < n {
+            captures.resize_with(n, Capture::default);
+        }
+        for capture in &mut captures[..n] {
+            capture.reset(k, margin);
+        }
+        &mut captures[..n]
+    }
+
+    /// The accept bound: `+∞` until the first compaction, then the widened
+    /// running k-th distance plus the margin. A run whose lower bound
+    /// exceeds it holds nothing to capture.
+    #[inline]
+    pub fn accept(&self) -> f64 {
+        self.accept
+    }
+
+    /// Offers one run of candidates: `dists[j]` is the distance of the
+    /// `j`-th id of `ids`, and `skip` (the query itself) is never
+    /// captured. Adds the run's lanes to `stats.tile_pairs`, its captures
+    /// to `stats.captures` and a compaction, if one runs, to
+    /// `stats.compactions`.
+    #[inline]
+    pub fn offer(
+        &mut self,
+        dists: &[f64],
+        ids: impl IntoIterator<Item = usize>,
+        skip: usize,
+        stats: &mut KernelStats,
+    ) {
+        let start = self.len;
+        if self.entries.len() < start + dists.len() {
+            self.entries.resize(start + dists.len(), (0.0, 0));
+        }
+        let accept = self.accept;
+        let room = &mut self.entries[start..start + dists.len()];
+        let mut taken = 0;
+        for (&d, id) in dists.iter().zip(ids) {
+            room[taken] = (d, id);
+            taken += usize::from((d <= accept) & (id != skip));
+        }
+        let len = start + taken;
+        self.len = len;
+        stats.bump_tile_pairs(dists.len() as u64);
+        stats.bump_captures(taken as u64);
+        if len >= self.limit {
+            self.compact();
+            stats.bump_compactions(1);
+        }
+    }
+
+    /// Keeps the candidates within the tightened bound (see the type docs).
+    fn compact(&mut self) {
+        let k = self.k;
+        let kth = self.kth();
+        // Surrogates may dip below zero; the clamp keeps the bound at or
+        // above the k-th itself.
+        let accept = widen_sq(kth.max(0.0)) + self.margin;
+        let mut len = k;
+        for i in k..self.len {
+            let e = self.entries[i];
+            self.entries[len] = e;
+            len += usize::from(e.0 <= accept);
+        }
+        self.len = len;
+        self.accept = accept;
+        self.limit = 2 * len;
+    }
+
+    /// The k-th smallest captured distance; reorders the buffer around it,
+    /// the `k - 1` smaller ones first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `k` candidates were captured.
+    pub fn kth(&mut self) -> f64 {
+        assert!(self.len >= self.k, "validated: at least k candidates exist");
+        let live = &mut self.entries[..self.len];
+        live.select_nth_unstable_by(self.k - 1, |a, b| a.0.total_cmp(&b.0)).1 .0
+    }
+
+    /// The captured `(distance, id)` pairs, in no particular order.
+    pub fn captured(&self) -> &[(f64, usize)] {
+        &self.entries[..self.len]
+    }
+
+    /// Appends the query's k-distance neighborhood (definition 4) to `out`
+    /// in canonical order and returns its length. With `squared`, the
+    /// captured distances are squared Euclidean ones and the reported
+    /// distances their square roots; `sqrt` is monotone, so the
+    /// k-distance is the root of the k-th captured distance, and a
+    /// candidate belongs when its root is within it. A candidate beyond
+    /// [`widen_sq`] of the k-th cannot have a root that ties it, so only
+    /// the candidates within that cut take a root.
+    pub fn neighborhood_into(&mut self, squared: bool, out: &mut Vec<Neighbor>) -> usize {
+        let emit = |d: f64| if squared { d.sqrt() } else { d };
+        let kth = self.kth();
+        let (cut, radius) = (widen_sq(kth), emit(kth));
+        let start = out.len();
+        for &(d, id) in self.captured() {
+            if d <= cut && emit(d) <= radius {
+                out.push(Neighbor::new(id, emit(d)));
+            }
+        }
+        crate::neighbors::sort_neighbors(&mut out[start..]);
+        out.len() - start
     }
 }
 
@@ -276,25 +402,22 @@ pub struct KnnScratch {
     /// query's cell in [`KnnScratch::cell`] while enumerating shell cells
     /// here).
     pub cell2: Vec<usize>,
-    /// Blocked-kernel candidate capture: one `(surrogate, id)` list per
-    /// query in the active block.
-    pub block_pairs: Vec<Vec<(f64, usize)>>,
+    /// One [`Capture`] per query of the active blocked-scan block or
+    /// self-join leaf group.
+    pub captures: Vec<Capture>,
     /// Blocked-kernel panel staging: surrogate squared distances of one
     /// query block × one data tile (the tile itself is L1-sized, see
     /// `TILE_BUDGET_BYTES` in the kernel; the panel is `qb` rows of it).
-    /// The kd-tree join also lands one query's exact leaf-tile distances
+    /// The tree joins also land one query's distances to a candidate leaf
     /// here.
     pub tile_sq: Vec<f64>,
-    /// kd-tree join: one candidate leaf's rows, gathered column-major for
-    /// [`crate::simd::exact_sq_columns`] and shared by every query of the
-    /// active group.
+    /// Tree joins outside `materialize`: one candidate leaf's rows,
+    /// gathered column-major for [`crate::simd::exact_sq_columns`] and
+    /// shared by every query of the active group.
     pub leaf_cols: Vec<f64>,
     /// Batched k-distances of the kd and ball trees: the candidate ids
     /// gathered once around a batch's bounding box.
     pub gather: Vec<usize>,
-    /// Leaf-grouped batch self-join: one bounded heap per query sharing a
-    /// leaf (tree providers traverse once per leaf group).
-    pub heaps: Vec<BoundedMaxHeap>,
     /// Self-join grouping buffer: `(leaf, id)` pairs sorted so queries of
     /// the same leaf become contiguous.
     pub join_order: Vec<(usize, usize)>,
@@ -312,15 +435,6 @@ pub struct KnnScratch {
     /// Self-join tie overflow: the entries past the `k`-th of every
     /// neighborhood in the batch (empty on tie-free data).
     pub join_ties: Vec<Neighbor>,
-    /// Per-query `(range radius, heap-space radius)` pairs of the active
-    /// join group (identical for true-space metrics; `(√sq, sq)` for the
-    /// squared-kernel paths).
-    pub join_radii: Vec<(f64, f64)>,
-    /// Per-query minimum lost (rejected or evicted) heap distance of the
-    /// active join group, fed by [`BoundedMaxHeap::offer_tracking`]. A
-    /// value equal to the query's k-distance flags the rare queries whose
-    /// shell pass can actually recover an id-tie-break casualty.
-    pub join_lost: Vec<f64>,
     /// Deterministic per-call kernel counters (see [`crate::obs`]); hot
     /// paths bump these as plain additions, chokepoints publish them.
     pub stats: crate::obs::KernelStats,
@@ -491,20 +605,16 @@ mod tests {
             sorted.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             for k in [1, drawn_k, stream.len().max(1), stream.len() + 3] {
                 let kept = k.min(stream.len());
-                let (mut plain, mut tracking) = (BoundedMaxHeap::new(), BoundedMaxHeap::new());
+                let mut plain = BoundedMaxHeap::new();
                 plain.reset(k);
-                tracking.reset(k);
-                let mut lost_min = f64::INFINITY;
                 for &(d, id) in &stream {
                     plain.offer(id, d);
-                    tracking.offer_tracking(id, d, &mut lost_min);
                 }
                 let bits = |v: Vec<(f64, usize)>| -> Vec<(u64, usize)> {
                     v.into_iter().map(|(d, id)| (d.to_bits(), id)).collect()
                 };
                 let oracle = bits(tuple_heap(k, &stream));
-                proptest::prop_assert_eq!(bits(plain.entries().collect()), oracle.clone());
-                proptest::prop_assert_eq!(bits(tracking.entries().collect()), oracle);
+                proptest::prop_assert_eq!(bits(plain.entries().collect()), oracle);
                 let mut held: Vec<(f64, usize)> = plain.entries().collect();
                 held.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
                 proptest::prop_assert_eq!(bits(held), bits(sorted[..kept].to_vec()));
@@ -514,10 +624,6 @@ mod tests {
                 );
                 let bound = if stream.len() < k { f64::INFINITY } else { sorted[k - 1].0 };
                 proptest::prop_assert_eq!(plain.bound().to_bits(), bound.to_bits());
-                // The zeros compare equal, and `f64::min` may keep either
-                // sign, so the lost minimum is checked as a value.
-                let want_lost = sorted[kept..].iter().fold(f64::INFINITY, |m, e| m.min(e.0));
-                proptest::prop_assert!(lost_min == want_lost, "lost {lost_min} != {want_lost}");
             }
         }
     }
@@ -535,5 +641,52 @@ mod tests {
         assert!(key(1.0, 9) < key(1.0, 10) && key(1.0, usize::MAX) < key(1.5, 0));
         assert_eq!(key_pair(key(-0.0, 42)).1, 42);
         assert_eq!(key_pair(key(-0.0, 42)).0.to_bits(), (-0.0f64).to_bits());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+        /// Offered in runs of any length, with the query's own id among
+        /// them, the capture's neighborhood is the tie-inclusive sort of
+        /// every other candidate, in squared space (reported as roots) or
+        /// not. The distances repeat, so tie piles straddle the k-th rank
+        /// and outgrow the `2k` compaction limit.
+        fn capture_matches_the_tie_inclusive_sort(
+            draws in proptest::collection::vec(0u32..12, 2..120),
+            cuts in proptest::collection::vec(1usize..20, 1..8),
+            drawn_k in 1usize..40,
+            skip in 0usize..120,
+            squared in 0u8..2,
+        ) {
+            let squared = squared == 1;
+            let dists: Vec<f64> = draws.iter().map(|&d| f64::from(d) * 0.5).collect();
+            let skip = skip % dists.len();
+            let k = drawn_k.min(dists.len() - 1);
+            let emit = |d: f64| if squared { d.sqrt() } else { d };
+            let others: Vec<Neighbor> = (0..dists.len())
+                .filter(|&id| id != skip)
+                .map(|id| Neighbor::new(id, emit(dists[id])))
+                .collect();
+            let want = crate::neighbors::select_k_tie_inclusive(others, k);
+
+            let mut capture = Capture::default();
+            capture.reset(k, 0.0);
+            let mut stats = KernelStats::default();
+            let mut start = 0;
+            for &cut in cuts.iter().cycle() {
+                if start == dists.len() {
+                    break;
+                }
+                let end = (start + cut).min(dists.len());
+                capture.offer(&dists[start..end], start..end, skip, &mut stats);
+                start = end;
+            }
+            let mut got = Vec::new();
+            let len = capture.neighborhood_into(squared, &mut got);
+            proptest::prop_assert_eq!(len, got.len());
+            let bits = |v: &[Neighbor]| -> Vec<(usize, u64)> {
+                v.iter().map(|n| (n.id, n.dist.to_bits())).collect()
+            };
+            proptest::prop_assert_eq!(bits(&got), bits(&want));
+        }
     }
 }

@@ -90,7 +90,7 @@ pub use error::{LofError, Result};
 pub use explain::{explain, OutlierExplanation};
 pub use incremental::{IncrementalLof, UpdateStats};
 pub use kernel::BlockKernel;
-pub use knn::{with_thread_scratch, BoundedMaxHeap, KnnScratch};
+pub use knn::{widen_sq, with_thread_scratch, BoundedMaxHeap, Capture, KnnScratch};
 pub use lof::{lof, lof_of_point, lof_of_point_with};
 pub use lofd::{Lofd, LofdError, LofdWriter};
 pub use materialize::NeighborhoodTable;

@@ -6,8 +6,8 @@
 //!
 //! * **coords** — the exact `f64` coordinates, row-major: byte-identical
 //!   to what [`Dataset::as_flat`](crate::Dataset::as_flat) exposes in RAM,
-//!   so `BlockKernel`, the tree builders, and the batch self-joins stream
-//!   tiles straight off the page cache with zero per-tile copies;
+//!   so `BlockKernel` and the tree builders stream tiles straight off the
+//!   page cache with zero per-tile copies;
 //! * **panel** — an `f32` column-major surrogate copy (`panel[c * count + r]`),
 //!   the precision/layout the SIMD surrogate prefilter consumes. Distances
 //!   taken on the panel are always refined against the `f64` section, the

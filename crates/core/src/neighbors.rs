@@ -103,16 +103,21 @@ pub trait KnnProvider {
     /// Implementations return [`crate::LofError::InvalidMinPts`] when
     /// `k == 0` or `k >= len()`, and [`crate::LofError::UnknownObject`] for
     /// out-of-range ids.
-    fn k_nearest(&self, id: usize, k: usize) -> Result<Vec<Neighbor>>;
+    ///
+    /// The default runs [`KnnProvider::k_nearest_into`] on the calling
+    /// thread's shared scratch ([`crate::with_thread_scratch`]).
+    fn k_nearest(&self, id: usize, k: usize) -> Result<Vec<Neighbor>> {
+        crate::knn::with_thread_scratch(|scratch| {
+            let mut out = Vec::new();
+            self.k_nearest_into(id, k, scratch, &mut out)?;
+            Ok(out)
+        })
+    }
 
     /// [`KnnProvider::k_nearest`] without the per-query allocation:
     /// appends the neighborhood to `out` (canonically sorted) and returns
     /// the number of entries appended. Search state lives in `scratch`,
     /// which is reused across calls.
-    ///
-    /// The default delegates to `k_nearest` (and therefore allocates);
-    /// every provider in this workspace overrides it with a true
-    /// scratch-based search.
     ///
     /// # Errors
     ///
@@ -123,12 +128,7 @@ pub trait KnnProvider {
         k: usize,
         scratch: &mut crate::knn::KnnScratch,
         out: &mut Vec<Neighbor>,
-    ) -> Result<usize> {
-        let _ = scratch;
-        let list = self.k_nearest(id, k)?;
-        out.extend_from_slice(&list);
-        Ok(list.len())
-    }
+    ) -> Result<usize>;
 
     /// `k-distance(id)` (definition 3) of each of `ids`, appended to `out`
     /// in `ids` order: the distance of the last entry of

@@ -29,22 +29,18 @@ use std::sync::OnceLock;
 pub struct KernelStats {
     /// Blocked-kernel data tiles streamed (one per (tile, query-block)).
     pub tiles: u64,
-    /// Candidate distances evaluated by the blocked kernel (tile length
-    /// summed per query).
+    /// Candidate distances evaluated by the blocked kernel and the tree
+    /// joins (run length summed per query).
     pub tile_pairs: u64,
-    /// Candidates captured under the running threshold.
+    /// Candidates captured under the running accept bound
+    /// ([`crate::Capture`]).
     pub captures: u64,
-    /// `select_nth`-based capture-list compactions.
+    /// `select_nth`-based capture compactions.
     pub compactions: u64,
     /// Candidates exact-refined after the surrogate scan.
     pub refined: u64,
-    /// Heap offers observed by the leaf-grouped batch self-joins.
-    pub heap_offers: u64,
     /// Leaf groups traversed by the batch self-joins.
     pub join_groups: u64,
-    /// Tie-shell recovery passes actually taken (lost-candidate gate
-    /// fired).
-    pub shell_passes: u64,
     /// Full register-tiled SIMD micropanels executed by the dispatched
     /// surrogate kernel (see [`crate::simd::panel_counts`]).
     pub simd_panels: u64,
@@ -89,12 +85,8 @@ bump! {
     bump_compactions => compactions,
     /// Adds `n` exact-refined candidates.
     bump_refined => refined,
-    /// Adds `n` self-join heap offers.
-    bump_heap_offers => heap_offers,
     /// Adds `n` traversed leaf groups.
     bump_join_groups => join_groups,
-    /// Adds `n` tie-shell recovery passes.
-    bump_shell_passes => shell_passes,
     /// Adds `n` executed SIMD micropanels.
     bump_simd_panels => simd_panels,
     /// Adds `n` masked/peeled remainder lanes.
@@ -125,9 +117,7 @@ impl KernelStats {
             (&m.captures, self.captures),
             (&m.compactions, self.compactions),
             (&m.refined, self.refined),
-            (&m.heap_offers, self.heap_offers),
             (&m.join_groups, self.join_groups),
-            (&m.shell_passes, self.shell_passes),
             (&m.simd_panels, self.simd_panels),
             (&m.simd_remainder_lanes, self.simd_remainder_lanes),
         ] {
@@ -148,9 +138,7 @@ pub(crate) struct CoreMetrics {
     pub captures: Arc<Counter>,
     pub compactions: Arc<Counter>,
     pub refined: Arc<Counter>,
-    pub heap_offers: Arc<Counter>,
     pub join_groups: Arc<Counter>,
-    pub shell_passes: Arc<Counter>,
     pub sweep_ranges: Arc<Counter>,
     pub sweep_column_passes: Arc<Counter>,
     pub sweep_cells: Arc<Counter>,
@@ -198,9 +186,7 @@ impl CoreMetrics {
             captures: r.counter("core.kernel.captures"),
             compactions: r.counter("core.kernel.compactions"),
             refined: r.counter("core.kernel.refined"),
-            heap_offers: r.counter("core.join.heap_offers"),
             join_groups: r.counter("core.join.groups"),
-            shell_passes: r.counter("core.join.shell_passes"),
             sweep_ranges: r.counter("core.sweep.ranges"),
             sweep_column_passes: r.counter("core.sweep.column_passes"),
             sweep_cells: r.counter("core.sweep.cells"),
@@ -384,10 +370,10 @@ mod tests {
     fn bumps_respect_the_feature_gate() {
         let mut s = KernelStats::default();
         s.bump_tiles(3);
-        s.bump_heap_offers(10);
+        s.bump_captures(10);
         if lof_obs::enabled() {
             assert_eq!(s.tiles, 3);
-            assert_eq!(s.heap_offers, 10);
+            assert_eq!(s.captures, 10);
         } else {
             assert_eq!(s, KernelStats::default());
         }

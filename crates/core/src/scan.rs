@@ -14,7 +14,7 @@
 use crate::distance::Metric;
 use crate::error::{LofError, Result};
 use crate::kernel::BlockKernel;
-use crate::knn::{with_thread_scratch, KnnScratch};
+use crate::knn::{Capture, KnnScratch};
 use crate::neighbors::{select_k_tie_inclusive_in_place, sort_neighbors, KnnProvider, Neighbor};
 use crate::point::Dataset;
 
@@ -88,10 +88,11 @@ impl<'a, M: Metric> LinearScan<'a, M> {
     /// [`BlockKernel`] (one geometry, one tuning surface), with the
     /// metric evaluated directly instead of through surrogates. Each data
     /// tile is pulled through the cache once per query *block* rather
-    /// than once per query, so the per-query cost tracks the blocked
-    /// form's as `MAX_QUERY_BLOCK` is tuned. Results are bit-identical to
-    /// [`LinearScan::k_nearest_scalar`]: the same distances feed the same
-    /// order-canonicalizing tie-inclusive reduction.
+    /// than once per query, and each query's distances to it go whole
+    /// into the query's [`Capture`]. Results are bit-identical to
+    /// [`LinearScan::k_nearest_scalar`]: the capture holds every
+    /// candidate within the k-distance, and the same distances reduce to
+    /// the same canonically sorted neighborhood.
     fn batch_k_nearest_generic(
         &self,
         ids: std::ops::Range<usize>,
@@ -105,36 +106,23 @@ impl<'a, M: Metric> LinearScan<'a, M> {
         let mut block_start = ids.start;
         while block_start < ids.end {
             let block_end = (block_start + qb).min(ids.end);
-            let bq = block_end - block_start;
-            if scratch.block_pairs.len() < bq {
-                scratch.block_pairs.resize_with(bq, Vec::new);
-            }
-            for pairs in &mut scratch.block_pairs[..bq] {
-                pairs.clear();
-            }
+            let KnnScratch { captures, tile_sq, stats, .. } = scratch;
+            let captures = Capture::reset_first(captures, block_end - block_start, k, 0.0);
             let mut tile_start = 0;
             while tile_start < n {
                 let tile_end = (tile_start + tile).min(n);
-                for (qi, qid) in (block_start..block_end).enumerate() {
+                for (qid, capture) in (block_start..block_end).zip(captures.iter_mut()) {
                     let q = self.data.point(qid);
-                    let pairs = &mut scratch.block_pairs[qi];
-                    for j in tile_start..tile_end {
-                        if j != qid {
-                            pairs.push((self.metric.distance(q, self.data.point(j)), j));
-                        }
-                    }
+                    tile_sq.clear();
+                    tile_sq.extend(
+                        (tile_start..tile_end).map(|j| self.metric.distance(q, self.data.point(j))),
+                    );
+                    capture.offer(tile_sq, tile_start..tile_end, qid, stats);
                 }
                 tile_start = tile_end;
             }
-            for (qi, _) in (block_start..block_end).enumerate() {
-                // Disjoint field borrows: reduce the staged pairs into the
-                // neighbor scratch.
-                let KnnScratch { neighbors, block_pairs, .. } = scratch;
-                neighbors.clear();
-                neighbors.extend(block_pairs[qi].iter().map(|&(dist, j)| Neighbor::new(j, dist)));
-                select_k_tie_inclusive_in_place(neighbors, k);
-                out.extend_from_slice(neighbors);
-                lens.push(neighbors.len());
+            for capture in captures {
+                lens.push(capture.neighborhood_into(false, out));
             }
             block_start = block_end;
         }
@@ -150,14 +138,6 @@ impl<M: Metric> crate::topn::PartitionMetric for LinearScan<'_, M> {
 impl<M: Metric> KnnProvider for LinearScan<'_, M> {
     fn len(&self) -> usize {
         self.data.len()
-    }
-
-    fn k_nearest(&self, id: usize, k: usize) -> Result<Vec<Neighbor>> {
-        with_thread_scratch(|scratch| {
-            let mut out = Vec::new();
-            self.k_nearest_into(id, k, scratch, &mut out)?;
-            Ok(out)
-        })
     }
 
     fn k_nearest_into(

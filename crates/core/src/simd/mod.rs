@@ -247,78 +247,6 @@ pub fn surrogate_panel(
     }
 }
 
-/// Elements per capture-skip window of [`next_hit_block`]: two AVX2
-/// vectors, four SSE2/NEON vectors.
-pub const SKIP_BLOCK: usize = 8;
-
-/// Threshold-scan accelerator for the capture phase: returns the start
-/// of the first [`SKIP_BLOCK`]-sized window at or after `from` that may
-/// contain a value `<= accept`, or an index `>= buf.len()` when no later
-/// full window can qualify.
-///
-/// Every element of `buf[from..returned]` is **provably** `> accept` —
-/// the vector compare is exact, no rounding is involved — so callers may
-/// skip that prefix wholesale. Elements from the returned index on must
-/// still pass the caller's own scalar test: a hit window merely *may*
-/// contain a qualifying value, and a trailing partial window is always
-/// reported as a potential hit. The scalar target returns `from`
-/// unchanged, degenerating to the caller's plain element loop (the
-/// pre-SIMD capture scan, bit for bit).
-pub fn next_hit_block(isa: Isa, buf: &[f64], from: usize, accept: f64) -> usize {
-    match runnable(isa) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `runnable` verified the features via `available()`.
-        Isa::Avx2Fma => unsafe { x86::next_hit_block_avx2(buf, from, accept) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86-64 baseline.
-        Isa::Sse2 => unsafe { x86::next_hit_block_sse2(buf, from, accept) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is part of the aarch64 baseline.
-        Isa::Neon => unsafe { neon::next_hit_block_neon(buf, from, accept) },
-        _ => from,
-    }
-}
-
-/// Surrogate gather: `out[ci] = qn + norms[cands[ci]] − 2·(q · x_cands[ci])`
-/// for one query against scattered candidate ids (a tree leaf's id
-/// block). Same error bound as [`surrogate_panel`].
-///
-/// # Panics
-///
-/// Panics (debug) on inconsistent slice lengths or out-of-range ids.
-// The argument list is the kernel ABI itself (query row, norms, data,
-// candidate ids, output) plus the dispatch target; bundling them into a
-// struct would only add a second call-site shape to maintain.
-#[allow(clippy::too_many_arguments)]
-pub fn surrogate_gather(
-    isa: Isa,
-    q: &[f64],
-    qn: f64,
-    coords: &[f64],
-    norms: &[f64],
-    d: usize,
-    cands: &[usize],
-    out: &mut [f64],
-) {
-    debug_assert!(d > 0, "points have at least one dimension");
-    debug_assert_eq!(q.len(), d, "query dimensionality mismatch");
-    debug_assert_eq!(coords.len(), norms.len() * d, "data rows / norms mismatch");
-    debug_assert_eq!(out.len(), cands.len(), "output size mismatch");
-    debug_assert!(cands.iter().all(|&j| j < norms.len()), "candidate id out of range");
-    match runnable(isa) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `runnable` verified the features via `available()`.
-        Isa::Avx2Fma => unsafe { x86::surrogate_gather_avx2(q, qn, coords, norms, d, cands, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86-64 baseline.
-        Isa::Sse2 => unsafe { x86::surrogate_gather_sse2(q, qn, coords, norms, d, cands, out) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is part of the aarch64 baseline.
-        Isa::Neon => unsafe { neon::surrogate_gather_neon(q, qn, coords, norms, d, cands, out) },
-        _ => scalar::surrogate_gather(q, qn, coords, norms, d, cands, out),
-    }
-}
-
 /// Column-stride alignment of [`exact_sq_columns`] tiles: the widest
 /// target's f64 lanes, so every target runs whole vectors with no tail.
 pub const COLUMN_ALIGN: usize = 4;
@@ -430,32 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_matches_panel_on_scattered_ids() {
-        for &isa in available() {
-            for d in 1..=9 {
-                let rows = fixture(d);
-                let ns = norms(&rows, d);
-                let n = ns.len();
-                // A scattered, repeating candidate list.
-                let cands: Vec<usize> = (0..n).rev().chain([0, 0, n / 2]).collect();
-                let q = &rows[3 * d..][..d];
-                let mut panel = vec![0.0; n];
-                surrogate_panel(isa, q, &ns[3..4], &rows, &ns, d, &mut panel);
-                let mut gathered = vec![0.0; cands.len()];
-                surrogate_gather(isa, q, ns[3], &rows, &ns, d, &cands, &mut gathered);
-                for (ci, &j) in cands.iter().enumerate() {
-                    assert_eq!(
-                        gathered[ci].to_bits(),
-                        panel[j].to_bits(),
-                        "{}: d={d} cand {ci} (id {j})",
-                        isa.key()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn exact_columns_match_the_scalar_distance_bit_for_bit() {
         for &isa in available() {
             for d in 1..=9 {
@@ -482,34 +384,6 @@ mod tests {
                         );
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn next_hit_block_skips_only_rejected_elements() {
-        // Driving the capture-scan protocol over every target must visit
-        // exactly the elements `<= accept`, in order, for any threshold.
-        let buf: Vec<f64> = (0..37).map(|i| ((i * 17) % 29) as f64 - 3.0).collect();
-        for &isa in available() {
-            for accept in [-10.0, 0.0, 5.0, 24.9, 25.0, f64::INFINITY] {
-                let mut seen = Vec::new();
-                let mut ti = 0;
-                while ti < buf.len() {
-                    ti = next_hit_block(isa, &buf, ti, accept);
-                    if ti >= buf.len() {
-                        break;
-                    }
-                    let end = (ti + SKIP_BLOCK).min(buf.len());
-                    for (off, &v) in buf[ti..end].iter().enumerate() {
-                        if v <= accept {
-                            seen.push(ti + off);
-                        }
-                    }
-                    ti = end;
-                }
-                let want: Vec<usize> = (0..buf.len()).filter(|&i| buf[i] <= accept).collect();
-                assert_eq!(seen, want, "{} accept={accept}", isa.key());
             }
         }
     }

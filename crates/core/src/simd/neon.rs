@@ -130,77 +130,6 @@ pub(super) unsafe fn surrogate_panel_neon(
     }
 }
 
-/// NEON surrogate gather; see [`super::surrogate_gather`]. One query ×
-/// 2 scattered candidates per iteration.
-#[target_feature(enable = "neon")]
-pub(super) unsafe fn surrogate_gather_neon(
-    q: &[f64],
-    qn: f64,
-    coords: &[f64],
-    norms: &[f64],
-    d: usize,
-    cands: &[usize],
-    out: &mut [f64],
-) {
-    let nc = cands.len();
-    let rem = d % 2;
-    let dfull = d - rem;
-    let qp = q.as_ptr();
-    let mut ci = 0;
-    while ci + 2 <= nc {
-        let (j0, j1) = (cands[ci], cands[ci + 1]);
-        let x0 = coords.as_ptr().add(j0 * d);
-        let x1 = coords.as_ptr().add(j1 * d);
-        let mut acc = [vdupq_n_f64(0.0); 2];
-        let mut c = 0;
-        while c < dfull {
-            let vq = vld1q_f64(qp.add(c));
-            acc[0] = vfmaq_f64(acc[0], vq, vld1q_f64(x0.add(c)));
-            acc[1] = vfmaq_f64(acc[1], vq, vld1q_f64(x1.add(c)));
-            c += 2;
-        }
-        let mut dots = [vaddvq_f64(acc[0]), vaddvq_f64(acc[1])];
-        if rem != 0 {
-            let qv = *qp.add(c);
-            dots[0] += qv * *x0.add(c);
-            dots[1] += qv * *x1.add(c);
-        }
-        out[ci] = qn + norms[j0] - 2.0 * dots[0];
-        out[ci + 1] = qn + norms[j1] - 2.0 * dots[1];
-        ci += 2;
-    }
-    if ci < nc {
-        let j = cands[ci];
-        let dot = dot1_neon(qp, coords.as_ptr().add(j * d), dfull, d);
-        out[ci] = qn + norms[j] - 2.0 * dot;
-    }
-}
-
-/// Capture-skip scan (see [`super::next_hit_block`]): NEON variant —
-/// four 2-lane `<= accept` compares OR-ed per window; a zero reduction
-/// proves every element of the window is `> accept` (the comparison is
-/// exact).
-#[target_feature(enable = "neon")]
-pub(super) unsafe fn next_hit_block_neon(buf: &[f64], from: usize, accept: f64) -> usize {
-    let n = buf.len();
-    let p = buf.as_ptr();
-    let acc = vdupq_n_f64(accept);
-    let mut i = from;
-    while i + super::SKIP_BLOCK <= n {
-        let m01 =
-            vorrq_u64(vcleq_f64(vld1q_f64(p.add(i)), acc), vcleq_f64(vld1q_f64(p.add(i + 2)), acc));
-        let m23 = vorrq_u64(
-            vcleq_f64(vld1q_f64(p.add(i + 4)), acc),
-            vcleq_f64(vld1q_f64(p.add(i + 6)), acc),
-        );
-        if vmaxvq_u64(vorrq_u64(m01, m23)) != 0 {
-            return i;
-        }
-        i += super::SKIP_BLOCK;
-    }
-    i
-}
-
 /// Exact column-tile distances, 2 lanes per vector; see
 /// [`super::exact_sq_columns`]. Separate `sub`, `mul` and `add` (no
 /// `vfmaq_f64`) keep each lane's rounding identical to the scalar

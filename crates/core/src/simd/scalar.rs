@@ -46,22 +46,6 @@ fn panel_impl<const D: usize>(
     }
 }
 
-fn gather_impl<const D: usize>(
-    q: &[f64],
-    qn: f64,
-    coords: &[f64],
-    norms: &[f64],
-    d: usize,
-    cands: &[usize],
-    out: &mut [f64],
-) {
-    let d = if D == 0 { d } else { D };
-    for (slot, &j) in out.iter_mut().zip(cands) {
-        let xrow = &coords[j * d..][..d];
-        *slot = qn + norms[j] - 2.0 * dot::<D>(q, xrow, d);
-    }
-}
-
 /// Dispatches to a monomorphized body for common dimensionalities so the
 /// dot product fully unrolls; the runtime-`d` fallback covers the rest.
 macro_rules! mono_d {
@@ -96,18 +80,6 @@ pub(super) fn surrogate_panel(
     out: &mut [f64],
 ) {
     mono_d!(d, panel_impl, (q, qn, t, tn, d, out));
-}
-
-pub(super) fn surrogate_gather(
-    q: &[f64],
-    qn: f64,
-    coords: &[f64],
-    norms: &[f64],
-    d: usize,
-    cands: &[usize],
-    out: &mut [f64],
-) {
-    mono_d!(d, gather_impl, (q, qn, coords, norms, d, cands, out));
 }
 
 /// Exact column-tile distances one lane at a time: the

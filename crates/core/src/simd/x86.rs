@@ -184,75 +184,6 @@ pub(super) unsafe fn surrogate_panel_avx2(
     }
 }
 
-/// AVX2+FMA surrogate gather; see [`super::surrogate_gather`]. One query
-/// × 4 scattered candidates per iteration.
-#[target_feature(enable = "avx2", enable = "fma")]
-pub(super) unsafe fn surrogate_gather_avx2(
-    q: &[f64],
-    qn: f64,
-    coords: &[f64],
-    norms: &[f64],
-    d: usize,
-    cands: &[usize],
-    out: &mut [f64],
-) {
-    let nc = cands.len();
-    let rem = d % 4;
-    let dfull = d - rem;
-    let mask = tail_mask(rem);
-    let two = _mm256_set1_pd(2.0);
-    let qp = q.as_ptr();
-    let mut ci = 0;
-    while ci + 4 <= nc {
-        let j = [cands[ci], cands[ci + 1], cands[ci + 2], cands[ci + 3]];
-        let x0 = coords.as_ptr().add(j[0] * d);
-        let x1 = coords.as_ptr().add(j[1] * d);
-        let x2 = coords.as_ptr().add(j[2] * d);
-        let x3 = coords.as_ptr().add(j[3] * d);
-        let mut acc = [_mm256_setzero_pd(); 4];
-        let mut c = 0;
-        while c < dfull {
-            let vq = _mm256_loadu_pd(qp.add(c));
-            acc[0] = _mm256_fmadd_pd(vq, _mm256_loadu_pd(x0.add(c)), acc[0]);
-            acc[1] = _mm256_fmadd_pd(vq, _mm256_loadu_pd(x1.add(c)), acc[1]);
-            acc[2] = _mm256_fmadd_pd(vq, _mm256_loadu_pd(x2.add(c)), acc[2]);
-            acc[3] = _mm256_fmadd_pd(vq, _mm256_loadu_pd(x3.add(c)), acc[3]);
-            c += 4;
-        }
-        if rem != 0 {
-            let vq = _mm256_maskload_pd(qp.add(c), mask);
-            acc[0] = _mm256_fmadd_pd(vq, _mm256_maskload_pd(x0.add(c), mask), acc[0]);
-            acc[1] = _mm256_fmadd_pd(vq, _mm256_maskload_pd(x1.add(c), mask), acc[1]);
-            acc[2] = _mm256_fmadd_pd(vq, _mm256_maskload_pd(x2.add(c), mask), acc[2]);
-            acc[3] = _mm256_fmadd_pd(vq, _mm256_maskload_pd(x3.add(c), mask), acc[3]);
-        }
-        let dots = hsum4(acc[0], acc[1], acc[2], acc[3]);
-        let vtn = _mm256_setr_pd(norms[j[0]], norms[j[1]], norms[j[2]], norms[j[3]]);
-        let base = _mm256_add_pd(_mm256_set1_pd(qn), vtn);
-        _mm256_storeu_pd(out.as_mut_ptr().add(ci), _mm256_fnmadd_pd(two, dots, base));
-        ci += 4;
-    }
-    while ci < nc {
-        let j = cands[ci];
-        let x = coords.as_ptr().add(j * d);
-        let mut acc = _mm256_setzero_pd();
-        let mut c = 0;
-        while c < dfull {
-            acc = _mm256_fmadd_pd(_mm256_loadu_pd(qp.add(c)), _mm256_loadu_pd(x.add(c)), acc);
-            c += 4;
-        }
-        if rem != 0 {
-            acc = _mm256_fmadd_pd(
-                _mm256_maskload_pd(qp.add(c), mask),
-                _mm256_maskload_pd(x.add(c), mask),
-                acc,
-            );
-        }
-        out[ci] = qn + norms[j] - 2.0 * hsum1(acc);
-        ci += 1;
-    }
-}
-
 /// Both-lane horizontal sums of a pair of accumulators:
 /// `[Σ a0, Σ a1]`.
 #[target_feature(enable = "sse2")]
@@ -369,101 +300,6 @@ pub(super) unsafe fn surrogate_panel_sse2(
     }
 }
 
-/// SSE2 surrogate gather; see [`super::surrogate_gather`]. One query ×
-/// 2 scattered candidates per iteration.
-#[target_feature(enable = "sse2")]
-pub(super) unsafe fn surrogate_gather_sse2(
-    q: &[f64],
-    qn: f64,
-    coords: &[f64],
-    norms: &[f64],
-    d: usize,
-    cands: &[usize],
-    out: &mut [f64],
-) {
-    let nc = cands.len();
-    let rem = d % 2;
-    let dfull = d - rem;
-    let qp = q.as_ptr();
-    let mut ci = 0;
-    while ci + 2 <= nc {
-        let (j0, j1) = (cands[ci], cands[ci + 1]);
-        let x0 = coords.as_ptr().add(j0 * d);
-        let x1 = coords.as_ptr().add(j1 * d);
-        let mut acc = [_mm_setzero_pd(); 2];
-        let mut c = 0;
-        while c < dfull {
-            let vq = _mm_loadu_pd(qp.add(c));
-            acc[0] = _mm_add_pd(acc[0], _mm_mul_pd(vq, _mm_loadu_pd(x0.add(c))));
-            acc[1] = _mm_add_pd(acc[1], _mm_mul_pd(vq, _mm_loadu_pd(x1.add(c))));
-            c += 2;
-        }
-        let mut dots = [0.0f64; 2];
-        _mm_storeu_pd(dots.as_mut_ptr(), hsum2(acc[0], acc[1]));
-        if rem != 0 {
-            let qv = *qp.add(c);
-            dots[0] += qv * *x0.add(c);
-            dots[1] += qv * *x1.add(c);
-        }
-        out[ci] = qn + norms[j0] - 2.0 * dots[0];
-        out[ci + 1] = qn + norms[j1] - 2.0 * dots[1];
-        ci += 2;
-    }
-    if ci < nc {
-        let j = cands[ci];
-        let dot = dot1_sse2(qp, coords.as_ptr().add(j * d), dfull, d);
-        out[ci] = qn + norms[j] - 2.0 * dot;
-    }
-}
-
-/// Capture-skip scan (see [`super::next_hit_block`]): advances over
-/// [`super::SKIP_BLOCK`]-sized windows of `buf` starting at `from` and
-/// returns the start of the first window whose `<= accept` compare mask
-/// is non-zero, or the index of the trailing partial window. The
-/// comparison is exact, so a zero mask proves every element of the
-/// window is `> accept`.
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn next_hit_block_avx2(buf: &[f64], from: usize, accept: f64) -> usize {
-    let n = buf.len();
-    let p = buf.as_ptr();
-    let acc = _mm256_set1_pd(accept);
-    let mut i = from;
-    while i + super::SKIP_BLOCK <= n {
-        let lo = _mm256_cmp_pd::<_CMP_LE_OQ>(_mm256_loadu_pd(p.add(i)), acc);
-        let hi = _mm256_cmp_pd::<_CMP_LE_OQ>(_mm256_loadu_pd(p.add(i + 4)), acc);
-        if _mm256_movemask_pd(_mm256_or_pd(lo, hi)) != 0 {
-            return i;
-        }
-        i += super::SKIP_BLOCK;
-    }
-    i
-}
-
-/// SSE2 variant of [`next_hit_block_avx2`]: four 2-lane compares per
-/// window.
-#[target_feature(enable = "sse2")]
-pub(super) unsafe fn next_hit_block_sse2(buf: &[f64], from: usize, accept: f64) -> usize {
-    let n = buf.len();
-    let p = buf.as_ptr();
-    let acc = _mm_set1_pd(accept);
-    let mut i = from;
-    while i + super::SKIP_BLOCK <= n {
-        let m01 = _mm_or_pd(
-            _mm_cmple_pd(_mm_loadu_pd(p.add(i)), acc),
-            _mm_cmple_pd(_mm_loadu_pd(p.add(i + 2)), acc),
-        );
-        let m23 = _mm_or_pd(
-            _mm_cmple_pd(_mm_loadu_pd(p.add(i + 4)), acc),
-            _mm_cmple_pd(_mm_loadu_pd(p.add(i + 6)), acc),
-        );
-        if _mm_movemask_pd(_mm_or_pd(m01, m23)) != 0 {
-            return i;
-        }
-        i += super::SKIP_BLOCK;
-    }
-    i
-}
-
 /// Exact column-tile distances, 4 lanes per vector; see
 /// [`super::exact_sq_columns`]. Separate `sub`, `mul` and `add` keep each
 /// lane's rounding identical to the scalar reference.
@@ -476,13 +312,30 @@ pub(super) unsafe fn next_hit_block_sse2(buf: &[f64], from: usize, accept: f64) 
 pub(super) unsafe fn exact_sq_columns_avx2(q: &[f64], cols: &[f64], out: &mut [f64]) {
     let m = out.len();
     let base = cols.as_ptr();
-    for j in (0..m).step_by(4) {
+    let mut j = 0;
+    while j + 16 <= m {
+        let mut acc = [_mm256_setzero_pd(); 4];
+        for (c, &qc) in q.iter().enumerate() {
+            let vq = _mm256_set1_pd(qc);
+            let row = base.add(c * m + j);
+            for (u, a) in acc.iter_mut().enumerate() {
+                let delta = _mm256_sub_pd(vq, _mm256_loadu_pd(row.add(4 * u)));
+                *a = _mm256_add_pd(*a, _mm256_mul_pd(delta, delta));
+            }
+        }
+        for (u, a) in acc.iter().enumerate() {
+            _mm256_storeu_pd(out.as_mut_ptr().add(j + 4 * u), *a);
+        }
+        j += 16;
+    }
+    while j < m {
         let mut acc = _mm256_setzero_pd();
         for (c, &qc) in q.iter().enumerate() {
             let delta = _mm256_sub_pd(_mm256_set1_pd(qc), _mm256_loadu_pd(base.add(c * m + j)));
             acc = _mm256_add_pd(acc, _mm256_mul_pd(delta, delta));
         }
         _mm256_storeu_pd(out.as_mut_ptr().add(j), acc);
+        j += 4;
     }
 }
 

@@ -12,18 +12,53 @@
 
 use super::Partition;
 
-/// One node of a [`BoxTree`]; its box is [`BoxTree::bbox`].
+/// One node of a [`BoxTree`]; its box is [`BoxTree::bbox`]. Indices and
+/// counts are `u32`, with [`NONE`] for "no such index", so a node fills
+/// half a cache line.
 pub(crate) struct BoxNode {
     /// Total member count of the subtree.
-    pub count: usize,
-    pub children: Option<(usize, usize)>,
-    /// Partition index (leaves only; `usize::MAX` on internal nodes).
-    pub part: usize,
+    count: u32,
+    /// Partition index (leaves only; [`NONE`] on internal nodes).
+    part: u32,
+    /// Left and right child ([`NONE`] on leaves).
+    children: [u32; 2],
     /// Subtree minimum of the per-partition statistic of the current
     /// envelope pass (k-distance lower bounds, then direct minima).
     pub agg_lo: f64,
     /// Subtree maximum of the current pass's statistic.
     pub agg_hi: f64,
+}
+
+const _: () = assert!(std::mem::size_of::<BoxNode>() == 32);
+
+/// The `u32` index sentinel of [`BoxNode`].
+const NONE: u32 = u32::MAX;
+
+/// `i` as a [`BoxNode`] index or count.
+fn narrow(i: usize) -> u32 {
+    u32::try_from(i).ok().filter(|&i| i != NONE).expect("box tree indices fit below u32::MAX")
+}
+
+impl BoxNode {
+    /// Total member count of the subtree.
+    #[inline]
+    pub fn count(&self) -> usize {
+        self.count as usize
+    }
+
+    /// Partition index of a leaf (`u32::MAX` on internal nodes, which no
+    /// partition index reaches).
+    #[inline]
+    pub fn part(&self) -> usize {
+        self.part as usize
+    }
+
+    /// The two children of an internal node; `None` on leaves.
+    #[inline]
+    pub fn children(&self) -> Option<(usize, usize)> {
+        let [l, r] = self.children;
+        (l != NONE).then_some((l as usize, r as usize))
+    }
 }
 
 /// Arena box tree over a non-empty slice of partitions.
@@ -60,7 +95,7 @@ impl BoxTree {
             let p = idx[0];
             self.boxes.extend_from_slice(&parts[p].lo);
             self.boxes.extend_from_slice(&parts[p].hi);
-            return self.push(parts[p].members.len(), None, p);
+            return self.push(parts[p].members.len(), None, narrow(p));
         }
         let center = |i: usize, d: usize| centers[i * dims + d];
         let mut best_dim = 0;
@@ -91,13 +126,15 @@ impl BoxTree {
         for d in dims..2 * dims {
             self.boxes.push(self.boxes[l + d].max(self.boxes[r + d]));
         }
-        let count = self.nodes[left].count + self.nodes[right].count;
-        self.push(count, Some((left, right)), usize::MAX)
+        let count = self.nodes[left].count() + self.nodes[right].count();
+        self.push(count, Some((left, right)), NONE)
     }
 
     /// Appends a node whose box was just appended to `boxes`.
-    fn push(&mut self, count: usize, children: Option<(usize, usize)>, part: usize) -> usize {
-        self.nodes.push(BoxNode { count, children, part, agg_lo: 0.0, agg_hi: 0.0 });
+    fn push(&mut self, count: usize, children: Option<(usize, usize)>, part: u32) -> usize {
+        let children = children.map_or([NONE; 2], |(l, r)| [narrow(l), narrow(r)]);
+        let count = narrow(count);
+        self.nodes.push(BoxNode { count, part, children, agg_lo: 0.0, agg_hi: 0.0 });
         self.nodes.len() - 1
     }
 
@@ -111,9 +148,9 @@ impl BoxTree {
     /// them bottom-up (children precede parents in the arena).
     pub fn set_aggregates(&mut self, stat_lo: &[f64], stat_hi: &[f64]) {
         for i in 0..self.nodes.len() {
-            match self.nodes[i].children {
+            match self.nodes[i].children() {
                 None => {
-                    let p = self.nodes[i].part;
+                    let p = self.nodes[i].part();
                     self.nodes[i].agg_lo = stat_lo[p];
                     self.nodes[i].agg_hi = stat_hi[p];
                 }

@@ -247,28 +247,28 @@ fn kd_bounds<M: Metric + ?Sized>(
             return (lo, hi);
         }
         let node = &tree.nodes[ni];
-        match node.children {
+        match node.children() {
             Some((l, r)) => {
                 for child in [l, r] {
                     let c = &tree.nodes[child];
                     // Once the lower end is known, a leaf matters only by
                     // its farthest distance, so it waits in `far` at once.
-                    if lo_end.is_some() && c.children.is_none() {
-                        if c.part != src_idx {
-                            far.push(Reverse((Key(farthest(child)), c.count)));
+                    if lo_end.is_some() && c.children().is_none() {
+                        if c.part() != src_idx {
+                            far.push(Reverse((Key(farthest(child)), c.count())));
                         }
                     } else {
                         near.push(Reverse((Key(closest(child)), child)));
                     }
                 }
             }
-            None if node.part == src_idx => {}
+            None if node.part() == src_idx => {}
             None => {
                 if lo_end.is_none() {
-                    lo_end = lower.take(node.count, clamped);
+                    lo_end = lower.take(node.count(), clamped);
                 }
                 if hi_end.is_none() {
-                    far.push(Reverse((Key(farthest(ni)), node.count)));
+                    far.push(Reverse((Key(farthest(ni)), node.count())));
                 }
             }
         }
@@ -347,7 +347,7 @@ fn reachable_envelope<M: Metric + ?Sized>(
         let node = &tree.nodes[ni];
         let (node_lo, node_hi) = tree.bbox(ni);
         let mut closest = metric.min_dist_between_rects(&src.lo, &src.hi, node_lo, node_hi);
-        if node.children.is_none() && node.part != src_idx {
+        if node.children().is_none() && node.part() != src_idx {
             closest = closest.max(src.isolation);
         }
         if closest > radius {
@@ -359,7 +359,7 @@ fn reachable_envelope<M: Metric + ?Sized>(
         } else {
             (node.agg_lo, node.agg_hi)
         };
-        if let Some((l, r)) = node.children {
+        if let Some((l, r)) = node.children() {
             // A subtree straddling the radius may hold unreachable
             // partitions; one whose node-level contribution could still
             // move an end must be resolved leaf-by-leaf (for the direct
@@ -632,7 +632,7 @@ mod tests {
 
         let key_of = |ni: usize| -> f64 {
             let (lo, hi) = tree.bbox(ni);
-            if upper && tree.nodes[ni].children.is_none() {
+            if upper && tree.nodes[ni].children().is_none() {
                 metric.max_dist_between_rects(&src.lo, &src.hi, lo, hi)
             } else {
                 metric.min_dist_between_rects(&src.lo, &src.hi, lo, hi)
@@ -656,14 +656,14 @@ mod tests {
                 intra_next += 1;
             }
             let node = &tree.nodes[ni];
-            match node.children {
+            match node.children() {
                 Some((l, r)) => {
                     heap.push(Reverse((Key(key_of(l)), l)));
                     heap.push(Reverse((Key(key_of(r)), r)));
                 }
-                None if node.part == src_idx => {}
+                None if node.part() == src_idx => {}
                 None => {
-                    acc += node.count;
+                    acc += node.count();
                     if acc >= min_pts {
                         return key;
                     }

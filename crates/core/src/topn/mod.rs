@@ -252,7 +252,7 @@ where
                 break;
             }
             let node = &tree.nodes[ni];
-            match node.children {
+            match node.children() {
                 Some((l, r)) => {
                     for child in [l, r] {
                         let (lo, hi) = tree.bbox(child);
@@ -262,9 +262,9 @@ where
                         }
                     }
                 }
-                None if node.part == i => {}
+                None if node.part() == i => {}
                 None => {
-                    let j = node.part;
+                    let j = node.part();
                     let other = &parts[j];
                     let pairs = src.members.len() * other.members.len();
                     if verified >= ISOLATION_CANDIDATE_CAP || pairs > ISOLATION_PAIR_CAP {
@@ -716,11 +716,17 @@ mod tests {
             self.scan.len()
         }
 
-        fn k_nearest(&self, id: usize, k: usize) -> Result<Vec<crate::neighbors::Neighbor>> {
+        fn k_nearest_into(
+            &self,
+            id: usize,
+            k: usize,
+            scratch: &mut crate::KnnScratch,
+            out: &mut Vec<crate::neighbors::Neighbor>,
+        ) -> Result<usize> {
             if id == self.bad {
                 return Err(LofError::UnknownObject { id, dataset_size: 0 });
             }
-            self.scan.k_nearest(id, k)
+            self.scan.k_nearest_into(id, k, scratch, out)
         }
 
         fn within(&self, id: usize, radius: f64) -> Result<Vec<crate::neighbors::Neighbor>> {

@@ -9,9 +9,15 @@
 //! farthest from the node centroid and the point farthest from *it* as
 //! poles, assign points to the nearer pole. Search prunes a ball when
 //! `d(q, center) - radius` exceeds the current bound.
+//!
+//! The batch self-join answers all queries of one leaf in one traversal,
+//! capturing each query's tie-inclusive candidates in a
+//! [`lof_core::Capture`], as [`crate::KdTree`]'s join does: no heap and
+//! no second pass.
 
-use crate::common::impl_knn_provider;
-use lof_core::{BlockKernel, BoundedMaxHeap, Dataset, KnnScratch, Metric, Neighbor};
+use crate::common::{impl_knn_provider, GroupWalk, LeafColumns};
+use lof_core::distance::BlockedForm;
+use lof_core::{BoundedMaxHeap, Dataset, KnnScratch, Metric, Neighbor};
 
 const LEAF_SIZE: usize = 16;
 
@@ -45,10 +51,6 @@ pub struct BallTree<'a, M: Metric> {
     /// Index of the leaf node containing each object, for the leaf-grouped
     /// batch self-join (leaf ranges partition `ids`, so this is total).
     leaf_of: Vec<usize>,
-    /// Norm-form surrogate kernel; `None` for generic metrics. Since the
-    /// constructor rejects non-metrics, `Some` here implies plain
-    /// Euclidean.
-    kernel: Option<BlockKernel>,
 }
 
 impl<'a, M: Metric> BallTree<'a, M> {
@@ -80,8 +82,7 @@ impl<'a, M: Metric> BallTree<'a, M> {
                 }
             }
         }
-        let kernel = BlockKernel::for_metric(data, &metric);
-        BallTree { data, metric, ids, nodes, root, leaf_of, kernel }
+        BallTree { data, metric, ids, nodes, root, leaf_of }
     }
 
     /// Number of indexed objects.
@@ -286,306 +287,68 @@ impl<'a, M: Metric> BallTree<'a, M> {
 
     /// Answers one leaf group of the batch self-join (driven by
     /// [`crate::common::leaf_grouped_batch`] and
-    /// [`crate::common::leaf_grouped_table`]): a shared k-distance descent
-    /// whose heaps are emitted directly, then a shared shell pass
-    /// recovering id-tie-break casualties at each query's exact
-    /// k-distance (generic metrics fall back to a full range collection).
-    /// The group traverses the tree once with shared ball-to-ball
-    /// pruning, and for the plain Euclidean metric candidates are
-    /// evaluated in squared space. Produces bit-identical neighborhoods to
-    /// the per-id `k_nearest_into` loop.
+    /// [`crate::common::leaf_grouped_table`]) in one traversal, with the
+    /// same per-query [`lof_core::Capture`]s as [`crate::KdTree`]'s join:
+    /// each keeps every candidate within its widened running k-th
+    /// distance, ties included, so each neighborhood is selected straight
+    /// from it. Nodes are pruned once per group by their ball-to-ball
+    /// bound to the group's leaf, and per query at leaves, both in true
+    /// space with the tolerance of [`Self::prune`]. For the plain
+    /// Euclidean metric (the only squared form the constructor admits)
+    /// captures hold exact squared distances from lane-parallel leaf
+    /// tiles, and bounds compare against their square roots. Produces
+    /// bit-identical neighborhoods to the per-id `k_nearest_into` loop.
     fn join_group(
         &self,
         group: &[(usize, usize)],
         k: usize,
+        block: Option<&LeafColumns>,
         scratch: &mut KnnScratch,
         staged: &mut Vec<Neighbor>,
         glens: &mut Vec<usize>,
     ) {
-        let gn = group.len();
-        let leaf = &self.nodes[group[0].0];
-        if scratch.heaps.len() < gn {
-            scratch.heaps.resize_with(gn, BoundedMaxHeap::new);
-        }
-        if scratch.block_pairs.len() < gn {
-            scratch.block_pairs.resize_with(gn, Vec::new);
-        }
-        let KnnScratch { heaps, tile_sq, block_pairs, join_radii, join_lost, stats, .. } = scratch;
-        stats.bump_join_groups(1);
-        let heaps = &mut heaps[..gn];
-        for h in heaps.iter_mut() {
-            h.reset(k);
-        }
-        let pairs = &mut block_pairs[..gn];
-        for p in pairs.iter_mut() {
-            p.clear();
-        }
-        join_radii.clear();
-        join_lost.clear();
-        join_lost.resize(gn, f64::INFINITY);
+        let mut walk = GroupWalk::new(self.data, &self.metric, group, k, block, scratch);
+        self.group_capture(self.root, 0.0, &self.nodes[group[0].0], &mut walk);
+        walk.finish(self.metric.blocked_form() != BlockedForm::Generic, staged, glens);
+    }
 
-        if let Some(kernel) = &self.kernel {
-            // Constructor rejects non-metrics, so a present kernel means
-            // plain Euclidean: the descent runs in squared space (the
-            // k-th order statistic commutes with the monotone `sqrt`,
-            // even across ties, so the k-distance below is bit-identical
-            // to the true-space descent's).
-            let mut group_bound = f64::INFINITY;
-            self.group_knn_sq(self.root, 0.0, leaf, group, heaps, join_lost, &mut group_bound);
-            for (gi, heap) in heaps.iter().enumerate() {
-                let kth_sq = heap.kth_dist().expect("validated: at least k candidates exist");
-                join_radii.push((kth_sq.sqrt(), kth_sq));
-                // Emit the neighborhood straight from the heap: every
-                // point strictly inside the k-distance ball is held (it
-                // beats the k-th candidate in `(distance, id)` order);
-                // only id-tie-break casualties are missing, recovered by
-                // the gated shell pass below.
-                for (sq, id) in heap.entries() {
-                    pairs[gi].push((sq.sqrt(), id));
-                }
-            }
-            // Shell gate (same argument as on [`crate::KdTree`]): the
-            // tolerance-widened descent prunes guarantee every candidate
-            // whose emitted distance could tie a radius was offered, so a
-            // tie casualty exists only if some query's minimum lost heap
-            // distance maps onto its radius. Otherwise the second
-            // traversal — nearly as expensive as the descent itself — is
-            // skipped wholesale, which is the common case on continuous
-            // data where exact distance ties essentially never occur.
-            let needs_shell = join_radii
-                .iter()
-                .zip(join_lost.iter())
-                .any(|(&(radius, _), &lost)| lost.sqrt() == radius);
-            if needs_shell {
-                stats.bump_shell_passes(1);
-                self.group_shell_sq(
-                    self.root, leaf, group, join_radii, heaps, kernel, tile_sq, pairs,
-                );
-            }
+    /// A captured distance (or accept bound) as a true distance: the
+    /// square root under the squared form.
+    fn true_dist(&self, d: f64) -> f64 {
+        if self.metric.blocked_form() == BlockedForm::Generic {
+            d
         } else {
-            self.group_knn_generic(self.root, group, heaps);
-            for heap in heaps.iter() {
-                let kd = heap.kth_dist().expect("validated: at least k candidates exist");
-                join_radii.push((kd, kd));
-            }
-            self.group_range_generic(self.root, group, join_radii, pairs);
-        }
-
-        stats.bump_heap_offers(heaps.iter().map(|h| h.offers()).sum());
-        for list in pairs.iter_mut() {
-            list.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            staged.extend(list.iter().map(|&(d, id)| Neighbor::new(id, d)));
-            glens.push(list.len());
+            d.sqrt()
         }
     }
 
-    /// Group k-distance descent for the Euclidean kernel path. Heaps hold
-    /// squared distances; node pruning happens in true space (ball bounds
-    /// don't square cleanly), against the square roots of the heap
-    /// bounds. Candidates are offered at the exact scalar
-    /// `squared_euclidean` — no surrogate filter here, for the reason
-    /// given on [`crate::KdTree`]'s descent: loose bounds would let nearly
-    /// everything through the widened cutoff and double the evaluations.
-    /// The tolerance in [`Self::prune`] means every point whose emitted
-    /// distance could tie a final k-distance is offered, so the per-heap
-    /// lost-candidate minimum doubles as the shell-pass necessity test.
-    /// `node_dist` is this node's ball-to-ball bound, computed by its
-    /// parent (`0` at the root, which is never pruned), and `group_bound`
-    /// the square root of the loosest heap bound of the group, refreshed
-    /// after each leaf (heaps change nowhere else).
-    #[allow(clippy::too_many_arguments)]
-    fn group_knn_sq(
+    /// The join's descent below `node_id`, whose ball lies `node_dist`
+    /// from the group's `leaf` ball (computed by its parent; `0` at the
+    /// root).
+    fn group_capture(
         &self,
         node_id: usize,
         node_dist: f64,
         leaf: &Node,
-        group: &[(usize, usize)],
-        heaps: &mut [BoundedMaxHeap],
-        lost: &mut [f64],
-        group_bound: &mut f64,
+        walk: &mut GroupWalk<'_, M>,
     ) {
-        if Self::prune(node_dist, *group_bound) {
+        if Self::prune(node_dist, self.true_dist(walk.bound)) {
             return;
         }
         let node = &self.nodes[node_id];
         match node.children {
             None => {
-                for (gi, &(_, qid)) in group.iter().enumerate() {
-                    let q = self.data.point(qid);
-                    let bound_sq = heaps[gi].bound();
-                    if Self::prune(self.node_min_dist(q, node_id), bound_sq.sqrt()) {
-                        continue;
-                    }
-                    for &id in &self.ids[node.start..node.end] {
-                        if id != qid {
-                            heaps[gi].offer_tracking(
-                                id,
-                                lof_core::distance::squared_euclidean(q, self.data.point(id)),
-                                &mut lost[gi],
-                            );
-                        }
-                    }
-                }
-                *group_bound = heaps.iter().fold(0.0f64, |m, h| m.max(h.bound())).sqrt();
+                walk.capture_leaf(node_id, &self.ids[node.start..node.end], |q, accept| {
+                    !Self::prune(self.node_min_dist(q, node_id), self.true_dist(accept))
+                });
             }
             Some((left, right)) => {
                 let dl = self.ball_ball_min_dist(leaf, left);
                 let dr = self.ball_ball_min_dist(leaf, right);
                 let ((first, d1), (second, d2)) =
                     if dl <= dr { ((left, dl), (right, dr)) } else { ((right, dr), (left, dl)) };
-                self.group_knn_sq(first, d1, leaf, group, heaps, lost, group_bound);
-                self.group_knn_sq(second, d2, leaf, group, heaps, lost, group_bound);
-            }
-        }
-    }
-
-    /// Shell pass for the Euclidean kernel path: the k-distance heaps were
-    /// emitted directly, so this only recovers neighbors dropped by the
-    /// heap's id tie-break — points at **exactly** each query's k-distance.
-    /// Nodes strictly farther than every radius *or* strictly inside every
-    /// ball are skipped (interior points are provably in the heap: their
-    /// computed distance is below the k-distance). Both skips widen the
-    /// derived-centroid bounds by the same tolerance as [`Self::prune`], so
-    /// they only cost node visits, never a tie. Inclusion is decided on the
-    /// exact reference distance (`squared_euclidean(..).sqrt()`, the
-    /// literal `Euclidean::distance`) equalling the radius, with a dedup
-    /// against the heap for ties that were kept.
-    #[allow(clippy::too_many_arguments)]
-    fn group_shell_sq(
-        &self,
-        node_id: usize,
-        leaf: &Node,
-        group: &[(usize, usize)],
-        radii: &[(f64, f64)],
-        heaps: &[BoundedMaxHeap],
-        kernel: &BlockKernel,
-        tile_sq: &mut Vec<f64>,
-        pairs: &mut [Vec<(f64, usize)>],
-    ) {
-        let max_r = radii.iter().fold(0.0f64, |m, r| m.max(r.0));
-        let min_r = radii.iter().fold(f64::INFINITY, |m, r| m.min(r.0));
-        if Self::prune(self.ball_ball_min_dist(leaf, node_id), max_r) {
-            return;
-        }
-        let node = &self.nodes[node_id];
-        let center_gap = self.metric.distance(&leaf.center, &node.center);
-        let max_dist = center_gap + leaf.radius + node.radius;
-        if max_dist * (1.0 + 1e-9) + f64::MIN_POSITIVE < min_r {
-            return; // strictly inside every ball: all already in the heaps
-        }
-        match node.children {
-            None => {
-                let cands = &self.ids[node.start..node.end];
-                let two_slack = 2.0 * kernel.slack();
-                for (gi, &(_, qid)) in group.iter().enumerate() {
-                    let (radius, r_sq) = radii[gi];
-                    let q = self.data.point(qid);
-                    if Self::prune(self.node_min_dist(q, node_id), radius) {
-                        continue;
-                    }
-                    let q_max = self.metric.distance(q, &node.center) + node.radius;
-                    if q_max * (1.0 + 1e-9) + f64::MIN_POSITIVE < radius {
-                        continue;
-                    }
-                    kernel.surrogates_into(self.data, qid, cands, tile_sq);
-                    let lo = r_sq * (1.0 - 1e-9) - two_slack;
-                    let hi = crate::common::widen_sq(r_sq) + two_slack;
-                    for (ci, &sur) in tile_sq.iter().enumerate() {
-                        if lo <= sur && sur <= hi {
-                            let id = cands[ci];
-                            if id == qid {
-                                continue;
-                            }
-                            let d = lof_core::distance::squared_euclidean(q, self.data.point(id))
-                                .sqrt();
-                            if d == radius && !heaps[gi].entries().any(|(_, held)| held == id) {
-                                pairs[gi].push((d, id));
-                            }
-                        }
-                    }
-                }
-            }
-            Some((left, right)) => {
-                self.group_shell_sq(left, leaf, group, radii, heaps, kernel, tile_sq, pairs);
-                self.group_shell_sq(right, leaf, group, radii, heaps, kernel, tile_sq, pairs);
-            }
-        }
-    }
-
-    /// Group k-distance descent for generic metrics: a node is visited
-    /// when *any* group member still needs it; each member applies exactly
-    /// the single-query prune before touching a leaf.
-    fn group_knn_generic(
-        &self,
-        node_id: usize,
-        group: &[(usize, usize)],
-        heaps: &mut [BoundedMaxHeap],
-    ) {
-        let needed = group.iter().enumerate().any(|(gi, &(_, qid))| {
-            !Self::prune(self.node_min_dist(self.data.point(qid), node_id), heaps[gi].bound())
-        });
-        if !needed {
-            return;
-        }
-        let node = &self.nodes[node_id];
-        match node.children {
-            None => {
-                for (gi, &(_, qid)) in group.iter().enumerate() {
-                    let q = self.data.point(qid);
-                    if Self::prune(self.node_min_dist(q, node_id), heaps[gi].bound()) {
-                        continue;
-                    }
-                    for &id in &self.ids[node.start..node.end] {
-                        if id != qid {
-                            heaps[gi].offer(id, self.metric.distance(q, self.data.point(id)));
-                        }
-                    }
-                }
-            }
-            Some((left, right)) => {
-                self.group_knn_generic(left, group, heaps);
-                self.group_knn_generic(right, group, heaps);
-            }
-        }
-    }
-
-    /// Group range collection for generic metrics, mirroring the
-    /// single-query `range_rec` per member with one traversal per group.
-    fn group_range_generic(
-        &self,
-        node_id: usize,
-        group: &[(usize, usize)],
-        radii: &[(f64, f64)],
-        pairs: &mut [Vec<(f64, usize)>],
-    ) {
-        let needed = group.iter().zip(radii).any(|(&(_, qid), &(radius, _))| {
-            !Self::prune(self.node_min_dist(self.data.point(qid), node_id), radius)
-        });
-        if !needed {
-            return;
-        }
-        let node = &self.nodes[node_id];
-        match node.children {
-            None => {
-                for (gi, (&(_, qid), &(radius, _))) in group.iter().zip(radii).enumerate() {
-                    let q = self.data.point(qid);
-                    if Self::prune(self.node_min_dist(q, node_id), radius) {
-                        continue;
-                    }
-                    for &id in &self.ids[node.start..node.end] {
-                        if id == qid {
-                            continue;
-                        }
-                        let d = self.metric.distance(q, self.data.point(id));
-                        if d <= radius {
-                            pairs[gi].push((d, id));
-                        }
-                    }
-                }
-            }
-            Some((left, right)) => {
-                self.group_range_generic(left, group, radii, pairs);
-                self.group_range_generic(right, group, radii, pairs);
+                self.group_capture(first, d1, leaf, walk);
+                self.group_capture(second, d2, leaf, walk);
             }
         }
     }
@@ -680,7 +443,13 @@ impl<M: Metric> lof_core::PartitionSource for BallTree<'_, M> {
 impl<M: Metric> BallTree<'_, M> {
     /// Each leaf's member ids, in tree order.
     pub(crate) fn leaf_members(&self) -> impl Iterator<Item = &[usize]> + '_ {
-        self.nodes.iter().filter(|n| n.children.is_none()).map(|n| &self.ids[n.start..n.end])
+        self.leaf_nodes().map(|(_, members)| members)
+    }
+
+    /// Each leaf's node index and member ids, in tree order.
+    pub(crate) fn leaf_nodes(&self) -> impl Iterator<Item = (usize, &[usize])> + '_ {
+        let leaves = self.nodes.iter().enumerate().filter(|(_, n)| n.children.is_none());
+        leaves.map(|(i, n)| (i, &self.ids[n.start..n.end]))
     }
 }
 

@@ -1,7 +1,9 @@
 //! Shared plumbing for the index implementations.
 
 use lof_core::distance::BlockedForm;
-use lof_core::{simd, KnnScratch, LofError, Neighbor, Result};
+use lof_core::{
+    simd, Capture, Dataset, KernelStats, KnnScratch, LofError, Metric, Neighbor, Result,
+};
 
 /// Validates a `k_nearest(id, k)` query against dataset size `n`.
 pub(crate) fn validate_knn(n: usize, id: usize, k: usize) -> Result<()> {
@@ -22,15 +24,178 @@ pub(crate) fn validate_within(n: usize, id: usize) -> Result<()> {
     Ok(())
 }
 
-/// Widens a squared-space radius for node pruning in a batch range phase.
-/// Candidate inclusion runs on exact reference distances, so the only
-/// requirement here is that no node containing a true neighbor is pruned;
-/// a relative `1e-9` (far above any `sqrt` rounding) plus `MIN_POSITIVE`
-/// (covering zero radii) over-covers that, at the cost of a few extra
-/// node visits.
-#[inline]
-pub(crate) fn widen_sq(r_sq: f64) -> f64 {
-    r_sq * (1.0 + 1e-9) + f64::MIN_POSITIVE
+pub(crate) use lof_core::widen_sq;
+
+/// Appends the points `ids` to `cols` as one column-major tile of
+/// [`simd::exact_sq_columns`]: `dims` columns of `ids.len()` lanes each,
+/// zero-padded to a multiple of [`simd::COLUMN_ALIGN`].
+fn push_columns(data: &Dataset, ids: &[usize], cols: &mut Vec<f64>) {
+    let stride = ids.len().next_multiple_of(simd::COLUMN_ALIGN);
+    let base = cols.len();
+    cols.resize(base + data.dims() * stride, 0.0);
+    for (j, &id) in ids.iter().enumerate() {
+        for (c, &v) in data.point(id).iter().enumerate() {
+            cols[base + c * stride + j] = v;
+        }
+    }
+}
+
+/// Every leaf's tile ([`push_columns`]) in one block: the transient copy
+/// `materialize` builds so the tree joins read each candidate leaf in
+/// place instead of gathering it once per group. It holds the dataset
+/// plus lane padding and lives only as long as the `materialize` call:
+/// the trees keep no second copy of the coordinates, so a
+/// memory-mapped dataset stays out of RAM between calls.
+pub(crate) struct LeafColumns {
+    cols: Vec<f64>,
+    /// Where each leaf node's tile starts in `cols`, by node index (0 for
+    /// internal nodes).
+    at: Vec<usize>,
+}
+
+impl LeafColumns {
+    /// The tiles of `leaves`, each given as `(node index, members)`, of a
+    /// tree with `nodes` nodes.
+    pub(crate) fn build<'a>(
+        data: &Dataset,
+        nodes: usize,
+        leaves: impl Iterator<Item = (usize, &'a [usize])>,
+    ) -> Self {
+        let mut block = LeafColumns { cols: Vec::new(), at: vec![0; nodes] };
+        for (node, members) in leaves {
+            block.at[node] = block.cols.len();
+            push_columns(data, members, &mut block.cols);
+        }
+        block
+    }
+}
+
+/// One query's distances to the members of a candidate leaf, as the tree
+/// joins feed them to each query's [`Capture`]: exact squared Euclidean
+/// under a squared form, from one lane-parallel
+/// [`simd::exact_sq_columns`] call (the scalar reference's bits), and
+/// `metric.distance` otherwise. A leaf's tile comes from the
+/// [`LeafColumns`] block when there is one, else it is gathered into the
+/// scratch once per group and leaf.
+pub(crate) struct LeafTile<'s, M> {
+    data: &'s Dataset,
+    metric: &'s M,
+    squared: bool,
+    isa: simd::Isa,
+    block: Option<&'s LeafColumns>,
+    /// The gathered tile of leaf `staged` (no block only).
+    cols: &'s mut Vec<f64>,
+    staged: usize,
+    dists: &'s mut Vec<f64>,
+}
+
+impl<'s, M: Metric> LeafTile<'s, M> {
+    pub(crate) fn new(
+        data: &'s Dataset,
+        metric: &'s M,
+        block: Option<&'s LeafColumns>,
+        cols: &'s mut Vec<f64>,
+        dists: &'s mut Vec<f64>,
+    ) -> Self {
+        let squared = metric.blocked_form() != BlockedForm::Generic;
+        LeafTile {
+            data,
+            metric,
+            squared,
+            isa: simd::active(),
+            block,
+            cols,
+            staged: usize::MAX,
+            dists,
+        }
+    }
+
+    /// Distances from `q` to `members`, the points of leaf `node`, in
+    /// member order.
+    pub(crate) fn distances(&mut self, node: usize, members: &[usize], q: &[f64]) -> &[f64] {
+        if !self.squared {
+            self.dists.clear();
+            self.dists
+                .extend(members.iter().map(|&id| self.metric.distance(q, self.data.point(id))));
+            return self.dists;
+        }
+        let stride = members.len().next_multiple_of(simd::COLUMN_ALIGN);
+        let cols: &[f64] = match self.block {
+            Some(block) => &block.cols[block.at[node]..][..self.data.dims() * stride],
+            None => {
+                if self.staged != node {
+                    self.cols.clear();
+                    push_columns(self.data, members, self.cols);
+                    self.staged = node;
+                }
+                self.cols
+            }
+        };
+        self.dists.resize(stride, 0.0);
+        simd::exact_sq_columns(self.isa, q, cols, &mut self.dists[..stride]);
+        &self.dists[..members.len()]
+    }
+}
+
+/// One leaf group's state while a tree join traverses for it: a
+/// [`Capture`] per query, the loosest accept bound among them, and the
+/// candidate leaf tile.
+pub(crate) struct GroupWalk<'w, M> {
+    /// The group's `(leaf, id)` pairs.
+    group: &'w [(usize, usize)],
+    captures: &'w mut [Capture],
+    /// The loosest accept bound of the group; captures tighten only at
+    /// leaves, so [`GroupWalk::capture_leaf`] refreshes it.
+    pub(crate) bound: f64,
+    tile: LeafTile<'w, M>,
+    stats: &'w mut KernelStats,
+}
+
+impl<'w, M: Metric> GroupWalk<'w, M> {
+    /// Resets the first `group.len()` captures of `scratch` for queries of
+    /// `k` neighbors, reading candidate leaves from `block` when given.
+    pub(crate) fn new(
+        data: &'w Dataset,
+        metric: &'w M,
+        group: &'w [(usize, usize)],
+        k: usize,
+        block: Option<&'w LeafColumns>,
+        scratch: &'w mut KnnScratch,
+    ) -> Self {
+        let KnnScratch { captures, leaf_cols, tile_sq, stats, .. } = scratch;
+        stats.bump_join_groups(1);
+        let captures = Capture::reset_first(captures, group.len(), k, 0.0);
+        let tile = LeafTile::new(data, metric, block, leaf_cols, tile_sq);
+        GroupWalk { group, captures, bound: f64::INFINITY, tile, stats }
+    }
+
+    /// Offers leaf `node`'s `members` to every query for which `near`
+    /// (given the query's point and accept bound) says the leaf may hold
+    /// a candidate.
+    pub(crate) fn capture_leaf(
+        &mut self,
+        node: usize,
+        members: &[usize],
+        near: impl Fn(&[f64], f64) -> bool,
+    ) {
+        let data = self.tile.data;
+        for (&(_, qid), capture) in self.group.iter().zip(self.captures.iter_mut()) {
+            let q = data.point(qid);
+            if near(q, capture.accept()) {
+                let dists = self.tile.distances(node, members, q);
+                capture.offer(dists, members.iter().copied(), qid, self.stats);
+            }
+        }
+        self.bound = self.captures.iter().fold(0.0f64, |m, c| m.max(c.accept()));
+    }
+
+    /// Appends every query's neighborhood to `staged` in group order and
+    /// its length to `glens` ([`Capture::neighborhood_into`]).
+    pub(crate) fn finish(self, squared: bool, staged: &mut Vec<Neighbor>, glens: &mut Vec<usize>) {
+        for capture in self.captures {
+            glens.push(capture.neighborhood_into(squared, staged));
+        }
+    }
 }
 
 /// Most candidates, per unit of `k`, one batched k-distance gather
@@ -73,7 +238,6 @@ const GATHER_CAP_PER_K: usize = 20;
 pub(crate) fn gathered_k_distances<M: lof_core::Metric>(
     data: &lof_core::Dataset,
     metric: &M,
-    isa: Option<simd::Isa>,
     ids: &[usize],
     k: usize,
     radius: f64,
@@ -107,35 +271,23 @@ pub(crate) fn gathered_k_distances<M: lof_core::Metric>(
     if gathered {
         let KnnScratch { gather: cands, leaf_cols: cols, tile_sq: dists, .. } = scratch;
         let form = metric.blocked_form();
+        let isa = simd::active();
         let count = cands.len();
         let stride = count.next_multiple_of(simd::COLUMN_ALIGN);
-        if let (Some(_), BlockedForm::Euclidean | BlockedForm::SquaredEuclidean) = (isa, form) {
+        if form != BlockedForm::Generic {
             cols.clear();
-            cols.resize(data.dims() * stride, 0.0);
-            for (j, &id) in cands.iter().enumerate() {
-                for (c, &v) in data.point(id).iter().enumerate() {
-                    cols[c * stride + j] = v;
-                }
-            }
+            push_columns(data, cands, cols);
         }
         dists.clear();
         dists.resize(stride, 0.0);
         for &id in ids {
             let q = data.point(id);
-            match (isa, form) {
-                (Some(isa), BlockedForm::Euclidean | BlockedForm::SquaredEuclidean) => {
-                    simd::exact_sq_columns(isa, q, cols, dists);
+            if form == BlockedForm::Generic {
+                for (d, &c) in dists.iter_mut().zip(cands.iter()) {
+                    *d = metric.distance(q, data.point(c));
                 }
-                (None, BlockedForm::Euclidean | BlockedForm::SquaredEuclidean) => {
-                    for (d, &c) in dists.iter_mut().zip(cands.iter()) {
-                        *d = lof_core::distance::squared_euclidean(q, data.point(c));
-                    }
-                }
-                (_, BlockedForm::Generic) => {
-                    for (d, &c) in dists.iter_mut().zip(cands.iter()) {
-                        *d = metric.distance(q, data.point(c));
-                    }
-                }
+            } else {
+                simd::exact_sq_columns(isa, q, cols, dists);
             }
             let others = match cands.iter().position(|&c| c == id) {
                 Some(own) => {
@@ -201,7 +353,7 @@ fn run_groups<S, J>(
     J: Fn(&[(usize, usize)], &mut KnnScratch, &mut Vec<Neighbor>, &mut Vec<usize>),
 {
     // Take the group buffers out of the scratch so `join` can borrow the
-    // rest of it (heaps, tile buffers) without conflicts.
+    // rest of it (captures, tile buffers) without conflicts.
     let mut group_out = std::mem::take(&mut scratch.join_staged);
     let mut group_lens = std::mem::take(&mut scratch.join_lens);
     for (g, attached) in claims {
@@ -634,13 +786,16 @@ fn bisect_sprawl<M: lof_core::Metric>(
 /// neighborhood. Because
 /// both phases draw every buffer from the caller's
 /// [`lof_core::KnnScratch`], the generated `k_nearest_into` is
-/// allocation-free once the scratch is warm; `k_nearest`/`within` borrow
-/// the calling thread's shared scratch.
+/// allocation-free once the scratch is warm; `within` borrows the calling
+/// thread's shared scratch, as the trait's default `k_nearest` does.
 ///
 /// The `($ty, self_join)` form additionally overrides the trait's
 /// `batch_k_nearest` and `materialize` with the leaf-grouped join: the
-/// index's inherent `join_group(group, k, scratch, staged, lens)` answers
-/// one leaf group, and `leaf_of` maps each id to its leaf. Its
+/// index's inherent `join_group(group, k, block, scratch, staged, lens)`
+/// answers one leaf group, reading candidate leaves from the
+/// [`LeafColumns`] `block` when given; `leaf_nodes()` lists the leaves as
+/// `(node, members)`, `node_count()` counts the nodes, and `leaf_of` maps
+/// each id to its leaf. Its
 /// `k_distances_into` answers a batch from one candidate gather: the
 /// index's inherent `gather_near_box(lo, hi, radius, cap, out)` collects
 /// every point within `radius` of a box, or gives up past `cap`
@@ -694,11 +849,16 @@ macro_rules! impl_knn_provider {
                     scratch,
                     out,
                     lens,
-                    |group, scratch, staged, glens| self.join_group(group, k, scratch, staged, glens),
+                    |group, scratch, staged, glens| {
+                        self.join_group(group, k, None, scratch, staged, glens)
+                    },
                 )
             },
             /// Step 1 by leaf group: workers claim whole leaf groups, so
-            /// each leaf pays one traversal at any thread count.
+            /// each leaf pays one traversal at any thread count. Under a
+            /// squared form they read candidate leaves from one
+            /// column-major copy of the dataset in leaf order, built for
+            /// the call and freed when it returns.
             fn materialize(
                 &self,
                 k: usize,
@@ -707,12 +867,23 @@ macro_rules! impl_knn_provider {
             where
                 Self: Sync,
             {
+                let squared =
+                    self.metric.blocked_form() != lof_core::distance::BlockedForm::Generic;
+                let block = squared.then(|| {
+                    crate::common::LeafColumns::build(
+                        self.data,
+                        self.node_count(),
+                        self.leaf_nodes(),
+                    )
+                });
                 crate::common::leaf_grouped_table(
                     self.size(),
                     k,
                     threads,
                     &self.leaf_of,
-                    |group, scratch, staged, glens| self.join_group(group, k, scratch, staged, glens),
+                    |group, scratch, staged, glens| {
+                        self.join_group(group, k, block.as_ref(), scratch, staged, glens)
+                    },
                 )
             },
             /// A batch with a finite `radius` is answered from one gather
@@ -729,7 +900,6 @@ macro_rules! impl_knn_provider {
                 crate::common::gathered_k_distances(
                     self.data,
                     &self.metric,
-                    self.kernel.as_ref().map(lof_core::BlockKernel::isa),
                     ids,
                     k,
                     radius,
@@ -747,14 +917,6 @@ macro_rules! impl_knn_provider {
 
             fn len(&self) -> usize {
                 self.size()
-            }
-
-            fn k_nearest(&self, id: usize, k: usize) -> lof_core::Result<Vec<lof_core::Neighbor>> {
-                lof_core::with_thread_scratch(|scratch| {
-                    let mut out = Vec::new();
-                    self.k_nearest_into(id, k, scratch, &mut out)?;
-                    Ok(out)
-                })
             }
 
             fn k_nearest_into(

@@ -5,10 +5,9 @@
 //! None of this crate's hot paths route through this type anymore. The
 //! single-query searches borrow their heap out of a
 //! [`lof_core::KnnScratch`] (zero-allocation steady state), and the
-//! leaf-blocked batch self-joins go further: they emit tie-inclusive
-//! neighborhoods straight from one scratch heap per grouped query and run
-//! a shell recovery pass only when a heap provably dropped a candidate at
-//! its k-distance. `KBest` remains for external callers that want the
+//! leaf-blocked batch self-joins keep no heap at all: each grouped query
+//! captures its tie-inclusive candidates in one [`lof_core::Capture`]
+//! buffer. `KBest` remains for external callers that want the
 //! canonical `(distance, id)` selection semantics — identical tie
 //! handling, same pruning-bound contract — without managing a scratch.
 

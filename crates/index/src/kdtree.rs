@@ -15,10 +15,16 @@
 //! distance maps to the k-th smallest distance. The range pass prunes and
 //! filters in squared space too, and takes a square root only for the
 //! points it keeps.
+//!
+//! The batch self-join behind `materialize` and `batch_k_nearest` answers
+//! all queries of one leaf in one traversal. Each query's candidates go,
+//! a whole leaf tile at a time, into a [`lof_core::Capture`], which still
+//! holds every tie at the k-distance when the traversal ends: the join
+//! needs no heap and no second range or tie-shell pass.
 
-use crate::common::{impl_knn_provider, widen_sq};
+use crate::common::{impl_knn_provider, widen_sq, GroupWalk, LeafColumns};
 use lof_core::distance::BlockedForm;
-use lof_core::{simd, BlockKernel, BoundedMaxHeap, Dataset, KnnScratch, Metric, Neighbor};
+use lof_core::{BoundedMaxHeap, Dataset, KnnScratch, Metric, Neighbor};
 
 const LEAF_SIZE: usize = 16;
 
@@ -58,8 +64,6 @@ pub struct KdTree<'a, M: Metric> {
     /// Index of the leaf node containing each object, for the leaf-grouped
     /// batch self-join (leaf ranges partition `ids`, so this is total).
     leaf_of: Vec<usize>,
-    /// Norm-form surrogate kernel; `None` for generic metrics.
-    kernel: Option<BlockKernel>,
 }
 
 impl<'a, M: Metric> KdTree<'a, M> {
@@ -82,8 +86,7 @@ impl<'a, M: Metric> KdTree<'a, M> {
                 }
             }
         }
-        let kernel = BlockKernel::for_metric(data, &metric);
-        KdTree { data, metric, ids, nodes, boxes, root, leaf_of, kernel }
+        KdTree { data, metric, ids, nodes, boxes, root, leaf_of }
     }
 
     /// Number of indexed objects.
@@ -355,384 +358,82 @@ impl<'a, M: Metric> KdTree<'a, M> {
 
     /// Answers one leaf group of the batch self-join (driven by
     /// [`crate::common::leaf_grouped_batch`] and
-    /// [`crate::common::leaf_grouped_table`]): a shared k-distance
-    /// descent, then a shared range collection at each query's exact
-    /// k-distance (the same two phases as the single-query path, fused
-    /// across the group). The group traverses the tree once with shared
-    /// node pruning, and where the metric has a squared-Euclidean form
-    /// candidate leaves are evaluated as lane-parallel tiles of exact
-    /// distances (the norm-form surrogate kernel filters only the
-    /// tie-shell pass). Produces bit-identical neighborhoods to the
-    /// per-id `k_nearest_into` loop.
+    /// [`crate::common::leaf_grouped_table`]) in one traversal: every
+    /// candidate leaf's distances go whole into each query's
+    /// [`lof_core::Capture`], which keeps every candidate within its
+    /// widened running k-th distance, ties included, so each neighborhood
+    /// is selected straight from it. Internal nodes are pruned once per
+    /// group by their box's bound to the group's leaf box (valid for
+    /// every query inside it); per-query point-to-box tests run only at
+    /// leaves. Under a squared form the traversal runs in squared space
+    /// and leaves are lane-parallel tiles of exact squared distances;
+    /// otherwise it runs on the metric's own distances and rectangle
+    /// bounds. Produces bit-identical neighborhoods to the per-id
+    /// `k_nearest_into` loop.
     fn join_group(
         &self,
         group: &[(usize, usize)],
         k: usize,
+        block: Option<&LeafColumns>,
         scratch: &mut KnnScratch,
         staged: &mut Vec<Neighbor>,
         glens: &mut Vec<usize>,
     ) {
-        let gn = group.len();
-        let leaf = self.bbox(group[0].0);
-        if scratch.heaps.len() < gn {
-            scratch.heaps.resize_with(gn, BoundedMaxHeap::new);
-        }
-        if scratch.block_pairs.len() < gn {
-            scratch.block_pairs.resize_with(gn, Vec::new);
-        }
-        let KnnScratch {
-            heaps, tile_sq, leaf_cols, block_pairs, join_radii, join_lost, stats, ..
-        } = scratch;
-        stats.bump_join_groups(1);
-        let heaps = &mut heaps[..gn];
-        for h in heaps.iter_mut() {
-            h.reset(k);
-        }
-        let pairs = &mut block_pairs[..gn];
-        for p in pairs.iter_mut() {
-            p.clear();
-        }
-        join_radii.clear();
-        join_lost.clear();
-        join_lost.resize(gn, f64::INFINITY);
-
-        if let Some(kernel) = &self.kernel {
-            let sqrt_form = self.metric.blocked_form() == BlockedForm::Euclidean;
-            let mut tile = LeafTile { isa: kernel.isa(), cols: leaf_cols, dists: tile_sq };
-            let mut group_bound = f64::INFINITY;
-            self.group_knn_sq(
-                self.root,
-                0.0,
-                leaf,
-                group,
-                heaps,
-                join_lost,
-                &mut group_bound,
-                &mut tile,
-            );
-            for (gi, heap) in heaps.iter().enumerate() {
-                let kth_sq = heap.kth_dist().expect("validated: at least k candidates exist");
-                let radius = if sqrt_form { kth_sq.sqrt() } else { kth_sq };
-                join_radii.push((radius, kth_sq));
-                // Emit the neighborhood straight from the heap: every point
-                // strictly inside the k-distance ball beats the k-th
-                // candidate in `(distance, id)` order, so it is guaranteed
-                // to be held — only ties dropped by the id tie-break are
-                // missing, and the gated shell pass below recovers those.
-                for (sq, id) in heap.entries() {
-                    let d = if sqrt_form { sq.sqrt() } else { sq };
-                    pairs[gi].push((d, id));
-                }
-            }
-            // The shell pass has work to do only when some query actually
-            // lost a candidate at its k-distance. The widened descent prune
-            // guarantees every point whose *emitted* distance ties the
-            // radius was offered to the heap, so it is either held or
-            // recorded in `join_lost` — if no lost distance maps onto a
-            // radius, every neighborhood is already complete and the whole
-            // second traversal (as expensive as the descent) is skipped.
-            // Continuous data virtually never ties, so this is the common
-            // path; the gate fires on duplicate/grid-structured inputs.
-            let needs_shell =
-                join_radii.iter().zip(join_lost.iter()).any(|(&(radius, _), &lost)| {
-                    let lost_d = if sqrt_form { lost.sqrt() } else { lost };
-                    lost_d == radius
-                });
-            if needs_shell {
-                stats.bump_shell_passes(1);
-                self.group_shell_sq(
-                    self.root, leaf, group, join_radii, heaps, kernel, tile_sq, pairs,
-                );
-            }
-        } else {
-            self.group_knn_generic(self.root, group, heaps);
-            for heap in heaps.iter() {
-                let kd = heap.kth_dist().expect("validated: at least k candidates exist");
-                join_radii.push((kd, kd));
-            }
-            self.group_range_generic(self.root, group, join_radii, pairs);
-        }
-
-        stats.bump_heap_offers(heaps.iter().map(|h| h.offers()).sum());
-        for list in pairs.iter_mut() {
-            list.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            staged.extend(list.iter().map(|&(d, id)| Neighbor::new(id, d)));
-            glens.push(list.len());
-        }
+        let mut walk = GroupWalk::new(self.data, &self.metric, group, k, block, scratch);
+        self.group_capture(self.root, 0.0, self.bbox(group[0].0), &mut walk);
+        walk.finish(self.metric.blocked_form() == BlockedForm::Euclidean, staged, glens);
     }
 
-    /// Group k-distance descent in squared space. Internal nodes are
-    /// pruned once per group against the loosest per-query bound using the
-    /// rect-to-rect lower bound (valid for every query inside the group's
-    /// leaf rect); per-query `min_dist_to_rect_sq` tests run only at the
-    /// leaves. `node_dist` is this node's rect-to-rect bound, computed by
-    /// its parent (`0` at the root, which is never pruned). `group_bound`
-    /// is the loosest heap bound of the group; heaps change only at
-    /// leaves, so it is refreshed after each leaf instead of at every node.
-    ///
-    /// Each candidate leaf is evaluated as a lane-parallel tile: its rows
-    /// are gathered column-major once per group ([`LeafTile`]), and every
-    /// query that survives the leaf's rect test gets all its exact squared
-    /// distances from one [`simd::exact_sq_columns`] call — the same bits
-    /// as the scalar `squared_euclidean` the single-query descent offers,
-    /// so the resulting k-distances are bit-identical.
-    ///
-    /// Both prunes are widened by [`widen_sq`] so that every point whose
-    /// emitted distance could tie a final k-distance is *offered* (extra
-    /// offers of worse candidates cannot change the k smallest, so heap
-    /// contents stay bit-identical). The same widened cutoff filters the
-    /// tile: a candidate beyond `widen_sq(bound)` would be rejected by the
-    /// heap, and its distance lies far enough past the final k-distance
-    /// that it cannot tie it. Together with the per-heap lost-candidate
-    /// minimum this makes "no lost distance ties a radius" a proof that
-    /// the shell pass is unnecessary.
-    #[allow(clippy::too_many_arguments)]
-    fn group_knn_sq(
+    /// The join's descent below `node_id`, whose box lies `node_dist`
+    /// (its [`KdTree::join_rect_rect`] bound to the group's `leaf` box,
+    /// computed by its parent; `0` at the root) from the group.
+    fn group_capture(
         &self,
         node_id: usize,
         node_dist: f64,
         leaf: (&[f64], &[f64]),
-        group: &[(usize, usize)],
-        heaps: &mut [BoundedMaxHeap],
-        lost: &mut [f64],
-        group_bound: &mut f64,
-        tile: &mut LeafTile<'_>,
+        walk: &mut GroupWalk<'_, M>,
     ) {
-        if node_dist > widen_sq(*group_bound) {
+        if node_dist > walk.bound {
             return;
         }
         let node = &self.nodes[node_id];
         match node.children {
             None => {
-                let members = &self.ids[node.start..node.end];
                 let (lo, hi) = self.bbox(node_id);
-                let mut gathered = false;
-                for (gi, &(_, qid)) in group.iter().enumerate() {
-                    let q = self.data.point(qid);
-                    let mut cutoff = widen_sq(heaps[gi].bound());
-                    if self.metric.min_dist_to_rect_sq(q, lo, hi) > cutoff {
-                        continue;
-                    }
-                    if !gathered {
-                        tile.gather(self.data, members);
-                        gathered = true;
-                    }
-                    for (&id, &sq) in members.iter().zip(tile.distances(q)) {
-                        if sq <= cutoff && id != qid {
-                            heaps[gi].offer_tracking(id, sq, &mut lost[gi]);
-                            cutoff = widen_sq(heaps[gi].bound());
-                        }
-                    }
-                }
-                if gathered {
-                    *group_bound = heaps.iter().fold(0.0f64, |m, h| m.max(h.bound()));
-                }
+                walk.capture_leaf(node_id, &self.ids[node.start..node.end], |q, accept| {
+                    self.join_point_rect(q, lo, hi) <= accept
+                });
             }
             Some((left, right)) => {
                 let (llo, lhi) = self.bbox(left);
                 let (rlo, rhi) = self.bbox(right);
-                let dl = rect_rect_min_sq(leaf.0, leaf.1, llo, lhi);
-                let dr = rect_rect_min_sq(leaf.0, leaf.1, rlo, rhi);
+                let dl = self.join_rect_rect(leaf.0, leaf.1, llo, lhi);
+                let dr = self.join_rect_rect(leaf.0, leaf.1, rlo, rhi);
                 let ((first, d1), (second, d2)) =
                     if dl <= dr { ((left, dl), (right, dr)) } else { ((right, dr), (left, dl)) };
-                self.group_knn_sq(first, d1, leaf, group, heaps, lost, group_bound, tile);
-                self.group_knn_sq(second, d2, leaf, group, heaps, lost, group_bound, tile);
+                self.group_capture(first, d1, leaf, walk);
+                self.group_capture(second, d2, leaf, walk);
             }
         }
     }
 
-    /// Shell pass of the batch join: the heap emission above already
-    /// covers every point with distance `< k-distance` (and the kept
-    /// ties), so this traversal only hunts for ties dropped by the heap's
-    /// id tie-break — points at distance *exactly* the query's k-distance.
-    /// That lets it prune, in addition to everything beyond the widened
-    /// radius, every node lying **strictly inside** the k-distance ball
-    /// (its points are all in the heap). Inclusion of each surviving
-    /// candidate is decided on the exact reference computation — scalar
-    /// squared distance, plus the same single `sqrt` for
-    /// [`BlockedForm::Euclidean`] — so combined neighborhoods match the
-    /// single-query range phase bit for bit.
-    #[allow(clippy::too_many_arguments)]
-    fn group_shell_sq(
-        &self,
-        node_id: usize,
-        leaf: (&[f64], &[f64]),
-        group: &[(usize, usize)],
-        radii: &[(f64, f64)],
-        heaps: &[BoundedMaxHeap],
-        kernel: &BlockKernel,
-        tile_sq: &mut Vec<f64>,
-        pairs: &mut [Vec<(f64, usize)>],
-    ) {
-        let (lo, hi) = self.bbox(node_id);
-        let max_r_sq = radii.iter().fold(0.0f64, |m, r| m.max(r.1));
-        let min_r_sq = radii.iter().fold(f64::INFINITY, |m, r| m.min(r.1));
-        if rect_rect_min_sq(leaf.0, leaf.1, lo, hi) > widen_sq(max_r_sq)
-            || rect_rect_max_sq(leaf.0, leaf.1, lo, hi) < min_r_sq
-        {
-            return;
-        }
-        let node = &self.nodes[node_id];
-        match node.children {
-            None => {
-                let cands = &self.ids[node.start..node.end];
-                let two_slack = 2.0 * kernel.slack();
-                let sqrt_form = self.metric.blocked_form() == BlockedForm::Euclidean;
-                for (gi, &(_, qid)) in group.iter().enumerate() {
-                    let (radius, r_sq) = radii[gi];
-                    let q = self.data.point(qid);
-                    if self.metric.min_dist_to_rect_sq(q, lo, hi) > widen_sq(r_sq)
-                        || point_rect_max_sq(q, lo, hi) < r_sq
-                    {
-                        continue;
-                    }
-                    kernel.surrogates_into(self.data, qid, cands, tile_sq);
-                    // Two-sided surrogate window around the k-distance: a
-                    // tie's squared distance sits within a relative ~5e-16
-                    // of `r_sq` (`sqrt` rounding), far inside the 1e-9
-                    // margins.
-                    let hi = widen_sq(r_sq) + two_slack;
-                    let lo = r_sq * (1.0 - 1e-9) - two_slack;
-                    for (ci, &sur) in tile_sq.iter().enumerate() {
-                        if sur < lo || sur > hi {
-                            continue;
-                        }
-                        let id = cands[ci];
-                        if id == qid {
-                            continue;
-                        }
-                        let sq = lof_core::distance::squared_euclidean(q, self.data.point(id));
-                        let d = if sqrt_form { sq.sqrt() } else { sq };
-                        if d == radius && !heaps[gi].entries().any(|(_, held)| held == id) {
-                            pairs[gi].push((d, id));
-                        }
-                    }
-                }
-            }
-            Some((left, right)) => {
-                self.group_shell_sq(left, leaf, group, radii, heaps, kernel, tile_sq, pairs);
-                self.group_shell_sq(right, leaf, group, radii, heaps, kernel, tile_sq, pairs);
-            }
+    /// The join's lower bound from point `q` to a box: squared under a
+    /// squared form, the metric's own otherwise.
+    fn join_point_rect(&self, q: &[f64], lo: &[f64], hi: &[f64]) -> f64 {
+        match self.metric.blocked_form() {
+            BlockedForm::Generic => self.metric.min_dist_to_rect(q, lo, hi),
+            _ => self.metric.min_dist_to_rect_sq(q, lo, hi),
         }
     }
 
-    /// Group k-distance descent for generic metrics: a node is visited
-    /// when *any* group member still needs it; each member applies exactly
-    /// the single-query `min_dist_to_rect > bound` prune before touching a
-    /// leaf. Offers go through the scalar metric, so heap contents (and
-    /// hence k-distances) are bit-identical to the per-query search.
-    fn group_knn_generic(
-        &self,
-        node_id: usize,
-        group: &[(usize, usize)],
-        heaps: &mut [BoundedMaxHeap],
-    ) {
-        let (lo, hi) = self.bbox(node_id);
-        let needed = group.iter().enumerate().any(|(gi, &(_, qid))| {
-            self.metric.min_dist_to_rect(self.data.point(qid), lo, hi) <= heaps[gi].bound()
-        });
-        if !needed {
-            return;
+    /// The join's lower bound between two boxes, in the space of
+    /// [`KdTree::join_point_rect`].
+    fn join_rect_rect(&self, alo: &[f64], ahi: &[f64], blo: &[f64], bhi: &[f64]) -> f64 {
+        match self.metric.blocked_form() {
+            BlockedForm::Generic => self.metric.min_dist_between_rects(alo, ahi, blo, bhi),
+            _ => rect_rect_min_sq(alo, ahi, blo, bhi),
         }
-        let node = &self.nodes[node_id];
-        match node.children {
-            None => {
-                for (gi, &(_, qid)) in group.iter().enumerate() {
-                    let q = self.data.point(qid);
-                    if self.metric.min_dist_to_rect(q, lo, hi) > heaps[gi].bound() {
-                        continue;
-                    }
-                    for &id in &self.ids[node.start..node.end] {
-                        if id != qid {
-                            heaps[gi].offer(id, self.metric.distance(q, self.data.point(id)));
-                        }
-                    }
-                }
-            }
-            Some((left, right)) => {
-                self.group_knn_generic(left, group, heaps);
-                self.group_knn_generic(right, group, heaps);
-            }
-        }
-    }
-
-    /// Group range collection for generic metrics, mirroring the
-    /// single-query `range_rec` per member (same prune, same inclusion
-    /// test) with one traversal per group.
-    fn group_range_generic(
-        &self,
-        node_id: usize,
-        group: &[(usize, usize)],
-        radii: &[(f64, f64)],
-        pairs: &mut [Vec<(f64, usize)>],
-    ) {
-        let (lo, hi) = self.bbox(node_id);
-        let needed = group.iter().zip(radii).any(|(&(_, qid), &(radius, _))| {
-            self.metric.min_dist_to_rect(self.data.point(qid), lo, hi) <= radius
-        });
-        if !needed {
-            return;
-        }
-        let node = &self.nodes[node_id];
-        match node.children {
-            None => {
-                for (gi, (&(_, qid), &(radius, _))) in group.iter().zip(radii).enumerate() {
-                    let q = self.data.point(qid);
-                    if self.metric.min_dist_to_rect(q, lo, hi) > radius {
-                        continue;
-                    }
-                    for &id in &self.ids[node.start..node.end] {
-                        if id == qid {
-                            continue;
-                        }
-                        let d = self.metric.distance(q, self.data.point(id));
-                        if d <= radius {
-                            pairs[gi].push((d, id));
-                        }
-                    }
-                }
-            }
-            Some((left, right)) => {
-                self.group_range_generic(left, group, radii, pairs);
-                self.group_range_generic(right, group, radii, pairs);
-            }
-        }
-    }
-}
-
-/// One candidate leaf of the kd join, gathered column-major so a query's
-/// exact distances to all its points come from one lane-parallel
-/// [`simd::exact_sq_columns`] call. Both buffers are borrowed from the
-/// [`KnnScratch`]: the tree itself keeps no second copy of the
-/// coordinates, so a memory-mapped dataset stays out of RAM.
-struct LeafTile<'s> {
-    isa: simd::Isa,
-    /// `dims × stride` coordinates; lanes past the leaf's points are zero
-    /// padding up to the [`simd::COLUMN_ALIGN`]-aligned stride.
-    cols: &'s mut Vec<f64>,
-    /// One query's distances to every lane.
-    dists: &'s mut Vec<f64>,
-}
-
-impl LeafTile<'_> {
-    fn gather(&mut self, data: &Dataset, members: &[usize]) {
-        let stride = members.len().next_multiple_of(simd::COLUMN_ALIGN);
-        self.cols.clear();
-        self.cols.resize(data.dims() * stride, 0.0);
-        for (j, &id) in members.iter().enumerate() {
-            for (c, &v) in data.point(id).iter().enumerate() {
-                self.cols[c * stride + j] = v;
-            }
-        }
-        self.dists.clear();
-        self.dists.resize(stride, 0.0);
-    }
-
-    /// Exact squared distances from `q` to the gathered lanes, in member
-    /// order (followed by the padding lanes).
-    fn distances(&mut self, q: &[f64]) -> &[f64] {
-        simd::exact_sq_columns(self.isa, q, self.cols, self.dists);
-        self.dists
     }
 }
 
@@ -749,33 +450,6 @@ fn rect_rect_min_sq(alo: &[f64], ahi: &[f64], blo: &[f64], bhi: &[f64]) -> f64 {
         // Branch-free: for non-empty intervals at most one side's gap is
         // positive; a zero gap may come out as `-0.0`, which squares away.
         let gap = (alo[d] - bhi[d]).max(blo[d] - ahi[d]).max(0.0);
-        acc += gap * gap;
-    }
-    acc
-}
-
-/// Upper bound on the squared Euclidean distance between any point of rect
-/// `a` and any point of rect `b`. Safe for strict `<` interior pruning:
-/// `fl(q_d - x_d) <= max(fl(ahi - blo), fl(bhi - alo))` in magnitude by
-/// rounding monotonicity, and squares plus forward sums preserve the
-/// termwise order, so the bound never undercuts a computed
-/// `squared_euclidean(q, x)`.
-fn rect_rect_max_sq(alo: &[f64], ahi: &[f64], blo: &[f64], bhi: &[f64]) -> f64 {
-    let mut acc = 0.0;
-    for d in 0..alo.len() {
-        let gap = (ahi[d] - blo[d]).max(bhi[d] - alo[d]);
-        acc += gap * gap;
-    }
-    acc
-}
-
-/// Upper bound on the squared Euclidean distance from point `q` to any
-/// point of the rect; same floating-point-safety argument as
-/// [`rect_rect_max_sq`].
-fn point_rect_max_sq(q: &[f64], lo: &[f64], hi: &[f64]) -> f64 {
-    let mut acc = 0.0;
-    for d in 0..q.len() {
-        let gap = (q[d] - lo[d]).max(hi[d] - q[d]);
         acc += gap * gap;
     }
     acc
@@ -858,7 +532,13 @@ impl<M: Metric> lof_core::PartitionSource for KdTree<'_, M> {
 impl<M: Metric> KdTree<'_, M> {
     /// Each leaf's member ids, in tree order.
     pub(crate) fn leaf_members(&self) -> impl Iterator<Item = &[usize]> + '_ {
-        self.nodes.iter().filter(|n| n.children.is_none()).map(|n| &self.ids[n.start..n.end])
+        self.leaf_nodes().map(|(_, members)| members)
+    }
+
+    /// Each leaf's node index and member ids, in tree order.
+    pub(crate) fn leaf_nodes(&self) -> impl Iterator<Item = (usize, &[usize])> + '_ {
+        let leaves = self.nodes.iter().enumerate().filter(|(_, n)| n.children.is_none());
+        leaves.map(|(i, n)| (i, &self.ids[n.start..n.end]))
     }
 }
 

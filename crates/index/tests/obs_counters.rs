@@ -1,11 +1,9 @@
 //! Ground-truth tests for the batched join's observability counters
-//! (obs builds only). The tie-shell recovery counter must fire
-//! *exactly* on the duplicate-distance fixtures from
-//! `batch_consistency.rs` — nonzero there, zero on tie-free data — heap
-//! offers on a single-leaf tree must stay within the naive scan's
-//! n·(n−1) candidate evaluations, parallel materialization must keep
-//! the kd join's leaf groups whole, and a spilled sweep must publish the
-//! waves it runs.
+//! (obs builds only). On a single-leaf tree the join must evaluate, and
+//! capture, exactly the naive scan's candidates; duplicate fixtures must
+//! yield neighborhoods longer than k straight from the captures, and
+//! tie-free data none; parallel materialization must keep the kd join's
+//! leaf groups whole, and a spilled sweep must publish the waves it runs.
 #![cfg(feature = "obs")]
 
 use lof_core::knn::KnnScratch;
@@ -16,14 +14,14 @@ use lof_core::{
 use lof_index::{BallTree, KdTree};
 
 /// Runs the leaf-grouped batch join over every id, returning the
-/// accumulated scratch counters.
-fn join_stats<P: KnnProvider>(provider: &P, n: usize, k: usize) -> KernelStats {
+/// accumulated scratch counters and the neighborhood lengths.
+fn join_stats<P: KnnProvider>(provider: &P, n: usize, k: usize) -> (KernelStats, Vec<usize>) {
     let mut scratch = KnnScratch::new();
     let mut out = Vec::new();
     let mut lens = Vec::new();
     provider.batch_k_nearest(0..n, k, &mut scratch, &mut out, &mut lens).unwrap();
     assert_eq!(lens.len(), n);
-    scratch.stats
+    (scratch.stats, lens)
 }
 
 /// Tie-free points: consecutive pairwise distances are all distinct, so
@@ -34,27 +32,23 @@ fn spread_dataset(n: usize) -> Dataset {
 }
 
 #[test]
-fn single_leaf_offers_stay_within_the_naive_scan() {
-    // n = 12 <= LEAF_SIZE: the whole tree is one leaf. The ball tree
-    // offers every other point to every query's heap — exactly the
-    // n*(n-1) distance evaluations of a naive scan (the shell pass never
-    // offers; it collects by range). The kd-tree evaluates the same
-    // n*(n-1) distances as one lane-parallel tile per query but offers
-    // only candidates inside the widened heap bound: every heap still
-    // receives at least k offers, and strictly fewer than the scan's.
+fn single_leaf_join_counts_equal_the_naive_scan() {
+    // n = 12 <= LEAF_SIZE: the whole tree is one leaf and one group. Each
+    // query evaluates the leaf as one run of n lanes (itself included)
+    // and captures the n - 1 others before its bound exists — exactly a
+    // naive scan's n·(n−1) candidates — and the run leaves its buffer
+    // past 2k, so each query compacts once.
     let (n, k) = (12, 3);
     let data = spread_dataset(n);
-    let ball = join_stats(&BallTree::new(&data, Euclidean), n, k);
-    assert_eq!(ball.heap_offers, (n * (n - 1)) as u64, "balltree: offers == naive scan");
-    let kd = join_stats(&KdTree::new(&data, Euclidean), n, k);
-    assert!(
-        kd.heap_offers >= (n * k) as u64 && kd.heap_offers < (n * (n - 1)) as u64,
-        "kdtree: bound-filtered offers, got {}",
-        kd.heap_offers
-    );
-    for (name, stats) in [("kdtree", kd), ("balltree", ball)] {
+    for (name, (stats, lens)) in [
+        ("kdtree", join_stats(&KdTree::new(&data, Euclidean), n, k)),
+        ("balltree", join_stats(&BallTree::new(&data, Euclidean), n, k)),
+    ] {
         assert_eq!(stats.join_groups, 1, "{name}: one leaf, one group");
-        assert_eq!(stats.shell_passes, 0, "{name}: tie-free data needs no shell recovery");
+        assert_eq!(stats.tile_pairs, (n * n) as u64, "{name}: one n-lane run per query");
+        assert_eq!(stats.captures, (n * (n - 1)) as u64, "{name}: captures == naive scan");
+        assert_eq!(stats.compactions, n as u64, "{name}: one compaction per query");
+        assert!(lens.iter().all(|&len| len == k), "{name}: tie-free data, k each");
     }
 }
 
@@ -126,10 +120,9 @@ fn parallel_materialization_keeps_leaf_groups_whole() {
 }
 
 #[test]
-fn shell_recoveries_fire_exactly_on_duplicate_distance_fixtures() {
+fn duplicate_fixtures_capture_neighborhoods_longer_than_k() {
     // Fixture 1 (from batch_consistency): all points identical — every
-    // candidate lost from a heap ties the k-distance (zero), so the
-    // shell gate must fire.
+    // neighborhood holds all n - 1 others at distance zero.
     let dups = Dataset::from_rows(&[[1.5, -2.0]; 12]).unwrap();
     // Fixture 2: the 6x6 unit grid plus a 4-way duplicate block — tie
     // groups straddle the k-th rank across many leaves.
@@ -142,26 +135,32 @@ fn shell_recoveries_fire_exactly_on_duplicate_distance_fixtures() {
     }
     let grid = Dataset::from_rows(&rows).unwrap();
 
-    for (name, data, k) in [("dups", &dups, 3), ("grid", &grid, 3)] {
-        let kd = join_stats(&KdTree::new(data, Euclidean), data.len(), k);
-        let ball = join_stats(&BallTree::new(data, Euclidean), data.len(), k);
-        assert!(kd.shell_passes > 0, "kdtree/{name}: ties must trigger shell recovery");
-        assert!(ball.shell_passes > 0, "balltree/{name}: ties must trigger shell recovery");
-        assert!(kd.join_groups >= kd.shell_passes, "kdtree/{name}: at most one shell per group");
-        assert!(
-            ball.join_groups >= ball.shell_passes,
-            "balltree/{name}: at most one shell per group"
-        );
+    let k = 3;
+    for (name, data) in [("dups", &dups), ("grid", &grid)] {
+        for (tree, (stats, lens)) in [
+            ("kdtree", join_stats(&KdTree::new(data, Euclidean), data.len(), k)),
+            ("balltree", join_stats(&BallTree::new(data, Euclidean), data.len(), k)),
+        ] {
+            assert!(stats.tile_pairs > 0, "{tree}/{name}: the join evaluates runs");
+            assert!(stats.captures >= lens.iter().sum::<usize>() as u64, "{tree}/{name}");
+            assert!(stats.compactions > 0, "{tree}/{name}: the captures compact");
+            assert!(lens.iter().any(|&len| len > k), "{tree}/{name}: ties reach past k");
+            if name == "dups" {
+                assert!(lens.iter().all(|&len| len == data.len() - 1), "{tree}/{name}");
+            }
+        }
     }
 
-    // ...and the negative control: the same assertion machinery on
-    // tie-free data reports zero recoveries for every group.
+    // ...and the negative control: on tie-free data every neighborhood
+    // holds exactly k.
     let spread = spread_dataset(40);
-    let kd = join_stats(&KdTree::new(&spread, Euclidean), 40, 3);
-    let ball = join_stats(&BallTree::new(&spread, Euclidean), 40, 3);
-    assert!(kd.join_groups > 1, "n=40 spans multiple leaves");
-    assert_eq!(kd.shell_passes, 0, "kdtree/spread: no ties, no shells");
-    assert_eq!(ball.shell_passes, 0, "balltree/spread: no ties, no shells");
+    for (tree, (stats, lens)) in [
+        ("kdtree", join_stats(&KdTree::new(&spread, Euclidean), 40, k)),
+        ("balltree", join_stats(&BallTree::new(&spread, Euclidean), 40, k)),
+    ] {
+        assert!(stats.join_groups > 1, "{tree}: n=40 spans multiple leaves");
+        assert!(lens.iter().all(|&len| len == k), "{tree}/spread: no ties, k each");
+    }
 }
 
 #[test]
