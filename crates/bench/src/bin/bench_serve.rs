@@ -1,7 +1,6 @@
 //! Serve-tier saturation benchmark: the event-loop server
-//! (`lof-serve`) under 64 / 256 / 1024 concurrent connections versus
-//! the original thread-per-connection loop (`lof_stream::serve`) at 64,
-//! all on the same drifting event mix. Aborts on any dropped or
+//! (`lof-serve`) under 64 / 256 / 1024 concurrent connections, all on
+//! the same drifting event mix. Aborts on any dropped or
 //! misordered event, then proves the kill → restore-from-snapshot path
 //! resumes bit-identically over real TCP. Written as `BENCH_serve.json`
 //! (override the path with `BENCH_SERVE_OUT`; restrict the connection
@@ -190,7 +189,7 @@ fn main() {
         .map(|v| v.split(',').map(|c| c.trim().parse().expect("bad BENCH_SERVE_CONNS")).collect())
         .unwrap_or_else(|_| vec![64, 256, 1024]);
 
-    let mut rows: Vec<(String, usize, RunStats)> = Vec::new();
+    let mut rows: Vec<(usize, RunStats)> = Vec::new();
 
     for &conns in &conn_matrix {
         let handle = spawn_event_loop((conns * PIPELINE).max(1024), None);
@@ -205,45 +204,18 @@ fn main() {
             "event-loop  {conns:5} conns: {:9.0} events/sec  p50 {:7.1}us  p99 {:8.1}us",
             stats.events_per_sec, stats.p50_us, stats.p99_us
         );
-        rows.push(("event_loop".to_owned(), conns, stats));
+        rows.push((conns, stats));
     }
-
-    // Baseline: the original thread-per-connection loop at 64 clients.
-    let baseline_conns = 64.min(*conn_matrix.iter().min().unwrap_or(&64));
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let window = SlidingWindowLof::new(window_config(), Euclidean).expect("window");
-    let handle = lof_stream::serve::spawn(listener, window, 0).expect("spawn thread-per-conn");
-    let stats = saturate(handle.addr(), baseline_conns, total);
-    handle.shutdown().expect("clean shutdown");
-    println!(
-        "thread/conn {baseline_conns:5} conns: {:9.0} events/sec  p50 {:7.1}us  p99 {:8.1}us",
-        stats.events_per_sec, stats.p50_us, stats.p99_us
-    );
-    rows.push(("thread_per_conn".to_owned(), baseline_conns, stats));
 
     let restore_ok = check_restore_bit_identity();
     assert!(restore_ok, "restore-from-snapshot diverged from the uninterrupted window");
     println!("kill -> restore-from-snapshot: bit-identical over {} events", 400);
 
-    let old_64 = rows
-        .iter()
-        .find(|(name, _, _)| name == "thread_per_conn")
-        .map(|(_, _, s)| s.events_per_sec)
-        .unwrap_or(0.0);
-    let new_max =
-        rows.iter().filter(|(name, _, _)| name == "event_loop").max_by_key(|(_, conns, _)| *conns);
-    if let Some((_, conns, s)) = new_max {
-        println!(
-            "event loop at {conns} conns vs thread/conn at {baseline_conns}: {:.2}x throughput",
-            s.events_per_sec / old_64
-        );
-    }
-
     let mut json = String::from("{\n  \"runs\": [\n");
-    for (i, (server, conns, s)) in rows.iter().enumerate() {
+    for (i, (conns, s)) in rows.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"server\": \"{server}\", \"conns\": {conns}, \
+            "    {{\"server\": \"event_loop\", \"conns\": {conns}, \
              \"events_per_sec\": {:.1}, \"p50_us\": {:.1}, \"p99_us\": {:.1}}}",
             s.events_per_sec, s.p50_us, s.p99_us
         );

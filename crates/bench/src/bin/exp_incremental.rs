@@ -3,7 +3,9 @@
 //! maintenance vs. batch recomputation under a stream of insertions.
 //!
 //! Expected shape: per-insert cost of the incremental model stays roughly
-//! flat in stream length (the cascade is local), while recompute-per-insert
+//! flat in stream length (the update is local: it rewrites the few
+//! neighborhoods the new point joins, and the read refreshes only the
+//! arriving score's dependencies), while recompute-per-insert
 //! grows linearly; the maintained values are identical to batch (spot
 //! checked here, property-tested in `lof-core`).
 
@@ -12,6 +14,9 @@ use lof_core::incremental::IncrementalLof;
 use lof_core::{lof, Euclidean};
 use lof_data::generators::{mixture, Component};
 use lof_data::seeded;
+
+/// Replays of the incremental side per base size (the fastest counts).
+const INCREMENTAL_REPLAYS: usize = 7;
 
 fn main() {
     banner(
@@ -23,7 +28,7 @@ fn main() {
 
     let mut out = Table::new(
         "exp_incremental",
-        &["base_n", "inserts", "incremental_s", "batch_s", "speedup", "mean_cascade_lofs"],
+        &["base_n", "inserts", "incremental_s", "batch_s", "speedup", "mean_neighborhoods_updated"],
     );
     for base_n in [500usize, 1000, 2000].map(|n| n * scale) {
         let mut rng = seeded(17);
@@ -42,16 +47,26 @@ fn main() {
             })
             .collect();
 
-        // Incremental: maintain under each insert.
-        let mut model =
-            IncrementalLof::new(labeled.data.clone(), Euclidean, min_pts).expect("valid seed");
-        let mut cascade_total = 0usize;
-        let (_, inc_time) = time(|| {
-            for p in &inserts {
-                let (_, _, stats) = model.insert(p).expect("valid insert");
-                cascade_total += stats.lofs_recomputed;
-            }
-        });
+        // Incremental: maintain under each insert. The 100 inserts take
+        // milliseconds, so replay them on fresh models and keep the
+        // fastest replay — one sample would mostly measure timer noise.
+        let mut updated_total = 0usize;
+        let mut inc_time = std::time::Duration::MAX;
+        let mut model = None;
+        for _ in 0..INCREMENTAL_REPLAYS {
+            let mut fresh =
+                IncrementalLof::new(labeled.data.clone(), Euclidean, min_pts).expect("valid seed");
+            updated_total = 0;
+            let (_, elapsed) = time(|| {
+                for p in &inserts {
+                    let (_, _, stats) = fresh.insert(p).expect("valid insert");
+                    updated_total += stats.neighborhoods_updated;
+                }
+            });
+            inc_time = inc_time.min(elapsed);
+            model = Some(fresh);
+        }
+        let mut model = model.expect("at least one replay");
 
         // Batch: recompute everything after each insert.
         let mut data = labeled.data.clone();
@@ -73,10 +88,10 @@ fn main() {
 
         let inc_s = inc_time.as_secs_f64();
         let batch_s = batch_time.as_secs_f64();
-        let mean_cascade = cascade_total as f64 / inserts.len() as f64;
+        let mean_updated = updated_total as f64 / inserts.len() as f64;
         println!(
             "base n={base_n:5}: 100 inserts incremental {inc_s:7.3}s vs batch {batch_s:7.3}s \
-             ({:.1}x), mean cascade = {mean_cascade:.1} LOF updates/insert",
+             ({:.1}x), {mean_updated:.1} neighborhoods updated/insert",
             batch_s / inc_s
         );
         out.push(vec![
@@ -85,7 +100,7 @@ fn main() {
             inc_s,
             batch_s,
             batch_s / inc_s,
-            mean_cascade,
+            mean_updated,
         ]);
     }
     out.print_and_save();
@@ -95,7 +110,7 @@ fn main() {
         "speedup grows with base size ({}): {}",
         speedups.iter().map(|s| format!("{s:.1}x")).collect::<Vec<_>>().join(" -> "),
         if speedups.windows(2).all(|w| w[1] > w[0]) && speedups[0] > 1.0 {
-            "REPRODUCED (cascade is local, batch is global)"
+            "REPRODUCED (the update is local, batch is global)"
         } else {
             "NOT REPRODUCED"
         }

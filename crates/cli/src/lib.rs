@@ -550,12 +550,8 @@ pub struct StreamArgs {
     pub threshold: Option<f64>,
     /// Rolling top-k alert rule.
     pub top_k: Option<usize>,
-    /// Spatial shards of the window model (1 = flat engine).
-    pub shards: usize,
-    /// Defer lrd/LOF maintenance to the read side (bit-identical scores,
-    /// much higher throughput when only the arriving score is read).
-    pub deferred: bool,
-    /// Job-queue bound in serve mode (0 = `lof_stream::DEFAULT_QUEUE`).
+    /// Job-queue bound per worker in serve mode (0 =
+    /// `lof_serve::DEFAULT_QUEUE`).
     pub queue: usize,
     /// Scoring worker threads in serve mode (0 = auto).
     pub workers: usize,
@@ -584,8 +580,6 @@ impl Default for StreamArgs {
             landmark: false,
             threshold: None,
             top_k: None,
-            shards: 1,
-            deferred: false,
             queue: 0,
             workers: 0,
             tenants: 0,
@@ -681,8 +675,6 @@ pub fn parse_stream_args(serve: bool, args: &[String]) -> Result<StreamArgs, Str
                 );
             }
             "--topk" => parsed.top_k = Some(number("--topk", &mut iter)?),
-            "--shards" => parsed.shards = number("--shards", &mut iter)?,
-            "--deferred" => parsed.deferred = true,
             "--metric" => parsed.metric = parse_metric(value("--metric", &mut iter)?)?,
             "--metrics" => parsed.metrics = true,
             "--listen" if serve => parsed.listen = value("--listen", &mut iter)?.clone(),
@@ -731,7 +723,6 @@ pub fn stream_window_config(args: &StreamArgs) -> lof_stream::StreamConfig {
     if let Some(k) = args.top_k {
         config = config.top_k(k);
     }
-    config = config.shards(args.shards).deferred(args.deferred);
     config
 }
 
@@ -1121,11 +1112,6 @@ stream / serve options:
   --landmark          never evict (landmark window)
   --threshold T       alert when LOF > T
   --topk K            alert when an event ranks in the window's top K
-  --shards N          partition the window model across N spatial
-                      shards (scores stay bit-identical)  [default: 1]
-  --deferred          defer lrd/LOF maintenance to the reads — scores
-                      stay bit-identical, per-event cost drops sharply
-                      when only the arriving score is read
   --metric METRIC     euclidean | manhattan | chebyshev | angular
   --metrics           print a final metrics snapshot (Prometheus text)
                       to stderr; serve mode also answers in-band
@@ -1448,9 +1434,6 @@ mod tests {
                 "2.5",
                 "--topk",
                 "3",
-                "--shards",
-                "4",
-                "--deferred",
                 "--metric",
                 "manhattan",
                 "-",
@@ -1463,8 +1446,6 @@ mod tests {
         assert!(parsed.landmark);
         assert_eq!(parsed.threshold, Some(2.5));
         assert_eq!(parsed.top_k, Some(3));
-        assert_eq!(parsed.shards, 4);
-        assert!(parsed.deferred);
         assert_eq!(parsed.metric, MetricChoice::Manhattan);
         assert_eq!(parsed.input, None, "'-' means stdin");
         assert!(!parsed.metrics, "--metrics is opt-in");
@@ -1476,8 +1457,6 @@ mod tests {
         assert_eq!(config.policy, lof_stream::EvictionPolicy::Landmark);
         assert_eq!(config.threshold, Some(2.5));
         assert_eq!(config.top_k, Some(3));
-        assert_eq!(config.shards, 4);
-        assert!(config.deferred);
     }
 
     #[test]
@@ -1502,6 +1481,11 @@ mod tests {
         assert!(parse_stream_args(false, &args(&["a", "b"])).is_err());
         assert!(parse_stream_args(false, &args(&["--minpts"])).is_err());
         assert!(parse_stream_args(false, &args(&["--minpts", "x"])).is_err());
+        // The retired engine flags are plain unknown flags in both modes.
+        for serve in [false, true] {
+            assert!(parse_stream_args(serve, &args(&["--shards", "4"])).is_err());
+            assert!(parse_stream_args(serve, &args(&["--deferred"])).is_err());
+        }
     }
 
     #[test]

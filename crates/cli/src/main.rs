@@ -279,8 +279,8 @@ fn report_stats(stats: &StreamStats) {
     let (p50, p95, p99) = stats.latency.percentiles_ns();
     let us = |ns: u64| ns as f64 / 1_000.0;
     eprintln!(
-        "{} events ({} scored, {} alerts, {} evictions, {} cascade LOF updates)",
-        stats.events, stats.scored, stats.alerts, stats.evictions, stats.cascade_lofs
+        "{} events ({} scored, {} alerts, {} evictions)",
+        stats.events, stats.scored, stats.alerts, stats.evictions
     );
     eprintln!(
         "latency: p50 {:.1}us  p95 {:.1}us  p99 {:.1}us  max {:.1}us",

@@ -298,59 +298,6 @@ pub fn theorem2_bounds(
     Ok(LofBounds { lower: lower_direct * lower_indirect, upper: upper_direct * upper_indirect })
 }
 
-/// A ratcheting upper envelope over the neighbor-list search cutoffs of a
-/// group of objects — the per-shard reverse-neighborhood bound of the
-/// sharded incremental engine.
-///
-/// If every member `p` of a shard keeps its maintained list cutoff
-/// `cut_p` below `max_cutoff`, then a new point `q` whose minimum
-/// distance to the shard's bounding box exceeds `max_cutoff` cannot
-/// satisfy `d(p, q) <= cut_p` for any member: the whole shard is outside
-/// the event's reverse-k-NN cascade and can be skipped. This is the same
-/// localization the Theorem 2 per-part envelopes ([`PartEnvelope`])
-/// express for LOF values, collapsed to the single statistic the
-/// insert/evict repair protocol needs. The envelope only *ratchets up*
-/// (cutoffs can be stale-high after deletions shrink a list), so a skip
-/// decision is always conservative; callers recompute it exactly when
-/// they rebalance.
-///
-/// ```
-/// use lof_core::bounds::KdistEnvelope;
-/// let mut env = KdistEnvelope::EMPTY;
-/// env.ratchet(2.5);
-/// env.ratchet(1.0); // never decreases
-/// assert!(env.excludes(2.6));
-/// assert!(!env.excludes(2.5)); // boundary stays inclusive
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KdistEnvelope {
-    max_cutoff: f64,
-}
-
-impl KdistEnvelope {
-    /// The envelope of an empty group: excludes every positive distance.
-    pub const EMPTY: KdistEnvelope = KdistEnvelope { max_cutoff: 0.0 };
-
-    /// Raises the envelope to cover a member whose cutoff is `cutoff`.
-    pub fn ratchet(&mut self, cutoff: f64) {
-        if cutoff > self.max_cutoff {
-            self.max_cutoff = cutoff;
-        }
-    }
-
-    /// True when no covered member can reach a point at `min_dist` or
-    /// farther within its own cutoff: `min_dist > max_cutoff`, strict so
-    /// ties on the boundary are never skipped.
-    pub fn excludes(&self, min_dist: f64) -> bool {
-        min_dist > self.max_cutoff
-    }
-
-    /// The current envelope value.
-    pub fn max_cutoff(&self) -> f64 {
-        self.max_cutoff
-    }
-}
-
 /// Envelope statistics for one part of a neighborhood partition, as known
 /// to the top-n pruning engine *before* the part's objects are
 /// materialized: each field brackets the corresponding exact per-part

@@ -75,15 +75,12 @@ pub mod persist;
 pub mod point;
 pub mod range;
 pub mod scan;
-pub(crate) mod shard;
 pub mod simd;
 pub mod spill;
 mod sweep;
 pub mod topn;
 
-pub use bounds::{
-    theorem2_envelope_bounds, KdistEnvelope, LofBounds, NeighborhoodStats, PartEnvelope,
-};
+pub use bounds::{theorem2_envelope_bounds, LofBounds, NeighborhoodStats, PartEnvelope};
 pub use detector::{LofDetector, OutlierResult};
 pub use distance::{Angular, Chebyshev, Euclidean, Manhattan, Metric, Minkowski, SquaredEuclidean};
 pub use error::{LofError, Result};

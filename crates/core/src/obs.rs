@@ -304,11 +304,13 @@ pub enum CoreEvent {
     IncrementalInsert,
     /// One successful incremental remove.
     IncrementalRemove,
-    /// LOF values recomputed by an update cascade.
+    /// LOF values the incremental model recomputed while refreshing its
+    /// caches for one read (a single score or a flush), published once
+    /// per read.
     CascadeLofs(u64),
-    /// Dependency depth one update cascade reached (0 = untouched
-    /// beyond the event's own object, 3 = the LOF layer spread past the
-    /// lrd layer). Summed on the counter; divide by
+    /// Dependency depth one structural update reached (0 = untouched
+    /// beyond the event's own object, 1 = neighborhoods changed; the lrd
+    /// and LOF layers run on read). Summed on the counter; divide by
     /// `core.incremental.inserts + removes` for the mean depth.
     CascadeDepth(u64),
     /// SIMD micropanels executed outside a scratch-carrying path (the

@@ -34,16 +34,7 @@ fn effective_threads(threads: usize, work_items: usize) -> usize {
 /// Maps `f` over `0..items`, returning the results in index order. With
 /// `threads > 1` the indices are strided across scoped worker threads —
 /// each result is computed independently, so any schedule yields the same
-/// vector; with one thread the loop runs inline.
-pub(crate) fn map_strided<R, F>(items: usize, threads: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    map_strided_with(items, threads, || (), |(), i| f(i))
-}
-
-/// [`map_strided`] with per-worker state: each worker (the calling
+/// vector; with one thread the loop runs inline. Each worker (the calling
 /// thread when serial) makes one state with `init` and hands it to `f`
 /// for every index it maps, so buffers in it are reused across indices.
 /// `f` must not let the state change its results.
@@ -191,11 +182,12 @@ mod tests {
 
     #[test]
     fn map_strided_matches_inline_for_any_thread_count() {
-        let inline = map_strided(7, 1, |i| i * i);
+        let square = |(): &mut (), i: usize| i * i;
+        let inline = map_strided_with(7, 1, || (), square);
         for threads in [2, 3, 8] {
-            assert_eq!(map_strided(7, threads, |i| i * i), inline);
+            assert_eq!(map_strided_with(7, threads, || (), square), inline);
         }
-        assert!(map_strided(0, 4, |i| i).is_empty());
+        assert!(map_strided_with(0, 4, || (), |(), i| i).is_empty());
     }
 
     #[test]

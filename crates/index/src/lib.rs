@@ -44,7 +44,6 @@
 #![warn(clippy::all)]
 
 mod common;
-mod kbest;
 
 pub mod balltree;
 pub mod grid;
@@ -54,7 +53,6 @@ pub mod xtree;
 
 pub use balltree::BallTree;
 pub use grid::GridIndex;
-pub use kbest::KBest;
 pub use kdtree::KdTree;
 pub use vafile::VaFile;
 pub use xtree::{XTree, XTreeOptions};

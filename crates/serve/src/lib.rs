@@ -1,8 +1,8 @@
 //! # lof-serve — the async multi-tenant serving tier
 //!
-//! `lof-stream`'s original TCP loop is thread-per-connection: fine for a
-//! handful of clients, hopeless for thousands. This crate replaces it as
-//! the deployable serving layer:
+//! The deployable serving layer for `lof-stream` windows: thousands of
+//! connections on one event-loop thread, many named windows, admission
+//! quotas, and restarts that resume where they stopped.
 //!
 //! * [`sys`] — raw `epoll` (Linux) / `kqueue` (macOS, BSD) readiness
 //!   polling via direct syscall declarations — the workspace's offline
@@ -22,11 +22,11 @@
 //!   **bit-identically** (the window restore invariant is
 //!   property-tested in `lof-stream`).
 //!
-//! The wire protocol is a superset of the old loop's: NDJSON events in,
+//! The wire protocol is a superset of `lof stream`'s: NDJSON events in,
 //! typed NDJSON records out, in-band `GET /metrics` and `GET /topn N`,
 //! plus the `TENANT`/`SNAPSHOT`/`DRAIN` control commands. Connections
-//! start attached to the `default` tenant, so a client of the old
-//! single-window server works unchanged.
+//! start attached to the `default` tenant, so a single-window client
+//! works unchanged.
 //!
 //! ## Quick start
 //!

@@ -26,8 +26,7 @@ impl TenantSpec {
     /// Builds a spec from `TENANT CREATE` parameters, starting from the
     /// server's defaults. Recognized keys: `minpts`, `capacity`,
     /// `warmup`, `policy` (`slide` | `landmark`), `threshold`, `topk`,
-    /// `shards`, `deferred` (`on` | `off`), `max_points`, `max_eps`,
-    /// `max_conns`.
+    /// `max_points`, `max_eps`, `max_conns`.
     ///
     /// # Errors
     ///
@@ -70,24 +69,13 @@ impl TenantSpec {
                     config.threshold = Some(t);
                 }
                 "topk" => config.top_k = Some(parse_num(key, value)?),
-                "shards" => config.shards = parse_num(key, value)?,
-                "deferred" => {
-                    config.deferred = match value.as_str() {
-                        "on" | "true" | "1" => true,
-                        "off" | "false" | "0" => false,
-                        other => {
-                            return Err(format!("bad deferred '{other}' (expected 'on' or 'off')"))
-                        }
-                    }
-                }
                 "max_points" => quotas.max_points = Some(parse_num(key, value)?),
                 "max_eps" => quotas.max_events_per_sec = Some(parse_num(key, value)?),
                 "max_conns" => quotas.max_conns = Some(parse_num(key, value)?),
                 other => {
                     return Err(format!(
                         "unknown parameter '{other}' (expected minpts, capacity, warmup, \
-                         policy, threshold, topk, shards, deferred, max_points, max_eps, \
-                         max_conns)"
+                         policy, threshold, topk, max_points, max_eps, max_conns)"
                     ))
                 }
             }
@@ -203,26 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn shards_and_deferred_params_configure_the_engine() {
-        let spec = TenantSpec::from_params(
-            &defaults(),
-            Quotas::default(),
-            &[("shards".to_owned(), "4".to_owned()), ("deferred".to_owned(), "on".to_owned())],
-        )
-        .expect("valid spec");
-        assert_eq!(spec.config.shards, 4);
-        assert!(spec.config.deferred);
-        let spec = TenantSpec::from_params(
-            &defaults(),
-            Quotas::default(),
-            &[("deferred".to_owned(), "off".to_owned())],
-        )
-        .expect("valid spec");
-        assert!(!spec.config.deferred);
-        assert_eq!(spec.config.shards, 1, "defaults stay flat");
-    }
-
-    #[test]
     fn bad_params_are_rejected_with_messages() {
         let cases: &[(&str, &str)] = &[
             ("minpts", "abc"),
@@ -230,9 +198,6 @@ mod tests {
             ("threshold", "-1"),
             ("threshold", "inf"),
             ("frobnicate", "1"),
-            ("shards", "0"),
-            ("shards", "x"),
-            ("deferred", "maybe"),
         ];
         for (key, value) in cases {
             let err = TenantSpec::from_params(
@@ -242,6 +207,16 @@ mod tests {
             )
             .expect_err("must reject");
             assert!(!err.is_empty());
+        }
+        // The retired engine keys are plain unknown parameters now.
+        for key in ["shards", "deferred"] {
+            let err = TenantSpec::from_params(
+                &defaults(),
+                Quotas::default(),
+                &[(key.into(), "1".into())],
+            )
+            .expect_err("retired key");
+            assert!(err.starts_with(&format!("unknown parameter '{key}'")), "{err}");
         }
         // Capacity above max_points is inconsistent for a sliding window.
         assert!(TenantSpec::from_params(

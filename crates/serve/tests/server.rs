@@ -355,3 +355,136 @@ fn snapshot_without_a_directory_is_a_clean_error() {
     drop(client);
     handle.drain().expect("drain");
 }
+
+/// A server whose `default` tenant runs `config` with no quotas.
+fn start_with(config: StreamConfig) -> ServeHandle {
+    start(ServeConfig::new(TenantSpec { config, quotas: Quotas::default() }, "euclidean"))
+}
+
+#[test]
+fn malformed_lines_get_in_band_error_records() {
+    let handle = start_with(StreamConfig::new(2, 16).warmup(4));
+    let mut client = Client::connect(handle.addr());
+    client.send("1.0, 2.0");
+    client.send("definitely not an event");
+    client.send("# comments are silently skipped");
+    client.send("{\"point\": [3, 4]}");
+    let reply = client.recv();
+    assert!(reply.starts_with("{\"type\":\"score\",\"seq\":0"), "got {reply}");
+    let reply = client.recv();
+    assert!(reply.starts_with("{\"type\":\"error\""), "got {reply}");
+    let reply = client.recv();
+    assert!(reply.starts_with("{\"type\":\"score\",\"seq\":1"), "comment consumed no seq: {reply}");
+    drop(client);
+    assert_eq!(handle.drain().expect("drain").events(), 2);
+}
+
+#[test]
+fn oversized_and_split_lines_are_framed_correctly() {
+    let handle = start_with(StreamConfig::new(2, 16).warmup(4));
+    let mut client = Client::connect(handle.addr());
+
+    // An event split across two writes with a pause in between: the
+    // connection's line buffer must reassemble it, not score a fragment.
+    client.stream.write_all(b"1.0,").expect("send prefix");
+    client.stream.flush().expect("flush");
+    std::thread::sleep(Duration::from_millis(30));
+    client.stream.write_all(b"2.0\n").expect("send suffix");
+    let reply = client.recv();
+    assert!(reply.starts_with("{\"type\":\"score\",\"seq\":0"), "split line misread: {reply}");
+
+    // A line far beyond the cap: rejected with one in-band error record
+    // (never truncated into a bogus event), and the connection survives.
+    let oversized = "9.0,".repeat(100_000); // ~400 KiB, no newline yet
+    client.stream.write_all(oversized.as_bytes()).expect("send oversized");
+    client.stream.write_all(b"9.0\n3.0,4.0\n").expect("terminate, then a follow-up event");
+    let reply = client.recv();
+    assert!(reply.starts_with("{\"type\":\"error\""), "expected an overflow error: {reply}");
+    assert!(reply.contains("exceeds"), "the error names the limit: {reply}");
+    let reply = client.recv();
+    assert!(reply.starts_with("{\"type\":\"score\",\"seq\":1"), "connection must survive: {reply}");
+
+    drop(client);
+    let registry = std::sync::Arc::clone(handle.registry());
+    assert_eq!(handle.drain().expect("drain").events(), 2, "the oversized line is no event");
+    if lof_obs::enabled() {
+        assert_eq!(registry.counter("serve.oversized_lines").value(), 1);
+    }
+}
+
+#[test]
+fn warmup_then_alerts_flow_over_tcp() {
+    let handle = start_with(StreamConfig::new(3, 64).warmup(10).threshold(2.5));
+    let mut client = Client::connect(handle.addr());
+    let mut saw_alert = false;
+    for i in 0..30 {
+        // A tight cluster, then one far-away spike that must alert.
+        let (x, y) = if i == 29 { (90.0, 90.0) } else { (f64::from(i % 3), f64::from(i % 4)) };
+        client.send(&format!("{x},{y}"));
+        let reply = client.recv();
+        if i < 10 {
+            assert!(reply.contains("\"warmup\":true"), "event {i} should be warm-up: {reply}");
+            assert!(reply.contains("\"lof\":null"), "got {reply}");
+        }
+        saw_alert |= reply.contains("\"alerts\":[\"threshold\"]");
+    }
+    assert!(saw_alert, "the (90,90) spike must trip the threshold rule");
+    drop(client);
+    let report = handle.drain().expect("drain");
+    assert_eq!(report.events(), 30);
+    assert!(report.alerts() >= 1);
+}
+
+/// Writers hammer one tenant concurrently; after they all join, the
+/// registry shows *exact* totals — the sharded counters lose nothing
+/// under contention — and the serve ledgers reconcile:
+/// `events_in == score_records + push_errors`,
+/// `error_records == parse_errors + push_errors`.
+#[test]
+fn concurrent_writers_produce_exact_counter_totals() {
+    const WRITERS: usize = 4;
+    const EVENTS: usize = 30;
+    const MALFORMED: usize = 3;
+
+    let handle = start_with(StreamConfig::new(3, 64).warmup(8));
+    let addr = handle.addr();
+    let registry = std::sync::Arc::clone(handle.registry());
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|w| {
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr);
+                for i in 0..EVENTS + MALFORMED {
+                    let junk = i % 11 == 10;
+                    if junk {
+                        client.send(&format!("w{w} garbage line {i}"));
+                    } else {
+                        client.send(&format!("[{}.0, {}.0]", (w * 7 + i) % 9, i % 5));
+                    }
+                    let reply = client.recv();
+                    let want = if junk { "{\"type\":\"error\"" } else { "{\"type\":\"score\"" };
+                    assert!(reply.starts_with(want), "line {i}: got {reply}");
+                }
+            })
+        })
+        .collect();
+    for writer in writers {
+        writer.join().expect("writer thread");
+    }
+    let report = handle.drain().expect("drain");
+    assert_eq!(report.events(), (WRITERS * EVENTS) as u64);
+
+    let count = |name: &str| registry.counter(name).value();
+    let (events_in, score_records) = (count("serve.events_in"), count("serve.score_records"));
+    let (push_errors, parse_errors) = (count("serve.push_errors"), count("serve.parse_errors"));
+    // Structural reconciliation holds in both feature modes (all-zero
+    // ledgers reconcile trivially with obs off).
+    assert_eq!(events_in, score_records + push_errors);
+    assert_eq!(count("serve.error_records"), parse_errors + push_errors);
+    if lof_obs::enabled() {
+        assert_eq!(events_in, (WRITERS * EVENTS) as u64);
+        assert_eq!(score_records, (WRITERS * EVENTS) as u64);
+        assert_eq!(parse_errors, (WRITERS * MALFORMED) as u64);
+        assert_eq!(push_errors, 0);
+        assert_eq!(count("serve.connections"), WRITERS as u64);
+    }
+}

@@ -8,19 +8,23 @@
 //! * [`SlidingWindowLof`] — a bounded count-based window with a warm-up
 //!   phase, slide-oldest or landmark eviction, per-event scoring, and two
 //!   alert rules (absolute LOF threshold, rolling window top-k);
-//! * [`LatencyHistogram`] + [`StreamStats`] — `std`-only observability:
-//!   events, evictions, cascade sizes, p50/p95/p99 scoring latency;
+//! * [`StreamStats`] — `std`-only observability: events, evictions,
+//!   alerts, and the scoring latency [`lof_obs::Histogram`]
+//!   (p50/p95/p99);
+//! * [`snapshot`] — the `LOFW` snapshot format a window restores from
+//!   bit-identically;
 //! * [`wire`] — the NDJSON record schema shared by `lof stream`,
 //!   `lof serve`, and the batch CLI's `--format json`;
-//! * [`serve`] — the long-running loop: stdin→stdout pumping
-//!   ([`run_stream`]) and a TCP server ([`serve::spawn`]) with
-//!   thread-per-connection readers/writers and a bounded job queue for
-//!   backpressure.
+//! * [`run_stream`] — the stdin→stdout pump behind `lof stream`. The
+//!   multi-tenant TCP server behind `lof serve` is the `lof-serve` crate,
+//!   built on this crate's windows, [`LineBuffer`] and [`wire`].
 //!
 //! Every emitted score is **bit-identical** to a fresh batch
 //! [`lof_core::incremental::IncrementalLof`] over the live window
 //! contents — the window only re-orders when work happens, never what is
-//! computed (property-tested in `tests/properties.rs`).
+//! computed (property-tested in `tests/properties.rs`). The model updates
+//! neighborhoods per event and recomputes lrd/LOF values on read, so an
+//! event pays for its own score, not for every score it invalidated.
 //!
 //! ## Quick start
 //!
@@ -42,16 +46,14 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod histogram;
 pub mod linebuf;
 pub mod serve;
 pub mod snapshot;
 pub mod window;
 pub mod wire;
 
-pub use histogram::LatencyHistogram;
 pub use linebuf::{Line, LineBuffer};
-pub use serve::{run_stream, ServeError, ServeHandle, StreamSummary, DEFAULT_QUEUE};
+pub use serve::{run_stream, StreamSummary};
 pub use snapshot::{SnapshotStats, WindowSnapshot};
 pub use window::{EvictionPolicy, ScoredEvent, SlidingWindowLof, StreamConfig, StreamStats};
 pub use wire::{metrics_record, parse_metrics_request, ControlCommand, MetricsFormat};

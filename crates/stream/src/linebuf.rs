@@ -1,7 +1,6 @@
 //! Incremental line framing for socket readers.
 //!
-//! Both serving layers (the thread-per-connection loop here and the
-//! event-loop tier in `lof-serve`) read NDJSON off sockets in arbitrary
+//! The serving tier (`lof-serve`) reads NDJSON off sockets in arbitrary
 //! chunks: a line may arrive split across many reads, and a hostile or
 //! broken client may send an unbounded "line" that never ends. This
 //! buffer turns raw chunks into complete lines while holding both

@@ -1,102 +1,22 @@
-//! The long-running serve loop: NDJSON scoring over stdin or TCP.
-//!
-//! Architecture (`std`-only, no async runtime):
-//!
-//! ```text
-//!  conn 1 ──reader──▶ ┐                                   ┌──▶ writer 1 ──▶ conn 1
-//!  conn 2 ──reader──▶ ┤  bounded job queue  ──▶ scorer ──▶┤
-//!  conn 3 ──reader──▶ ┘  (sync_channel)         thread    └──▶ writer 3 ──▶ conn 3
-//! ```
-//!
-//! One **scorer thread** owns the [`SlidingWindowLof`] — the window is
-//! inherently sequential (every event mutates the model), so a single
-//! consumer is both correct and the throughput ceiling. Each connection
-//! gets a **reader thread** (parses lines into jobs) and a **writer
-//! thread** (forwards reply records); the job queue is a bounded
-//! [`std::sync::mpsc::sync_channel`], so when the scorer falls behind,
-//! readers block on `send` and backpressure propagates into the kernel's
-//! TCP buffers instead of growing the heap. Per-connection reply order
-//! equals send order (the channel is FIFO per producer).
+//! The stdin pump behind `lof stream`: NDJSON scoring over any line
+//! source, one reply record per input line. The multi-tenant TCP server
+//! behind `lof serve` lives in the `lof-serve` crate and answers the same
+//! record schema.
 
-use crate::linebuf::{Line, LineBuffer};
-use crate::window::{SlidingWindowLof, StreamStats};
+use crate::window::SlidingWindowLof;
 use crate::wire::{
     error_record, metrics_record, parse_control, parse_event, parse_metrics_request,
     parse_topn_request, stream_record, topn_record, MetricsFormat, ParsedLine,
 };
 use lof_core::Metric;
 use lof_obs::{Counter, MetricsRegistry};
-use std::io::{BufRead, BufWriter, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender};
+use std::io::{BufRead, Write};
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
 
-/// Default bound of the job queue (events in flight between readers and
-/// the scorer).
-pub const DEFAULT_QUEUE: usize = 1024;
-
-/// What went wrong while joining a serve loop.
-///
-/// Historically [`ServeHandle::wait`] / [`ServeHandle::shutdown`]
-/// `expect`ed the scorer join, so a panic inside the scoring thread
-/// aborted the *caller* (the CLI, a test harness) with an opaque double
-/// panic. The join result is now propagated as a typed error instead.
-#[derive(Debug)]
-pub enum ServeError {
-    /// The scorer thread panicked; carries the panic payload's message
-    /// when it was a string.
-    ScorerPanicked(String),
-}
-
-impl std::fmt::Display for ServeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ServeError::ScorerPanicked(msg) => write!(f, "scorer thread panicked: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for ServeError {}
-
-/// Renders a `JoinHandle::join` panic payload as a readable message.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
-
-/// What one input line asks the scorer to do. Parse rejects and metrics
-/// requests travel through the same queue as events so each connection's
-/// replies come back in exactly its send order — a metrics snapshot taken
-/// between two events reflects exactly the events before it.
-enum Payload {
-    /// A valid event: score it.
-    Event(Vec<f64>),
-    /// A rejected line: echo the in-band error record.
-    Malformed(String),
-    /// An in-band metrics request: answer with a registry snapshot.
-    Metrics(MetricsFormat),
-    /// An in-band top-n request: answer with the window's current
-    /// ranking of its most outlying members.
-    TopN(usize),
-}
-
-/// One unit of work for the scorer thread.
-struct Job {
-    payload: Payload,
-    reply: Sender<String>,
-}
-
-/// The serve loop's registry handles (`serve.*` names), resolved once so
-/// per-line accounting is a sharded-atomic bump. The reconciliation
-/// invariants the differential tests pin:
-/// `events_in == score_records + push_errors` and
+/// The pump's registry handles (`serve.*` names, shared with the
+/// `lof-serve` tier), resolved once so per-line accounting is a
+/// sharded-atomic bump. The reconciliation invariants the differential
+/// tests pin: `events_in == score_records + push_errors` and
 /// `error_records == parse_errors + push_errors`.
 struct ServeMetrics {
     events_in: Arc<Counter>,
@@ -154,9 +74,11 @@ pub struct StreamSummary {
 }
 
 /// Pumps line-delimited events from `input` through the window, writing
-/// one NDJSON record per line to `output`. This is `lof stream` and the
-/// in-process half of the serve demo; it consumes the window and returns
-/// it with the summary so callers can inspect final stats.
+/// one NDJSON record per line to `output`. This is `lof stream`; it
+/// consumes the window and returns it with the summary so callers can
+/// inspect final stats. Control commands (`TENANT ...`, `SNAPSHOT`,
+/// `DRAIN`) need the multi-tenant server and are answered with an
+/// in-band error record.
 ///
 /// # Errors
 ///
@@ -235,268 +157,11 @@ pub fn run_stream<M: Metric>(
     Ok((window, summary))
 }
 
-/// A running NDJSON scoring server (see [`spawn`]).
-pub struct ServeHandle {
-    addr: std::net::SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    scorer: Option<JoinHandle<StreamStats>>,
-    registry: Arc<MetricsRegistry>,
-}
-
-impl ServeHandle {
-    /// The address the server is listening on (useful with port 0).
-    pub fn addr(&self) -> std::net::SocketAddr {
-        self.addr
-    }
-
-    /// The window's metrics registry — live while the server runs, and
-    /// still readable after [`ServeHandle::shutdown`] for final
-    /// snapshots (`lof serve --metrics`).
-    pub fn registry(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
-    }
-
-    /// Blocks until the accept loop exits. The loop normally runs for the
-    /// life of the process, so this is the CLI's "serve forever" call —
-    /// tests use [`ServeHandle::shutdown`] instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::ScorerPanicked`] if the scoring thread died
-    /// on a panic instead of draining cleanly.
-    pub fn wait(mut self) -> Result<StreamStats, ServeError> {
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        self.join_scorer()
-    }
-
-    /// Stops accepting, waits for live connections to drain, and returns
-    /// the window's lifetime stats. Clients should disconnect first:
-    /// draining blocks until every open connection closes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::ScorerPanicked`] if the scoring thread died
-    /// on a panic instead of draining cleanly.
-    pub fn shutdown(mut self) -> Result<StreamStats, ServeError> {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a no-op connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        self.join_scorer()
-    }
-
-    fn join_scorer(&mut self) -> Result<StreamStats, ServeError> {
-        self.scorer
-            .take()
-            .expect("scorer joined once")
-            .join()
-            .map_err(|payload| ServeError::ScorerPanicked(panic_message(payload)))
-    }
-}
-
-/// Spawns the serve loop on an already-bound listener: a scorer thread
-/// owning `window`, an accept thread, and reader/writer thread pairs per
-/// connection, with a `queue`-bounded job channel in between (0 means
-/// [`DEFAULT_QUEUE`]).
-///
-/// # Errors
-///
-/// Propagates the listener's local-address query failure.
-pub fn spawn<M: Metric + 'static>(
-    listener: TcpListener,
-    window: SlidingWindowLof<M>,
-    queue: usize,
-) -> std::io::Result<ServeHandle> {
-    let addr = listener.local_addr()?;
-    let queue = if queue == 0 { DEFAULT_QUEUE } else { queue };
-    let (jobs_tx, jobs_rx) = sync_channel::<Job>(queue);
-    let shutdown = Arc::new(AtomicBool::new(false));
-
-    // Keep a registry handle before the window moves into the scorer: the
-    // accept loop counts connections and callers snapshot through it.
-    let registry = Arc::clone(window.registry());
-    let connections = registry.counter("serve.connections");
-
-    let scorer = thread::spawn(move || score_loop(window, jobs_rx));
-
-    let accept_shutdown = Arc::clone(&shutdown);
-    let accept = thread::spawn(move || {
-        let mut handlers = Vec::new();
-        for stream in listener.incoming() {
-            if accept_shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            connections.inc();
-            let jobs = jobs_tx.clone();
-            handlers.push(thread::spawn(move || handle_connection(stream, &jobs)));
-        }
-        drop(jobs_tx); // last sender: lets the scorer exit once handlers drain
-        for handler in handlers {
-            let _ = handler.join();
-        }
-    });
-
-    Ok(ServeHandle { addr, shutdown, accept: Some(accept), scorer: Some(scorer), registry })
-}
-
-/// The scorer thread: drains jobs in arrival order, replies with one
-/// NDJSON record each, and returns the window's stats at end of stream.
-fn score_loop<M: Metric>(mut window: SlidingWindowLof<M>, jobs: Receiver<Job>) -> StreamStats {
-    let registry = Arc::clone(window.registry());
-    let metrics = ServeMetrics::new(&registry);
-    for job in jobs {
-        let record = match job.payload {
-            Payload::Event(point) => {
-                metrics.events_in.inc();
-                match window.push(&point) {
-                    Ok(event) => {
-                        metrics.score_records.inc();
-                        stream_record(&event)
-                    }
-                    Err(e) => {
-                        metrics.push_errors.inc();
-                        metrics.error_records.inc();
-                        error_record(&e.to_string())
-                    }
-                }
-            }
-            Payload::Malformed(message) => {
-                metrics.parse_errors.inc();
-                metrics.error_records.inc();
-                error_record(&message)
-            }
-            Payload::Metrics(format) => metrics.answer(&registry, format),
-            Payload::TopN(n) => metrics.answer_topn(&mut window, n),
-        };
-        // A dropped receiver means the client hung up mid-reply; the event
-        // is already applied to the window, so just move on.
-        let _ = job.reply.send(record);
-    }
-    window.stats().clone()
-}
-
-/// Classifies one complete input line into a scorer payload (`None`
-/// means nothing to do — a blank or comment line). Metrics, top-n, and
-/// control lines are recognized before event parsing so they can never
-/// be misread as malformed events; this single-window loop answers
-/// control commands with an explanatory in-band error (the multi-tenant
-/// tier in `lof-serve` executes them for real).
-fn classify_line(line: &str) -> Option<Payload> {
-    if let Some(format) = parse_metrics_request(line) {
-        return Some(Payload::Metrics(format));
-    }
-    if let Some(count) = parse_topn_request(line) {
-        return Some(match count {
-            Some(n) => Payload::TopN(n),
-            None => Payload::Malformed("topn request needs a count: /topn N".to_owned()),
-        });
-    }
-    if let Some(command) = parse_control(line) {
-        return Some(Payload::Malformed(match command {
-            Ok(_) => "control commands need the multi-tenant server (lof serve)".to_owned(),
-            Err(e) => e,
-        }));
-    }
-    match parse_event(line) {
-        Ok(ParsedLine::Empty) => None,
-        Ok(ParsedLine::Point(point)) => Some(Payload::Event(point)),
-        Err(e) => Some(Payload::Malformed(e)),
-    }
-}
-
-/// One connection: reader half frames lines through a [`LineBuffer`]
-/// (partial lines survive across reads; oversized lines are rejected
-/// with an in-band error record, never truncated into a bogus event) and
-/// parses them into jobs, blocking on the bounded queue when the scorer
-/// is behind. Writer half forwards reply records back over the socket.
-fn handle_connection(mut stream: TcpStream, jobs: &SyncSender<Job>) {
-    let Ok(write_half) = stream.try_clone() else { return };
-    let (reply_tx, reply_rx) = std::sync::mpsc::channel::<String>();
-    let writer = thread::spawn(move || {
-        let mut out = BufWriter::new(write_half);
-        for record in reply_rx {
-            if writeln!(out, "{record}").is_err() || out.flush().is_err() {
-                break;
-            }
-        }
-    });
-
-    let mut lines = LineBuffer::new(0);
-    let mut chunk = [0u8; 8192];
-    'conn: loop {
-        let n = match stream.read(&mut chunk) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => n,
-        };
-        lines.push(&chunk[..n]);
-        while let Some(framed) = lines.next_line() {
-            let payload = match framed {
-                Line::Complete(line) => match classify_line(&line) {
-                    Some(payload) => payload,
-                    None => continue,
-                },
-                Line::Oversized { limit } => {
-                    Payload::Malformed(format!("line exceeds the {limit}-byte limit"))
-                }
-            };
-            if jobs.send(Job { payload, reply: reply_tx.clone() }).is_err() {
-                break 'conn; // server shutting down
-            }
-        }
-    }
-    drop(reply_tx);
-    let _ = writer.join();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::window::StreamConfig;
     use lof_core::Euclidean;
-
-    #[test]
-    fn scorer_panics_surface_as_serve_error_not_an_abort() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        // A handle whose scorer dies on a panic: joining must yield a
-        // typed error carrying the message, not re-panic in the caller.
-        let prev_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {})); // silence the expected panic
-        let scorer = thread::spawn(|| -> StreamStats { panic!("injected scorer failure") });
-        while !scorer.is_finished() {
-            thread::yield_now();
-        }
-        std::panic::set_hook(prev_hook);
-        let handle = ServeHandle {
-            addr,
-            shutdown: Arc::new(AtomicBool::new(false)),
-            accept: Some(thread::spawn(|| {})),
-            scorer: Some(scorer),
-            registry: Arc::new(MetricsRegistry::new()),
-        };
-        match handle.wait() {
-            Err(ServeError::ScorerPanicked(msg)) => {
-                assert!(msg.contains("injected scorer failure"), "got '{msg}'");
-            }
-            Ok(_) => panic!("a panicked scorer must not join cleanly"),
-        }
-        assert!(ServeError::ScorerPanicked("x".into()).to_string().contains("panicked"));
-    }
-
-    #[test]
-    fn control_lines_are_answered_not_misparsed() {
-        assert!(matches!(classify_line("TENANT LIST"), Some(Payload::Malformed(_))));
-        assert!(matches!(classify_line("TENANT CREATE bad/name"), Some(Payload::Malformed(_))));
-        assert!(matches!(classify_line("DRAIN"), Some(Payload::Malformed(_))));
-        assert!(matches!(classify_line("1.0,2.0"), Some(Payload::Event(_))));
-        assert!(classify_line("# comment").is_none());
-    }
 
     #[test]
     fn run_stream_scores_counts_and_reports_errors_in_band() {
@@ -508,17 +173,18 @@ mod tests {
         }
         input.push_str("# a comment\n");
         input.push_str("not,a,number\n");
+        input.push_str("TENANT LIST\n");
         input.push_str("[40, 40]\n");
         let mut output = Vec::new();
         let (window, summary) = run_stream(window, input.as_bytes(), &mut output).unwrap();
         assert_eq!(summary.events, 13);
-        assert_eq!(summary.errors, 1);
+        assert_eq!(summary.errors, 2, "a malformed line and a control command");
         assert_eq!(summary.alerts, 1, "the [40,40] spike must alert");
         assert_eq!(window.stats().events, 13);
         let text = String::from_utf8(output).unwrap();
-        assert_eq!(text.lines().count(), 14, "one record per non-comment line");
+        assert_eq!(text.lines().count(), 15, "one record per non-comment line");
         assert!(text.lines().all(|l| l.starts_with("{\"type\":")));
-        assert!(text.contains("\"type\":\"error\""));
+        assert!(text.contains("control commands need the multi-tenant server"));
     }
 
     #[test]

@@ -31,10 +31,14 @@
 //! extras:(count:u64, count*(key:str, value:str))
 //! ```
 //!
-//! Version 1 (readable, never written) lacks the `shards` / `deferred` /
-//! `border_repairs` fields; they default to `1` / off / `0`, so a v1
-//! snapshot restores into an unsharded eager window exactly as it always
-//! did.
+//! `shards`, `deferred` and `border_repairs` are retired fields of the
+//! v2 layout, from when a window could be split into spatial shards and
+//! maintained its scores eagerly. Every window is now one flat model that
+//! refreshes its scores on read, so writers store the constants `1`,
+//! `1` and `0`; readers still reject a `deferred` byte other than 0 or 1,
+//! then ignore all three. Version 1 (readable, never written) lacks the
+//! three fields. Snapshots of either version restore into the same
+//! window, which scores bit-identically whatever the retired fields say.
 //!
 //! `extras` carries serving-layer annotations (tenant name, quota
 //! settings) opaquely: the window itself neither reads nor validates
@@ -91,11 +95,9 @@ pub struct SnapshotStats {
     pub evictions: u64,
     /// Events on which at least one alert rule fired.
     pub alerts: u64,
-    /// Total LOF recomputations across all cascades.
+    /// Total LOF recomputations across all cascades (see
+    /// [`StreamStats::cascade_lofs`](crate::StreamStats::cascade_lofs)).
     pub cascade_lofs: u64,
-    /// Cross-shard cascade repairs (0 in v1 snapshots and unsharded
-    /// windows).
-    pub border_repairs: u64,
 }
 
 /// A serializable image of a [`SlidingWindowLof`]'s scoring state.
@@ -219,8 +221,9 @@ impl WindowSnapshot {
             }
             None => payload.push(0),
         }
-        put_u64(&mut payload, self.config.shards as u64);
-        payload.push(u8::from(self.config.deferred));
+        // Retired `shards` and `deferred` fields (see the module docs).
+        put_u64(&mut payload, 1);
+        payload.push(1);
         put_u64(&mut payload, self.dims as u64);
         payload.push(u8::from(self.warming));
         let n = self.points.len().checked_div(self.dims).unwrap_or(0);
@@ -239,7 +242,7 @@ impl WindowSnapshot {
         put_u64(&mut payload, self.stats.evictions);
         put_u64(&mut payload, self.stats.alerts);
         put_u64(&mut payload, self.stats.cascade_lofs);
-        put_u64(&mut payload, self.stats.border_repairs);
+        put_u64(&mut payload, 0); // retired `border_repairs`
         put_u64(&mut payload, self.extras.len() as u64);
         for (k, v) in &self.extras {
             put_str(&mut payload, k);
@@ -306,20 +309,14 @@ impl WindowSnapshot {
             1 => Some(cur.usize()?),
             _ => return Err(bad("bad top_k presence byte")),
         };
-        // v1 predates engine modes: flat eager windows only.
-        let (shards, deferred) = if version >= 2 {
-            let shards = cur.usize()?;
-            let deferred = match cur.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(bad("bad deferred byte")),
-            };
-            (shards, deferred)
-        } else {
-            (1, false)
-        };
-        let config =
-            StreamConfig { min_pts, capacity, warmup, policy, threshold, top_k, shards, deferred };
+        // The retired `shards` / `deferred` fields (v2 only).
+        if version >= 2 {
+            cur.u64()?;
+            if cur.u8()? > 1 {
+                return Err(bad("bad deferred byte"));
+            }
+        }
+        let config = StreamConfig { min_pts, capacity, warmup, policy, threshold, top_k };
         config.validate().map_err(|e| bad(&format!("snapshot config invalid: {e}")))?;
 
         let dims = cur.usize()?;
@@ -354,8 +351,10 @@ impl WindowSnapshot {
             evictions: cur.u64()?,
             alerts: cur.u64()?,
             cascade_lofs: cur.u64()?,
-            border_repairs: if version >= 2 { cur.u64()? } else { 0 },
         };
+        if version >= 2 {
+            cur.u64()?; // retired `border_repairs`
+        }
         let extra_count = cur.usize()?;
         let mut extras = Vec::with_capacity(extra_count.min(1024));
         for _ in 0..extra_count {
@@ -421,26 +420,14 @@ mod tests {
     fn sample() -> WindowSnapshot {
         WindowSnapshot {
             metric_tag: "euclidean".to_owned(),
-            config: StreamConfig::new(3, 16)
-                .warmup(8)
-                .threshold(2.0)
-                .top_k(4)
-                .shards(4)
-                .deferred(true),
+            config: StreamConfig::new(3, 16).warmup(8).threshold(2.0).top_k(4),
             dims: 2,
             warming: false,
             points: vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0],
             arrivals: vec![7, 3, 4, 5, 6],
             next_seq: 8,
             next_arrival: 8,
-            stats: SnapshotStats {
-                events: 8,
-                scored: 3,
-                evictions: 3,
-                alerts: 1,
-                cascade_lofs: 9,
-                border_repairs: 2,
-            },
+            stats: SnapshotStats { events: 8, scored: 3, evictions: 3, alerts: 1, cascade_lofs: 9 },
             extras: vec![("tenant".to_owned(), "alpha".to_owned())],
         }
     }
@@ -504,17 +491,46 @@ mod tests {
     }
 
     #[test]
-    fn v1_snapshots_restore_as_flat_eager_windows() {
-        let mut snap = sample();
-        // A v1 writer could not have produced engine-mode settings.
-        snap.config.shards = 1;
-        snap.config.deferred = false;
-        snap.stats.border_repairs = 0;
-        let back = WindowSnapshot::from_bytes(&v1_bytes(&snap)).unwrap();
-        assert_eq!(back, snap);
-        assert_eq!(back.config.shards, 1);
-        assert!(!back.config.deferred);
-        assert_eq!(back.stats.border_repairs, 0);
+    fn v1_snapshots_read_back_unchanged() {
+        let snap = sample();
+        assert_eq!(WindowSnapshot::from_bytes(&v1_bytes(&snap)).unwrap(), snap);
+    }
+
+    /// Rewrites the retired v2 fields of `bytes` (a [`WindowSnapshot::
+    /// to_bytes`] image of [`sample`]) and re-seals the CRC.
+    fn with_retired_fields(
+        bytes: &[u8],
+        shards: u64,
+        deferred: u8,
+        border_repairs: u64,
+    ) -> Vec<u8> {
+        let snap = sample();
+        // magic, version, length; tag; min_pts, capacity, warmup; policy;
+        // threshold and top_k (both present in `sample`).
+        let engine = 16 + 8 + snap.metric_tag.len() + 24 + 1 + 9 + 9;
+        let extras: usize =
+            8 + snap.extras.iter().map(|(k, v)| 16 + k.len() + v.len()).sum::<usize>();
+        let repairs = bytes.len() - 4 - extras - 8;
+        let mut out = bytes.to_vec();
+        out[engine..engine + 8].copy_from_slice(&shards.to_le_bytes());
+        out[engine + 8] = deferred;
+        out[repairs..repairs + 8].copy_from_slice(&border_repairs.to_le_bytes());
+        let crc = crc32(&out[16..out.len() - 4]);
+        let end = out.len();
+        out[end - 4..].copy_from_slice(&crc.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn retired_v2_fields_are_written_as_constants_and_ignored_on_read() {
+        let snap = sample();
+        let bytes = snap.to_bytes();
+        assert_eq!(with_retired_fields(&bytes, 1, 1, 0), bytes, "writers store 1, 1 and 0");
+        for (shards, deferred, repairs) in [(4, 0, 7), (0, 1, 0), (8, 1, 123)] {
+            let old = with_retired_fields(&bytes, shards, deferred, repairs);
+            assert_eq!(WindowSnapshot::from_bytes(&old).unwrap(), snap);
+        }
+        assert!(WindowSnapshot::from_bytes(&with_retired_fields(&bytes, 1, 2, 0)).is_err());
     }
 
     #[test]

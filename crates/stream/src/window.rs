@@ -6,12 +6,14 @@
 //! applied to the window contents), so the emitted score is exactly what a
 //! batch LOF over the live window would produce — property tests assert
 //! bit-identity against a fresh [`IncrementalLof::new`] after every event.
+//! The model defers lrd/LOF maintenance to the reads: each event computes
+//! only its own score, and [`SlidingWindowLof::top_n`] and the top-k alert
+//! rule flush what they compare against.
 
-use crate::histogram::LatencyHistogram;
 use crate::snapshot::{SnapshotStats, WindowSnapshot};
 use lof_core::incremental::{IncrementalLof, UpdateStats};
 use lof_core::{Dataset, LofError, Metric, Result};
-use lof_obs::{Counter, Gauge, MetricsRegistry};
+use lof_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -44,16 +46,6 @@ pub struct StreamConfig {
     /// Relative alert rule: flag events whose score ranks among the `k`
     /// highest LOF values of the current window.
     pub top_k: Option<usize>,
-    /// Spatial shards the model is partitioned into (1 = flat engine).
-    /// Scores are bit-identical at any shard count — sharding changes
-    /// which distances are computed, never which values are produced.
-    pub shards: usize,
-    /// Defer lrd/LOF maintenance to the read side (the arriving event's
-    /// score, [`top_n`](SlidingWindowLof::top_n), and the top-k alert
-    /// rule flush exactly what they need). Scores stay bit-identical to
-    /// eager maintenance; per-event cost drops sharply for streams that
-    /// read only the arriving score.
-    pub deferred: bool,
 }
 
 impl StreamConfig {
@@ -67,8 +59,6 @@ impl StreamConfig {
             policy: EvictionPolicy::SlideOldest,
             threshold: None,
             top_k: None,
-            shards: 1,
-            deferred: false,
         }
     }
 
@@ -100,31 +90,33 @@ impl StreamConfig {
         self
     }
 
-    /// Sets the shard count (1 disables sharding).
+    /// Ignores its argument: every window is one flat model. Kept for
+    /// source compatibility with callers written when windows could be
+    /// split into spatial shards (`perfbench` still calls it).
+    #[doc(hidden)]
     #[must_use]
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
+    pub fn shards(self, _shards: usize) -> Self {
         self
     }
 
-    /// Switches score maintenance between eager and deferred.
+    /// Ignores its argument: every window defers lrd/LOF maintenance to
+    /// the reads. Kept for source compatibility with callers written when
+    /// eager maintenance was the default (`perfbench` still calls it).
+    #[doc(hidden)]
     #[must_use]
-    pub fn deferred(mut self, deferred: bool) -> Self {
-        self.deferred = deferred;
+    pub fn deferred(self, _deferred: bool) -> Self {
         self
     }
 
     /// Checks the invariants the window needs: `min_pts >= 1`,
     /// `capacity > min_pts + 1` (room to evict while neighborhoods stay
-    /// defined), `warmup` within `min_pts + 1 ..= capacity`,
-    /// `shards >= 1`.
+    /// defined), `warmup` within `min_pts + 1 ..= capacity`.
     ///
     /// # Errors
     ///
     /// Returns [`LofError::InvalidMinPts`] when the window could never hold
     /// a defined neighborhood, [`LofError::InvalidRange`] when the warm-up
-    /// falls outside the valid band, [`LofError::InvalidPartition`] for a
-    /// zero shard count.
+    /// falls outside the valid band.
     pub fn validate(&self) -> Result<()> {
         if self.min_pts == 0 || self.capacity <= self.min_pts + 1 {
             return Err(LofError::InvalidMinPts {
@@ -134,11 +126,6 @@ impl StreamConfig {
         }
         if self.warmup <= self.min_pts || self.warmup > self.capacity {
             return Err(LofError::InvalidRange { lb: self.warmup, ub: self.capacity });
-        }
-        if self.shards == 0 {
-            return Err(LofError::InvalidPartition(
-                "shard count must be at least 1 (1 = unsharded)".to_owned(),
-            ));
         }
         Ok(())
     }
@@ -195,13 +182,13 @@ pub struct StreamStats {
     pub evictions: u64,
     /// Events on which at least one alert rule fired.
     pub alerts: u64,
-    /// Total LOF recomputations across all cascades (insert + evict).
+    /// Sum of `lofs_recomputed` over every event's update statistics.
+    /// Always 0: the model recomputes LOFs on read, not per update (the
+    /// reads are counted on `core.incremental.cascade_lofs`). Kept so
+    /// summaries and snapshots keep their schema.
     pub cascade_lofs: u64,
-    /// Cross-shard cascade repairs: cascade members living outside the
-    /// triggering event's home shard. Always 0 while unsharded.
-    pub border_repairs: u64,
     /// Scoring latency distribution over scored events.
-    pub latency: Arc<LatencyHistogram>,
+    pub latency: Arc<Histogram>,
 }
 
 /// The window's registry handles, resolved once at construction so the
@@ -213,7 +200,6 @@ struct WindowMetrics {
     evictions: Arc<Counter>,
     alerts: Arc<Counter>,
     cascade_lofs: Arc<Counter>,
-    border_repairs: Arc<Counter>,
     occupancy: Arc<Gauge>,
     last_lof: Arc<Gauge>,
 }
@@ -226,7 +212,6 @@ impl WindowMetrics {
             evictions: registry.counter("stream.evictions"),
             alerts: registry.counter("stream.alerts"),
             cascade_lofs: registry.counter("stream.cascade_lofs"),
-            border_repairs: registry.counter("stream.shard.border_repairs"),
             occupancy: registry.gauge("stream.window_occupancy"),
             last_lof: registry.gauge("stream.last_lof"),
         }
@@ -259,10 +244,6 @@ pub struct SlidingWindowLof<M: Metric> {
     pending: Option<Dataset>,
     model: Option<IncrementalLof<M>>,
     next_seq: u64,
-    /// The model's lifetime border-repair count already folded into
-    /// `stats.border_repairs` (the model counter restarts at 0 on
-    /// restore while the stream counter resumes).
-    border_seen: u64,
     stats: StreamStats,
     registry: Arc<MetricsRegistry>,
     metrics: WindowMetrics,
@@ -300,7 +281,6 @@ impl<M: Metric> SlidingWindowLof<M> {
             pending: None,
             model: None,
             next_seq: 0,
-            border_seen: 0,
             stats,
             registry,
             metrics,
@@ -341,9 +321,19 @@ impl<M: Metric> SlidingWindowLof<M> {
         self.model.is_none()
     }
 
-    /// The live LOF model (after warm-up).
+    /// The live LOF model (after warm-up). Its score readers take
+    /// `&mut self` because they refresh stale caches first; read scores
+    /// through [`lof_values`](Self::lof_values) or
+    /// [`top_n`](Self::top_n).
     pub fn model(&self) -> Option<&IncrementalLof<M>> {
         self.model.as_ref()
+    }
+
+    /// The current LOF of every window member, in the model's id order
+    /// (see [`model`](Self::model)); empty during warm-up. Refreshes
+    /// every stale score first.
+    pub fn lof_values(&mut self) -> &[f64] {
+        self.model.as_mut().map_or(&[], IncrementalLof::lof_values)
     }
 
     /// Processes one event: inserts it, applies the eviction policy, scores
@@ -410,15 +400,6 @@ impl<M: Metric> SlidingWindowLof<M> {
             self.stats.cascade_lofs += c.lofs_recomputed as u64;
             self.metrics.cascade_lofs.add(c.lofs_recomputed as u64);
         }
-        if let Some(model) = self.model.as_ref() {
-            let repairs = model.border_repairs();
-            let delta = repairs - self.border_seen;
-            if delta > 0 {
-                self.border_seen = repairs;
-                self.stats.border_repairs += delta;
-                self.metrics.border_repairs.add(delta);
-            }
-        }
         self.metrics.occupancy.set(event.window_len as f64);
         Ok(event)
     }
@@ -431,22 +412,9 @@ impl<M: Metric> SlidingWindowLof<M> {
         if pending.len() >= self.config.warmup {
             let seed = self.pending.take().expect("warm-up buffer exists");
             let metric = self.metric.take().expect("metric unclaimed before model build");
-            let mut model = IncrementalLof::new(seed, metric, self.config.min_pts)?;
-            Self::apply_engine_modes(&mut model, &self.config);
-            self.model = Some(model);
+            self.model = Some(IncrementalLof::new(seed, metric, self.config.min_pts)?);
         }
         Ok(())
-    }
-
-    /// Applies the configured engine modes to a freshly built model
-    /// (warm-up completion and snapshot restore share this).
-    fn apply_engine_modes(model: &mut IncrementalLof<M>, config: &StreamConfig) {
-        if config.shards > 1 {
-            model.enable_sharding(config.shards, 1);
-        }
-        if config.deferred {
-            model.enable_deferred(true);
-        }
     }
 
     /// Live path: insert, evict per policy, and re-read the event's score
@@ -456,15 +424,15 @@ impl<M: Metric> SlidingWindowLof<M> {
         point: &[f64],
     ) -> Result<(Option<f64>, Option<u64>, Option<UpdateStats>)> {
         let model = self.model.as_mut().expect("live model");
-        // Lazy insert + a single `lof_now` read after the eviction
-        // decision: in deferred mode the emitted (post-eviction) score is
-        // then computed exactly once per event.
+        // Lazy insert + a single `lof` read after the eviction decision:
+        // the emitted (post-eviction) score is computed exactly once per
+        // event.
         let (id, insert_stats) = model.insert_lazy(point)?;
 
         let over_capacity =
             self.config.policy == EvictionPolicy::SlideOldest && model.len() > self.config.capacity;
         if !over_capacity {
-            let score = model.lof_now(id)?;
+            let score = model.lof(id)?;
             return Ok((Some(score), None, Some(insert_stats)));
         }
 
@@ -477,9 +445,8 @@ impl<M: Metric> SlidingWindowLof<M> {
         debug_assert_ne!(oldest, id, "the newest event is never the eviction candidate");
         let evict_stats = model.remove(oldest)?;
         let new_id = model.newest();
-        // `lof_now` (not `lof`): in deferred mode it refreshes exactly the
-        // lrds this one score averages; in eager mode it is a plain read.
-        let score = model.lof_now(new_id)?;
+        // Refreshes exactly the lrds this one score averages.
+        let score = model.lof(new_id)?;
         Ok((Some(score), Some(evicted_seq), Some(insert_stats.merge(evict_stats))))
     }
 
@@ -487,23 +454,19 @@ impl<M: Metric> SlidingWindowLof<M> {
     /// pairs, ordered by score descending with ties broken by earlier
     /// arrival. Empty during warm-up (no model, no scores yet).
     ///
-    /// This is a snapshot of the maintained incremental scores — the
-    /// sliding window keeps every member's LOF current after each
-    /// insert/evict cascade, so answering is a sort, not a sweep. In
-    /// deferred mode the model is flushed first (hence `&mut self`), so
-    /// the ranking is exactly the eager one.
+    /// The model refreshes every stale score first (hence `&mut self`),
+    /// so answering is a flush and a sort over the maintained scores,
+    /// not a sweep.
     pub fn top_n(&mut self, n: usize) -> Vec<(u64, f64)> {
         let Some(model) = self.model.as_mut() else {
             return Vec::new();
         };
-        model.flush();
-        let model = &*model;
         let mut ranked: Vec<(u64, f64)> = (0..model.len())
-            .map(|id| {
-                let seq = model.arrival(id).expect("window members have arrivals");
-                (seq, model.lof_values()[id])
-            })
+            .map(|id| (model.arrival(id).expect("window members have arrivals"), 0.0))
             .collect();
+        for (entry, &lof) in ranked.iter_mut().zip(model.lof_values()) {
+            entry.1 = lof;
+        }
         ranked.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         ranked.truncate(n);
         ranked
@@ -546,7 +509,6 @@ impl<M: Metric> SlidingWindowLof<M> {
                 evictions: self.stats.evictions,
                 alerts: self.stats.alerts,
                 cascade_lofs: self.stats.cascade_lofs,
-                border_repairs: self.stats.border_repairs,
             },
             extras: Vec::new(),
         }
@@ -611,15 +573,13 @@ impl<M: Metric> SlidingWindowLof<M> {
         } else {
             let data = Dataset::from_flat(snap.dims, snap.points.clone())?;
             let metric = window.metric.take().expect("metric unclaimed before restore build");
-            let mut model = IncrementalLof::with_arrivals(
+            window.model = Some(IncrementalLof::with_arrivals(
                 data,
                 metric,
                 snap.config.min_pts,
                 snap.arrivals.clone(),
                 snap.next_arrival,
-            )?;
-            Self::apply_engine_modes(&mut model, &window.config);
-            window.model = Some(model);
+            )?);
         }
         window.next_seq = snap.next_seq;
         window.stats.events = snap.stats.events;
@@ -627,30 +587,24 @@ impl<M: Metric> SlidingWindowLof<M> {
         window.stats.evictions = snap.stats.evictions;
         window.stats.alerts = snap.stats.alerts;
         window.stats.cascade_lofs = snap.stats.cascade_lofs;
-        // The rebuilt model's border counter restarts at 0; the stream
-        // counter resumes from the snapshot (border_seen stays 0).
-        window.stats.border_repairs = snap.stats.border_repairs;
         window.metrics.events.add(snap.stats.events);
         window.metrics.scored.add(snap.stats.scored);
         window.metrics.evictions.add(snap.stats.evictions);
         window.metrics.alerts.add(snap.stats.alerts);
         window.metrics.cascade_lofs.add(snap.stats.cascade_lofs);
-        window.metrics.border_repairs.add(snap.stats.border_repairs);
         window.metrics.occupancy.set(window.len() as f64);
         Ok(window)
     }
 
     /// True when at most `k - 1` window members score strictly higher than
-    /// `score` (i.e. the event ranks in the window's top-`k`). Flushes a
-    /// deferred model first — the rule compares against every member's
-    /// current score.
+    /// `score` (i.e. the event ranks in the window's top-`k`). Refreshes
+    /// every stale score first — the rule compares against every
+    /// member's current score.
     fn ranks_in_top_k(&mut self, score: f64, k: usize) -> bool {
         if k == 0 {
             return false;
         }
-        let model = self.model.as_mut().expect("scored events imply a live model");
-        model.flush();
-        let higher = model.lof_values().iter().filter(|&&v| v > score).count();
+        let higher = self.lof_values().iter().filter(|&&v| v > score).count();
         higher < k
     }
 }
@@ -797,8 +751,7 @@ mod tests {
         }
         let ev = w.push(&grid_point(12)).unwrap();
         assert_eq!(ev.evicted, Some(0));
-        let model = w.model().unwrap();
-        let newest = model.newest();
-        assert_eq!(ev.score.unwrap().to_bits(), model.lof(newest).unwrap().to_bits());
+        let newest = w.model().unwrap().newest();
+        assert_eq!(ev.score.unwrap().to_bits(), w.lof_values()[newest].to_bits());
     }
 }

@@ -12,10 +12,14 @@
 //! ```json
 //! {"type":"score","seq":7,"lof":1.04,"alert":false,"alerts":[],
 //!  "warmup":false,"window":400,"evicted":3,
-//!  "cascade":{"neighborhoods_updated":2,"lrds_recomputed":9,"lofs_recomputed":31,"cascade_depth":3},
+//!  "cascade":{"neighborhoods_updated":2,"lrds_recomputed":0,"lofs_recomputed":0,"cascade_depth":1},
 //!  "latency_us":12.5}
 //! {"type":"error","error":"line 12: unparsable event"}
 //! ```
+//!
+//! `cascade` is the event's [`UpdateStats`](lof_core::UpdateStats): the
+//! model recomputes lrd/LOF values on read, so `lrds_recomputed` and
+//! `lofs_recomputed` read 0 and `cascade_depth` is 0 or 1.
 //!
 //! Batch records carry only `type`/`seq`/`lof`/`alert`/`alerts` (there is
 //! no window). Non-finite LOF values (duplicate-heavy windows produce

@@ -17,10 +17,9 @@ fn batch_oracle(window: &SlidingWindowLof<Euclidean>) -> IncrementalLof<Euclidea
         .expect("window contents are always a valid model seed")
 }
 
-fn assert_bit_identical(window: &SlidingWindowLof<Euclidean>, context: &str) {
-    let model = window.model().expect("live model");
-    let oracle = batch_oracle(window);
-    for (id, (live, batch)) in model.lof_values().iter().zip(oracle.lof_values()).enumerate() {
+fn assert_bit_identical(window: &mut SlidingWindowLof<Euclidean>, context: &str) {
+    let mut oracle = batch_oracle(window);
+    for (id, (live, batch)) in window.lof_values().iter().zip(oracle.lof_values()).enumerate() {
         assert_eq!(
             live.to_bits(),
             batch.to_bits(),
@@ -58,16 +57,15 @@ proptest! {
             }
             // The emitted score equals the batch score of the newest
             // window member, bit for bit...
-            let model = window.model().unwrap();
-            let newest = model.newest();
-            let oracle = batch_oracle(&window);
+            let newest = window.model().unwrap().newest();
+            let mut oracle = batch_oracle(&window);
             prop_assert_eq!(
                 event.score.unwrap().to_bits(),
                 oracle.lof_values()[newest].to_bits(),
                 "event {} emitted score diverges from batch", i
             );
             // ...and so does every other score the window holds.
-            assert_bit_identical(&window, &format!("after event {i}"));
+            assert_bit_identical(&mut window, &format!("after event {i}"));
             // The window obeys its capacity bound.
             prop_assert!(window.len() <= capacity);
         }
@@ -82,7 +80,7 @@ proptest! {
             window.push(&[*x, *y]).unwrap();
         }
         prop_assert_eq!(window.len(), points.len(), "landmark never evicts");
-        assert_bit_identical(&window, "landmark end state");
+        assert_bit_identical(&mut window, "landmark end state");
     }
 }
 
@@ -97,7 +95,7 @@ fn duplicate_heavy_stream_stays_bit_identical() {
         let v = f64::from((i % 3) as u32);
         window.push(&[v, v]).unwrap();
         if !window.is_warming_up() {
-            assert_bit_identical(&window, &format!("duplicate stream event {i}"));
+            assert_bit_identical(&mut window, &format!("duplicate stream event {i}"));
         }
     }
     assert_eq!(window.len(), 8);

@@ -1,5 +1,6 @@
-//! The serve loop end to end, in one process: spawns the NDJSON TCP
-//! server on a loopback port, replays the bundled two-cluster dataset
+//! The serve tier end to end, in one process: spawns the multi-tenant
+//! NDJSON TCP server (`lof-serve`) on a loopback port, replays the
+//! bundled two-cluster dataset
 //! (`datasets/ds1.csv`, rows 500/501 are the planted outliers) as a
 //! client, and reads back one score record per event.
 //!
@@ -11,8 +12,8 @@
 //! lof serve --minpts 12 --capacity 400 --threshold 3.0   # the CLI twin
 //! ```
 
-use lof::stream::serve;
-use lof::{Euclidean, SlidingWindowLof, StreamConfig};
+use lof::{Euclidean, StreamConfig};
+use lof_serve::{Quotas, ServeConfig, TenantSpec};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 
@@ -20,17 +21,19 @@ fn main() {
     let data = lof::data::csv::load_dataset("datasets/ds1.csv").expect("bundled dataset");
     println!("replaying {} rows of datasets/ds1.csv as an event stream", data.len());
 
-    // A landmark window sized past the dataset: every event stays in the
-    // model, so the final scores match a batch run over the whole file.
-    let config = StreamConfig::new(12, data.len() + 1)
+    // The `default` tenant every connection starts on: a landmark window
+    // sized past the dataset, so every event stays in the model and the
+    // final scores match a batch run over the whole file.
+    let window = StreamConfig::new(12, data.len() + 1)
         .warmup(100)
         .policy(lof::EvictionPolicy::Landmark)
         .threshold(3.0);
-    let window = SlidingWindowLof::new(config, Euclidean).expect("valid config");
+    let config =
+        ServeConfig::new(TenantSpec { config: window, quotas: Quotas::default() }, "euclidean");
 
     // Port 0: the OS picks a free loopback port.
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let handle = serve::spawn(listener, window, 0).expect("spawn serve loop");
+    let handle = lof_serve::spawn(listener, Euclidean, config).expect("spawn server");
     println!("serving on {}", handle.addr());
 
     // Act as the client: one CSV line per event, one NDJSON record back.
@@ -64,11 +67,12 @@ fn main() {
     drop(writer);
     drop(reader);
 
-    let stats = handle.shutdown().expect("clean scorer shutdown");
+    let report = handle.drain().expect("clean drain");
+    let stats = &report.tenants[0].1;
     let (p50, p95, p99) = stats.latency.percentiles_ns();
     println!("\n{} events, {} scored, {} alerts", stats.events, stats.scored, stats.alerts);
     println!(
-        "latency over TCP: p50 {:.0}us  p95 {:.0}us  p99 {:.0}us",
+        "scoring latency: p50 {:.0}us  p95 {:.0}us  p99 {:.0}us",
         p50 as f64 / 1e3,
         p95 as f64 / 1e3,
         p99 as f64 / 1e3

@@ -48,15 +48,16 @@ done
 echo "== streaming subsystem: build + tests + serve integration =="
 cargo build -p lof-stream
 cargo test -p lof-stream -q
-cargo test -p lof-stream --test serve -q
+cargo test -p lof-serve --test server -q
 
-echo "== streaming: shard differential + deferred equivalence =="
-# sharded(N) == sharded(1) == flat eager == batch oracle, bit for bit,
-# after every event — through duplicates, tie shells, and eviction
-# storms — plus the sharded snapshot round-trip; rerun forced-scalar
-# since the sharded gather path skips the SIMD surrogate prefilter.
-cargo test -p lof-stream --test shards -q
-LOF_FORCE_SCALAR=1 cargo test -p lof-stream --test shards -q
+echo "== streaming: window == batch oracle under forced-scalar =="
+# Every emitted and held window score == the batch LOF of the live
+# window, bit for bit, after every event — slide and landmark windows,
+# duplicates and tie shells, eviction storms, snapshot -> restore (the
+# retired sharded/eager layout included). The window's SIMD surrogate
+# prefilter runs on every insert, so rerun it pinned to scalar (tier-1
+# runs it natively).
+LOF_FORCE_SCALAR=1 cargo test -q --test stream_identity
 
 echo "== observability: instrumented crates with obs compiled OFF =="
 # The whole stack must stay green when instrumentation compiles to
@@ -93,29 +94,25 @@ grep -q 'lof_serve_events_in 3' /tmp/lof_ci_serve.out
 grep -q '# EOF' /tmp/lof_ci_serve.out
 echo "serve metrics smoke OK"
 
-echo "== release smoke: sharded deferred stream == flat eager stream =="
+echo "== release smoke: lof stream == lof stream under forced-scalar =="
 # End to end through the real release binary: the same event file must
-# produce identical scores and alerts under `--shards 4 --deferred` and
-# under the flat eager default — only timing and cascade accounting may
-# differ, so the comparison projects each record onto seq/lof/alert.
+# produce identical records natively and with every kernel pinned to
+# scalar — only the wall-clock latency field may differ, so it is cut.
 awk 'BEGIN{srand(7);for(i=0;i<400;i++)printf "%.3f,%.3f\n",(i%19)*0.5+rand(),(i%23)*0.4+rand()}' \
   > /tmp/lof_ci_stream_events.csv
-./target/release/lof stream --minpts 5 --capacity 64 --threshold 1.5 \
-  /tmp/lof_ci_stream_events.csv \
-  | grep -o '"seq":[0-9]*,"lof":[^,]*,"alert":[a-z]*' > /tmp/lof_ci_stream_flat.txt
-./target/release/lof stream --minpts 5 --capacity 64 --threshold 1.5 --shards 4 --deferred \
-  /tmp/lof_ci_stream_events.csv \
-  | grep -o '"seq":[0-9]*,"lof":[^,]*,"alert":[a-z]*' > /tmp/lof_ci_stream_sharded.txt
-[ -s /tmp/lof_ci_stream_flat.txt ]
-cmp /tmp/lof_ci_stream_flat.txt /tmp/lof_ci_stream_sharded.txt
-echo "sharded stream differential OK"
+./target/release/lof stream --minpts 5 --capacity 64 --threshold 1.5 --topk 3 \
+  /tmp/lof_ci_stream_events.csv | sed 's/,"latency_us":.*//' > /tmp/lof_ci_stream_native.txt
+LOF_FORCE_SCALAR=1 ./target/release/lof stream --minpts 5 --capacity 64 --threshold 1.5 --topk 3 \
+  /tmp/lof_ci_stream_events.csv | sed 's/,"latency_us":.*//' > /tmp/lof_ci_stream_scalar.txt
+[ "$(grep -c '"type":"score"' /tmp/lof_ci_stream_native.txt)" -eq 400 ]
+cmp /tmp/lof_ci_stream_native.txt /tmp/lof_ci_stream_scalar.txt
+echo "stream dispatch differential OK"
 
 echo "== release smoke: serve saturation (event loop, 64 clients) =="
 # bench_serve aborts on any dropped or rejected event, on an unclean
 # drain, and if the kill -> restore-from-snapshot path diverges from an
 # uninterrupted in-process window. 64 pipelined clients here; the full
-# matrix (256/1024 conns vs the thread-per-connection baseline) runs in
-# the benchmark proper.
+# matrix (256/1024 conns) runs in the benchmark proper.
 BENCH_SERVE_CONNS=64 \
   BENCH_SERVE_OUT=/tmp/lof_ci_bench_serve.json \
   cargo run --release -q -p lof-bench --bin bench_serve
