@@ -15,9 +15,6 @@ use lof_core::{lof, Euclidean};
 use lof_data::generators::{mixture, Component};
 use lof_data::seeded;
 
-/// Replays of the incremental side per base size (the fastest counts).
-const INCREMENTAL_REPLAYS: usize = 7;
-
 fn main() {
     banner(
         "EXT exp_incremental",
@@ -47,26 +44,17 @@ fn main() {
             })
             .collect();
 
-        // Incremental: maintain under each insert. The 100 inserts take
-        // milliseconds, so replay them on fresh models and keep the
-        // fastest replay — one sample would mostly measure timer noise.
+        // Incremental: maintain under each insert, reading the arriving
+        // score (the other scores refresh only when read).
+        let mut model =
+            IncrementalLof::new(labeled.data.clone(), Euclidean, min_pts).expect("valid seed");
         let mut updated_total = 0usize;
-        let mut inc_time = std::time::Duration::MAX;
-        let mut model = None;
-        for _ in 0..INCREMENTAL_REPLAYS {
-            let mut fresh =
-                IncrementalLof::new(labeled.data.clone(), Euclidean, min_pts).expect("valid seed");
-            updated_total = 0;
-            let (_, elapsed) = time(|| {
-                for p in &inserts {
-                    let (_, _, stats) = fresh.insert(p).expect("valid insert");
-                    updated_total += stats.neighborhoods_updated;
-                }
-            });
-            inc_time = inc_time.min(elapsed);
-            model = Some(fresh);
-        }
-        let mut model = model.expect("at least one replay");
+        let (_, inc_time) = time(|| {
+            for p in &inserts {
+                let (_, _, stats) = model.insert(p).expect("valid insert");
+                updated_total += stats.neighborhoods_updated;
+            }
+        });
 
         // Batch: recompute everything after each insert.
         let mut data = labeled.data.clone();

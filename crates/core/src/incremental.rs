@@ -25,11 +25,12 @@
 //! per changed neighborhood and per k-distance that changed bits. Sets
 //! **B** and **C** are recomputed on read. [`IncrementalLof::lof`]
 //! refreshes exactly the lrds and the LOF one score depends on;
-//! [`IncrementalLof::flush`] refreshes every stale cache. A refresh
-//! recomputes from the current exact structures in the canonical
-//! summation order, so every value read is bit-identical to a batch
-//! computation over the current dataset — deferral moves work to the
-//! reads, it never changes a value. Streams that read only the arriving
+//! [`IncrementalLof::flush`] refreshes every stale cache, visiting only
+//! the objects stamped since the previous flush and the reverse
+//! neighbors their changes reach. A refresh recomputes from the current
+//! exact structures in the canonical summation order, so every value
+//! read is bit-identical to a batch computation over the current
+//! dataset — deferral moves work to the reads, it never changes a value. Streams that read only the arriving
 //! score skip most of **B** and **C** altogether. Every score reader
 //! takes `&mut self`, so no caller can observe a stale cache.
 //!
@@ -234,10 +235,16 @@ fn publish_refreshes(recomputed: u64) {
 /// invalidation stamps; a refresh recomputes from the current exact
 /// structures with the canonical summation order, so every value read
 /// equals a batch computation bit for bit.
+///
+/// Every stamped object also lands on a stale-id list, so a flush visits
+/// only what the updates since the previous flush touched and the
+/// reverse neighbors their changes reach — not all n objects.
 #[derive(Debug)]
 struct Deferred {
     /// One tick per structural update (insert or remove).
     epoch: u64,
+    /// Epoch of the last flush: every cache was fresh then.
+    flushed_at: u64,
     /// Last epoch `kdist[o]` changed bits.
     kd_stale: Vec<u64>,
     /// Last epoch `o`'s public prefix changed membership or order (which
@@ -251,9 +258,21 @@ struct Deferred {
     lrd_change: Vec<u64>,
     /// Epoch `lof[o]` was last recomputed.
     lof_ep: Vec<u64>,
-    /// Whether every cache is known fresh (set by a flush, cleared by
-    /// updates).
-    clean: bool,
+    /// Whether `o` was stamped since the last flush.
+    touched: Vec<bool>,
+    /// Ids of the touched objects. Swap-removes leave entries that are
+    /// out of range or name an untouched object; a flush skips those and
+    /// duplicates by `touched`.
+    stale_ids: Vec<u32>,
+    /// Set once `stale_ids` outgrows the model (streams that never
+    /// flush): the list is dropped and the next flush checks every
+    /// object, so the list's memory stays bounded by n.
+    overflow: bool,
+    /// Flush scratch: membership marks (all clear between flushes) and
+    /// the lrd and LOF candidate lists they deduplicate.
+    mark: Vec<bool>,
+    lrd_cands: Vec<u32>,
+    lof_cands: Vec<u32>,
 }
 
 impl Deferred {
@@ -261,20 +280,37 @@ impl Deferred {
     fn fresh(n: usize) -> Self {
         Deferred {
             epoch: 0,
+            flushed_at: 0,
             kd_stale: vec![0; n],
             memb_stale: vec![0; n],
             lrd_ep: vec![0; n],
             lrd_change: vec![0; n],
             lof_ep: vec![0; n],
-            clean: true,
+            touched: vec![false; n],
+            stale_ids: Vec::new(),
+            overflow: false,
+            mark: vec![false; n],
+            lrd_cands: Vec::new(),
+            lof_cands: Vec::new(),
         }
     }
 
     /// Opens the epoch of one structural update and returns it.
     fn tick(&mut self) -> u64 {
         self.epoch += 1;
-        self.clean = false;
         self.epoch
+    }
+
+    /// Puts `o` on the stale-id list unless it is already there.
+    fn touch(&mut self, o: usize) {
+        if std::mem::replace(&mut self.touched[o], true) || self.overflow {
+            return;
+        }
+        self.stale_ids.push(o as u32);
+        if self.stale_ids.len() > self.touched.len() {
+            self.overflow = true;
+            self.stale_ids = Vec::new();
+        }
     }
 
     /// Stamps `o` as having changed its public prefix in epoch `e`, and
@@ -284,6 +320,7 @@ impl Deferred {
         if kd_changed {
             self.kd_stale[o] = e;
         }
+        self.touch(o);
     }
 
     /// Appends a new object first seen in epoch `e`: every cache of it
@@ -294,15 +331,48 @@ impl Deferred {
         self.lrd_ep.push(0);
         self.lrd_change.push(e);
         self.lof_ep.push(0);
+        self.touched.push(false);
+        self.mark.push(false);
+        self.touch(self.touched.len() - 1);
     }
 
-    /// Mirrors the model's swap-remove relocation.
+    /// Mirrors the model's swap-remove relocation. A touched object that
+    /// relocates is listed again under its new id.
     fn swap_remove(&mut self, id: usize) {
         self.kd_stale.swap_remove(id);
         self.memb_stale.swap_remove(id);
         self.lrd_ep.swap_remove(id);
         self.lrd_change.swap_remove(id);
         self.lof_ep.swap_remove(id);
+        self.touched.swap_remove(id);
+        self.mark.swap_remove(id);
+        if id < self.touched.len() && self.touched[id] {
+            self.touched[id] = false;
+            self.touch(id);
+        }
+    }
+
+    /// Takes the distinct touched ids (clearing their marks) — every
+    /// id when the list overflowed.
+    fn take_touched(&mut self) -> Vec<u32> {
+        let n = self.touched.len();
+        let mut ids = std::mem::take(&mut self.stale_ids);
+        if std::mem::replace(&mut self.overflow, false) {
+            self.touched.fill(false);
+            ids.clear();
+            ids.extend(0..n as u32);
+            return ids;
+        }
+        let touched = &mut self.touched;
+        ids.retain(|&o| (o as usize) < n && std::mem::replace(&mut touched[o as usize], false));
+        ids
+    }
+}
+
+/// Appends `o` to `list` unless `mark` says it is already there.
+fn collect(mark: &mut [bool], list: &mut Vec<u32>, o: u32) {
+    if !std::mem::replace(&mut mark[o as usize], true) {
+        list.push(o);
     }
 }
 
@@ -514,24 +584,73 @@ impl<M: Metric> IncrementalLof<M> {
     /// Brings every stale lrd/LOF cache up to date (a no-op when no
     /// update happened since the last flush).
     pub fn flush(&mut self) {
-        if self.defer.clean {
-            return;
-        }
         let recomputed = self.refresh_all();
         publish_refreshes(recomputed);
     }
 
-    /// The flush itself: refreshes every lrd, then every LOF; returns how
-    /// many LOF values it recomputed.
+    /// The flush itself; returns how many LOF values it recomputed.
+    /// Starting from the objects stamped since the last flush, it
+    /// refreshes the lrds that can have gone stale — a touched object's,
+    /// and those of the owners holding a touched object whose k-distance
+    /// changed — then the LOFs that can have: a touched object's, and
+    /// those of every object whose lrd changed and of its owners. An
+    /// owner whose prefix changed was itself stamped, so the current
+    /// reverse rows reach every other dependent. The lrd candidates are
+    /// recomputed without a stamp check (almost all are stale, and the
+    /// check costs as much as the sum); a change is dated to the current
+    /// epoch, later than or equal to its invalidation basis, which only
+    /// makes LOF validation more conservative.
     fn refresh_all(&mut self) -> u64 {
-        for o in 0..self.data.len() {
-            self.refresh_lrd(o);
+        let since = self.defer.flushed_at;
+        let mut seeds = self.defer.take_touched();
+        let mut lrds = std::mem::take(&mut self.defer.lrd_cands);
+        let mut lofs = std::mem::take(&mut self.defer.lof_cands);
+        let mark = &mut self.defer.mark;
+        for &j in &seeds {
+            collect(mark, &mut lrds, j);
+            if self.defer.kd_stale[j as usize] > since {
+                for &o in &self.rev_pub[j as usize] {
+                    collect(mark, &mut lrds, o);
+                }
+            }
+        }
+        for &o in &lrds {
+            mark[o as usize] = false;
+        }
+        let epoch = self.defer.epoch;
+        for &o in &lrds {
+            let o = o as usize;
+            let v = self.compute_lrd(o);
+            if v.to_bits() != self.lrd[o].to_bits() {
+                self.defer.lrd_change[o] = epoch;
+                self.lrd[o] = v;
+            }
+            self.defer.lrd_ep[o] = epoch;
+        }
+        let mark = &mut self.defer.mark;
+        for &p in &seeds {
+            collect(mark, &mut lofs, p);
+        }
+        for &o in &lrds {
+            if self.defer.lrd_change[o as usize] > since {
+                collect(mark, &mut lofs, o);
+                for &p in &self.rev_pub[o as usize] {
+                    collect(mark, &mut lofs, p);
+                }
+            }
         }
         let mut recomputed = 0;
-        for p in 0..self.data.len() {
-            recomputed += u64::from(self.refresh_lof_with_fresh_lrds(p));
+        for &p in &lofs {
+            self.defer.mark[p as usize] = false;
+            recomputed += u64::from(self.refresh_lof_with_fresh_lrds(p as usize));
         }
-        self.defer.clean = true;
+        self.defer.flushed_at = self.defer.epoch;
+        seeds.clear();
+        lrds.clear();
+        lofs.clear();
+        self.defer.stale_ids = seeds;
+        self.defer.lrd_cands = lrds;
+        self.defer.lof_cands = lofs;
         recomputed
     }
 
@@ -1440,18 +1559,34 @@ mod tests {
 
     #[test]
     fn churn_matches_a_fresh_build_bit_for_bit() {
-        let mut model = IncrementalLof::new(seed_dataset(), Euclidean, 4).unwrap();
-        for point in churn_stream() {
-            model.insert(&point).unwrap();
-            let oldest = model.oldest();
-            model.remove(oldest).unwrap();
-            let mut oracle = fresh_build(&model);
-            let (want_lof, want_lrd) = (oracle.lof_values().to_vec(), oracle.lrd_values().to_vec());
-            for (idx, (got, want)) in model.lof_values().iter().zip(&want_lof).enumerate() {
-                assert_eq!(got.to_bits(), want.to_bits(), "lof {idx} after flush");
+        // Flush cadences: after every event, after a few events of
+        // accumulated staleness (the stale-id list), and rarely enough
+        // that the list overflows into a check of every object. A single
+        // read between flushes refreshes part of a cone early.
+        for every in [1, 2, 3, 40] {
+            let mut model = IncrementalLof::new(seed_dataset(), Euclidean, 4).unwrap();
+            let mut saw_overflow = false;
+            for (i, point) in churn_stream().into_iter().enumerate() {
+                model.insert_lazy(&point).unwrap();
+                model.lof((i * 13) % model.len()).unwrap();
+                let oldest = model.oldest();
+                model.remove(oldest).unwrap();
+                if (i + 1) % every != 0 {
+                    continue;
+                }
+                saw_overflow |= model.defer.overflow;
+                let mut oracle = fresh_build(&model);
+                let (want_lof, want_lrd) =
+                    (oracle.lof_values().to_vec(), oracle.lrd_values().to_vec());
+                for (idx, (got, want)) in model.lof_values().iter().zip(&want_lof).enumerate() {
+                    assert_eq!(got.to_bits(), want.to_bits(), "lof {idx} after flush {i}/{every}");
+                }
+                for (idx, (got, want)) in model.lrd_values().iter().zip(&want_lrd).enumerate() {
+                    assert_eq!(got.to_bits(), want.to_bits(), "lrd {idx} after flush {i}/{every}");
+                }
             }
-            for (idx, (got, want)) in model.lrd_values().iter().zip(&want_lrd).enumerate() {
-                assert_eq!(got.to_bits(), want.to_bits(), "lrd {idx} after flush");
+            if every == 1 || every == 40 {
+                assert_eq!(saw_overflow, every == 40, "cadence {every} overflow");
             }
         }
     }

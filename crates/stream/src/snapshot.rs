@@ -31,13 +31,14 @@
 //! extras:(count:u64, count*(key:str, value:str))
 //! ```
 //!
-//! `shards`, `deferred` and `border_repairs` are retired fields of the
-//! v2 layout, from when a window could be split into spatial shards and
-//! maintained its scores eagerly. Every window is now one flat model that
+//! `shards`, `deferred`, `cascade_lofs` and `border_repairs` are retired
+//! fields of the v2 layout, from when a window could be split into
+//! spatial shards and maintained its scores eagerly, counting the LOFs
+//! each update recomputed. Every window is now one flat model that
 //! refreshes its scores on read, so writers store the constants `1`,
-//! `1` and `0`; readers still reject a `deferred` byte other than 0 or 1,
-//! then ignore all three. Version 1 (readable, never written) lacks the
-//! three fields. Snapshots of either version restore into the same
+//! `1`, `0` and `0`; readers still reject a `deferred` byte other than 0
+//! or 1, then ignore all four. Version 1 (readable, never written) lacks
+//! `shards`, `deferred` and `border_repairs`. Snapshots of either version restore into the same
 //! window, which scores bit-identically whatever the retired fields say.
 //!
 //! `extras` carries serving-layer annotations (tenant name, quota
@@ -95,9 +96,6 @@ pub struct SnapshotStats {
     pub evictions: u64,
     /// Events on which at least one alert rule fired.
     pub alerts: u64,
-    /// Total LOF recomputations across all cascades (see
-    /// [`StreamStats::cascade_lofs`](crate::StreamStats::cascade_lofs)).
-    pub cascade_lofs: u64,
 }
 
 /// A serializable image of a [`SlidingWindowLof`]'s scoring state.
@@ -241,7 +239,7 @@ impl WindowSnapshot {
         put_u64(&mut payload, self.stats.scored);
         put_u64(&mut payload, self.stats.evictions);
         put_u64(&mut payload, self.stats.alerts);
-        put_u64(&mut payload, self.stats.cascade_lofs);
+        put_u64(&mut payload, 0); // retired `cascade_lofs`
         put_u64(&mut payload, 0); // retired `border_repairs`
         put_u64(&mut payload, self.extras.len() as u64);
         for (k, v) in &self.extras {
@@ -350,8 +348,8 @@ impl WindowSnapshot {
             scored: cur.u64()?,
             evictions: cur.u64()?,
             alerts: cur.u64()?,
-            cascade_lofs: cur.u64()?,
         };
+        cur.u64()?; // retired `cascade_lofs`
         if version >= 2 {
             cur.u64()?; // retired `border_repairs`
         }
@@ -427,7 +425,7 @@ mod tests {
             arrivals: vec![7, 3, 4, 5, 6],
             next_seq: 8,
             next_arrival: 8,
-            stats: SnapshotStats { events: 8, scored: 3, evictions: 3, alerts: 1, cascade_lofs: 9 },
+            stats: SnapshotStats { events: 8, scored: 3, evictions: 3, alerts: 1 },
             extras: vec![("tenant".to_owned(), "alpha".to_owned())],
         }
     }
@@ -474,7 +472,7 @@ mod tests {
         put_u64(&mut payload, snap.stats.scored);
         put_u64(&mut payload, snap.stats.evictions);
         put_u64(&mut payload, snap.stats.alerts);
-        put_u64(&mut payload, snap.stats.cascade_lofs);
+        put_u64(&mut payload, 9); // a v1 writer's `cascade_lofs`, ignored on read
         put_u64(&mut payload, snap.extras.len() as u64);
         for (k, v) in &snap.extras {
             put_str(&mut payload, k);
@@ -502,6 +500,7 @@ mod tests {
         bytes: &[u8],
         shards: u64,
         deferred: u8,
+        cascade_lofs: u64,
         border_repairs: u64,
     ) -> Vec<u8> {
         let snap = sample();
@@ -514,6 +513,7 @@ mod tests {
         let mut out = bytes.to_vec();
         out[engine..engine + 8].copy_from_slice(&shards.to_le_bytes());
         out[engine + 8] = deferred;
+        out[repairs - 8..repairs].copy_from_slice(&cascade_lofs.to_le_bytes());
         out[repairs..repairs + 8].copy_from_slice(&border_repairs.to_le_bytes());
         let crc = crc32(&out[16..out.len() - 4]);
         let end = out.len();
@@ -525,12 +525,12 @@ mod tests {
     fn retired_v2_fields_are_written_as_constants_and_ignored_on_read() {
         let snap = sample();
         let bytes = snap.to_bytes();
-        assert_eq!(with_retired_fields(&bytes, 1, 1, 0), bytes, "writers store 1, 1 and 0");
-        for (shards, deferred, repairs) in [(4, 0, 7), (0, 1, 0), (8, 1, 123)] {
-            let old = with_retired_fields(&bytes, shards, deferred, repairs);
+        assert_eq!(with_retired_fields(&bytes, 1, 1, 0, 0), bytes, "writers store 1, 1, 0 and 0");
+        for (shards, deferred, cascade, repairs) in [(4, 0, 9, 7), (0, 1, 0, 0), (8, 1, 5, 123)] {
+            let old = with_retired_fields(&bytes, shards, deferred, cascade, repairs);
             assert_eq!(WindowSnapshot::from_bytes(&old).unwrap(), snap);
         }
-        assert!(WindowSnapshot::from_bytes(&with_retired_fields(&bytes, 1, 2, 0)).is_err());
+        assert!(WindowSnapshot::from_bytes(&with_retired_fields(&bytes, 1, 2, 0, 0)).is_err());
     }
 
     #[test]

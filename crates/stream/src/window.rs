@@ -182,11 +182,6 @@ pub struct StreamStats {
     pub evictions: u64,
     /// Events on which at least one alert rule fired.
     pub alerts: u64,
-    /// Sum of `lofs_recomputed` over every event's update statistics.
-    /// Always 0: the model recomputes LOFs on read, not per update (the
-    /// reads are counted on `core.incremental.cascade_lofs`). Kept so
-    /// summaries and snapshots keep their schema.
-    pub cascade_lofs: u64,
     /// Scoring latency distribution over scored events.
     pub latency: Arc<Histogram>,
 }
@@ -199,7 +194,6 @@ struct WindowMetrics {
     scored: Arc<Counter>,
     evictions: Arc<Counter>,
     alerts: Arc<Counter>,
-    cascade_lofs: Arc<Counter>,
     occupancy: Arc<Gauge>,
     last_lof: Arc<Gauge>,
 }
@@ -211,7 +205,6 @@ impl WindowMetrics {
             scored: registry.counter("stream.scored"),
             evictions: registry.counter("stream.evictions"),
             alerts: registry.counter("stream.alerts"),
-            cascade_lofs: registry.counter("stream.cascade_lofs"),
             occupancy: registry.gauge("stream.window_occupancy"),
             last_lof: registry.gauge("stream.last_lof"),
         }
@@ -396,10 +389,6 @@ impl<M: Metric> SlidingWindowLof<M> {
             self.stats.alerts += 1;
             self.metrics.alerts.inc();
         }
-        if let Some(c) = cascade {
-            self.stats.cascade_lofs += c.lofs_recomputed as u64;
-            self.metrics.cascade_lofs.add(c.lofs_recomputed as u64);
-        }
         self.metrics.occupancy.set(event.window_len as f64);
         Ok(event)
     }
@@ -508,7 +497,6 @@ impl<M: Metric> SlidingWindowLof<M> {
                 scored: self.stats.scored,
                 evictions: self.stats.evictions,
                 alerts: self.stats.alerts,
-                cascade_lofs: self.stats.cascade_lofs,
             },
             extras: Vec::new(),
         }
@@ -586,12 +574,10 @@ impl<M: Metric> SlidingWindowLof<M> {
         window.stats.scored = snap.stats.scored;
         window.stats.evictions = snap.stats.evictions;
         window.stats.alerts = snap.stats.alerts;
-        window.stats.cascade_lofs = snap.stats.cascade_lofs;
         window.metrics.events.add(snap.stats.events);
         window.metrics.scored.add(snap.stats.scored);
         window.metrics.evictions.add(snap.stats.evictions);
         window.metrics.alerts.add(snap.stats.alerts);
-        window.metrics.cascade_lofs.add(snap.stats.cascade_lofs);
         window.metrics.occupancy.set(window.len() as f64);
         Ok(window)
     }
@@ -688,7 +674,6 @@ mod tests {
             assert_eq!(r.counter("stream.scored").value(), stats.scored);
             assert_eq!(r.counter("stream.evictions").value(), stats.evictions);
             assert_eq!(r.counter("stream.alerts").value(), stats.alerts);
-            assert_eq!(r.counter("stream.cascade_lofs").value(), stats.cascade_lofs);
             assert_eq!(r.gauge("stream.window_occupancy").value(), w.len() as f64);
             assert_eq!(
                 r.counter("stream.events").value() - r.counter("stream.evictions").value(),

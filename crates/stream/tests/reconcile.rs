@@ -211,7 +211,6 @@ proptest! {
             prop_assert_eq!(r.counter("stream.scored").value(), stats.scored);
             prop_assert_eq!(r.counter("stream.evictions").value(), stats.evictions);
             prop_assert_eq!(r.counter("stream.alerts").value(), stats.alerts);
-            prop_assert_eq!(r.counter("stream.cascade_lofs").value(), stats.cascade_lofs);
             prop_assert_eq!(r.gauge("stream.window_occupancy").value(), window.len() as f64);
             prop_assert_eq!(r.histogram("stream.latency_ns").count(), stats.scored);
             // Rejected pushes never reach any ledger.

@@ -77,7 +77,6 @@ proptest! {
         prop_assert_eq!(restored.stats().scored, uninterrupted.stats().scored);
         prop_assert_eq!(restored.stats().evictions, uninterrupted.stats().evictions);
         prop_assert_eq!(restored.stats().alerts, uninterrupted.stats().alerts);
-        prop_assert_eq!(restored.stats().cascade_lofs, uninterrupted.stats().cascade_lofs);
         // The latency histogram restarts: only post-restore scored events.
         let rescored = full[cut..].iter().filter(|r| r.1.is_some()).count() as u64;
         prop_assert_eq!(restored.stats().latency.count(), rescored);

@@ -60,10 +60,6 @@ fn main() {
 
     let stats = monitor.stats();
     println!("stream of 2000 readings, window {WINDOW}, MinPts {MIN_PTS}");
-    println!(
-        "mean cascade: {:.1} LOF updates/event (window recompute would be {WINDOW})",
-        stats.cascade_lofs as f64 / stats.scored as f64
-    );
     let (p50, p95, p99) = stats.latency.percentiles_ns();
     println!(
         "latency: p50 {:.0}us  p95 {:.0}us  p99 {:.0}us",

@@ -51,10 +51,10 @@ cargo test -p lof-stream -q
 cargo test -p lof-serve --test server -q
 
 echo "== streaming: window == batch oracle under forced-scalar =="
-# Every emitted and held window score == the batch LOF of the live
-# window, bit for bit, after every event — slide and landmark windows,
-# duplicates and tie shells, eviction storms, snapshot -> restore (the
-# retired sharded/eager layout included). The window's SIMD surrogate
+# Every emitted window score (and, every few events, every held score)
+# == the batch LOF of the live window, bit for bit — slide and landmark
+# windows, duplicates and tie shells, eviction storms, snapshot ->
+# restore (the retired sharded/eager layout included). The window's SIMD surrogate
 # prefilter runs on every insert, so rerun it pinned to scalar (tier-1
 # runs it natively).
 LOF_FORCE_SCALAR=1 cargo test -q --test stream_identity
