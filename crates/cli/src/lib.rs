@@ -1,66 +1,10 @@
 //! Library backing the `lof` command-line tool: argument parsing and the
 //! end-to-end run, separated from `main` so both are unit-testable.
 //!
-//! ```text
-//! lof [OPTIONS] <INPUT>         batch: score a CSV or .lofd, print a ranked report
-//! lof topn --n N <INPUT>        top-n: the N most outlying rows, no full sweep
-//! lof ingest <CSV> <LOFD>       ingest: stream a named-column CSV into .lofd
-//! lof stream [OPTIONS] [INPUT]  stream: score NDJSON/CSV events line by line
-//! lof serve --listen ADDR       serve: score events over TCP (NDJSON)
-//!
-//! Batch scores every row of a numeric CSV with the Local Outlier Factor
-//! (Breunig et al., SIGMOD 2000) and prints a ranked report; `--format
-//! json` switches to the NDJSON record schema shared with the streaming
-//! modes (see `lof_stream::wire`).
-//!
-//! BATCH OPTIONS:
-//!   --minpts LB[..UB]    MinPts value or range          [default: 10..20]
-//!   --aggregate AGG      max | min | mean               [default: max]
-//!   --metric METRIC      euclidean | manhattan | chebyshev | angular
-//!   --index INDEX        auto | scan | grid | kdtree | xtree | vafile | balltree
-//!   --columns C1,C2,..   project onto these columns (subspace analysis)
-//!   --standardize        z-score the columns first
-//!   --threshold T        only report objects with score > T
-//!   --top N              only report the N highest scores
-//!   --explain N          print full explanations for the top N objects
-//!   --threads N          worker threads; 0 = auto       [default: all cores]
-//!   --format FMT         text | json                    [default: text]
-//!   --output FILE        also write id,score CSV to FILE
-//!   --table FILE         cache the materialization database in FILE
-//!   --memory-budget B    out-of-core: spill the neighborhood table to disk;
-//!                        B bounds segment cache and wave matrices (k/m/g)
-//!   --metrics            print a final registry snapshot to stderr
-//!
-//! INGEST OPTIONS:
-//!   --columns N1,N2,..   select header columns by name, in this order
-//!   --resume             continue an interrupted load from its checkpoint
-//!
-//! TOPN OPTIONS:
-//!   --n N                result size                    [default: 10]
-//!   --minpts K           the MinPts the scores are exact for [default: 10]
-//!   --metric METRIC      euclidean | manhattan | chebyshev | angular
-//!   --index INDEX        auto | scan | kdtree | balltree
-//!   --columns C1,C2,..   project onto these columns first
-//!   --standardize        z-score the columns first
-//!   --threads N          refinement workers; 0 = auto   [default: all cores]
-//!   --metrics            print a final registry snapshot to stderr
-//!
-//! STREAM / SERVE OPTIONS:
-//!   --minpts K           MinPts of the window model     [default: 10]
-//!   --capacity N         sliding-window capacity        [default: 512]
-//!   --warmup N           events buffered before scoring [default: minpts+1]
-//!   --landmark           never evict (landmark window)
-//!   --threshold T        alert when LOF > T
-//!   --topk K             alert when the event ranks in the window's top K
-//!   --metric METRIC      euclidean | manhattan | chebyshev | angular
-//!   --metrics            print a final registry snapshot to stderr
-//!   --listen ADDR        serve only: bind address       [default: 127.0.0.1:7878]
-//!   --queue N            serve only: job-queue bound    [default: 1024]
-//!   --workers N          serve only: scoring threads    [default: auto]
-//!   --tenants N          serve only: tenant ceiling     [default: 64]
-//!   --snapshot-dir DIR   serve only: restore tenants from DIR, persist on SNAPSHOT/DRAIN
-//!   --max-events-per-sec R  serve only: default tenant admission rate
-//! ```
+//! Five modes share one flag table, [`FLAGS`]: batch scoring of a CSV or
+//! `.lofd` (Breunig et al., SIGMOD 2000), `topn`, `ingest`, `stream` and
+//! `serve`. [`parse_command`] reads every mode's flags from it and
+//! [`usage`] renders the help from it; run `lof --help` for the options.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -74,7 +18,7 @@ use lof_core::{
 };
 use lof_data::normalize::standardize;
 use lof_index::{BallTree, GridIndex, KdTree, VaFile, XTree};
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 
 /// Parsed command-line configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -153,6 +97,25 @@ impl MetricChoice {
             MetricChoice::Angular => "angular",
         }
     }
+
+    /// Runs `visitor` with the metric this choice names: the one place a
+    /// `MetricChoice` becomes a metric type.
+    pub fn visit<V: MetricVisitor>(self, visitor: V) -> V::Output {
+        match self {
+            MetricChoice::Euclidean => visitor.visit(Euclidean),
+            MetricChoice::Manhattan => visitor.visit(Manhattan),
+            MetricChoice::Chebyshev => visitor.visit(Chebyshev),
+            MetricChoice::Angular => visitor.visit(Angular),
+        }
+    }
+}
+
+/// Code generic over the metric type, run by [`MetricChoice::visit`].
+pub trait MetricVisitor {
+    /// What a visit returns.
+    type Output;
+    /// Runs with `metric`.
+    fn visit<M: Metric + Clone + 'static>(self, metric: M) -> Self::Output;
 }
 
 /// Supported index substrates.
@@ -193,119 +156,268 @@ impl Default for Config {
     }
 }
 
-/// Parses CLI arguments (excluding the program name).
-///
-/// # Errors
-///
-/// Returns a human-readable message for unknown flags, missing values, or
-/// unparsable numbers.
-pub fn parse_args(args: &[String]) -> Result<Config, String> {
-    let mut config = Config::default();
-    let mut iter = args.iter().peekable();
-    let mut positional: Vec<&String> = Vec::new();
-
-    fn value<'a>(
-        flag: &str,
-        iter: &mut std::iter::Peekable<std::slice::Iter<'a, String>>,
-    ) -> Result<&'a String, String> {
-        iter.next().ok_or_else(|| format!("{flag} requires a value"))
-    }
-
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--minpts" => {
-                let v = value("--minpts", &mut iter)?;
-                config.min_pts = parse_min_pts(v)?;
-            }
-            "--aggregate" => {
-                config.aggregate = match value("--aggregate", &mut iter)?.as_str() {
-                    "max" => Aggregate::Max,
-                    "min" => Aggregate::Min,
-                    "mean" => Aggregate::Mean,
-                    other => return Err(format!("unknown aggregate '{other}'")),
-                };
-            }
-            "--metric" => config.metric = parse_metric(value("--metric", &mut iter)?)?,
-            "--index" => {
-                config.index = match value("--index", &mut iter)?.as_str() {
-                    "auto" => IndexChoice::Auto,
-                    "scan" => IndexChoice::Scan,
-                    "grid" => IndexChoice::Grid,
-                    "kdtree" => IndexChoice::KdTree,
-                    "xtree" => IndexChoice::XTree,
-                    "vafile" => IndexChoice::VaFile,
-                    "balltree" => IndexChoice::BallTree,
-                    other => return Err(format!("unknown index '{other}'")),
-                };
-            }
-            "--columns" => {
-                let list = value("--columns", &mut iter)?;
-                let parsed: Result<Vec<usize>, _> =
-                    list.split(',').map(str::trim).map(str::parse).collect();
-                config.columns = Some(parsed.map_err(|e| format!("bad --columns '{list}': {e}"))?);
-            }
-            "--standardize" => config.standardize = true,
-            "--threshold" => {
-                config.threshold = Some(
-                    value("--threshold", &mut iter)?
-                        .parse()
-                        .map_err(|e| format!("bad --threshold: {e}"))?,
-                );
-            }
-            "--top" => {
-                config.top = Some(
-                    value("--top", &mut iter)?.parse().map_err(|e| format!("bad --top: {e}"))?,
-                );
-            }
-            "--explain" => {
-                config.explain = value("--explain", &mut iter)?
-                    .parse()
-                    .map_err(|e| format!("bad --explain: {e}"))?;
-            }
-            "--threads" => {
-                let parsed: usize = value("--threads", &mut iter)?
-                    .parse()
-                    .map_err(|e| format!("bad --threads: {e}"))?;
-                // `0` means auto-detect. Normalize it here: the core's
-                // `effective_threads` clamps 0 to 1 (serial), which is not
-                // what "use every core" callers intend.
-                config.threads = if parsed == 0 { default_threads() } else { parsed };
-            }
-            "--output" => config.output = Some(value("--output", &mut iter)?.clone()),
-            "--table" => config.table = Some(value("--table", &mut iter)?.clone()),
-            "--memory-budget" => {
-                config.memory_budget = Some(parse_budget(value("--memory-budget", &mut iter)?)?);
-            }
-            "--metrics" => config.metrics = true,
-            "--format" => {
-                config.format = match value("--format", &mut iter)?.as_str() {
-                    "text" => OutputFormat::Text,
-                    "json" => OutputFormat::Json,
-                    other => return Err(format!("unknown format '{other}'")),
-                };
-            }
-            flag if flag.starts_with("--") => return Err(format!("unknown flag '{flag}'")),
-            _ => positional.push(arg),
-        }
-    }
-
-    match positional.as_slice() {
-        [input] => config.input = (*input).clone(),
-        [] => return Err("missing input CSV path".to_owned()),
-        more => return Err(format!("expected one input path, got {}", more.len())),
-    }
-    Ok(config)
-}
-
 /// Default worker-thread count: every available core (1 when the
 /// parallelism query fails, e.g. under restrictive sandboxes).
 pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
+/// The five `lof` modes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[allow(missing_docs)]
+pub enum Mode {
+    Batch,
+    TopN,
+    Ingest,
+    Stream,
+    Serve,
+}
+
+impl Mode {
+    /// Every mode, in the order [`usage`] lists them.
+    pub const ALL: [Mode; 5] = [Mode::Batch, Mode::TopN, Mode::Ingest, Mode::Stream, Mode::Serve];
+
+    /// The first argument that selects the mode; batch has none.
+    pub fn word(self) -> Option<&'static str> {
+        match self {
+            Mode::Batch => None,
+            Mode::TopN => Some("topn"),
+            Mode::Ingest => Some("ingest"),
+            Mode::Stream => Some("stream"),
+            Mode::Serve => Some("serve"),
+        }
+    }
+
+    /// The heading of the mode's section in [`usage`]: `"<name> options:"`.
+    pub fn heading(self) -> String {
+        format!("{} options:", self.word().unwrap_or("batch"))
+    }
+}
+
+/// One row of the flag table: everything the parser and [`usage`] know
+/// about a flag in the modes that accept it.
+pub struct Flag {
+    /// The flag as typed.
+    pub name: &'static str,
+    /// The modes that accept it.
+    pub modes: &'static [Mode],
+    /// Placeholder of its value in the help; empty for a switch, which
+    /// takes no value.
+    pub value: &'static str,
+    /// The help line (wrapped by [`usage`]).
+    pub help: &'static str,
+    /// The default the help shows; parsing it yields the args' default.
+    pub default: Option<&'static dyn Display>,
+    /// Parses the value, validating it, and stores it in the args of the
+    /// command; the parse loop calls it only in `modes`.
+    apply: fn(&mut Command, &str) -> Result<(), String>,
+}
+
+/// Builds a [`Flag`]: `parse` turns the text into the value, which lands
+/// in `field` of whichever listed mode's args the command holds.
+macro_rules! flag {
+    (
+        $name:literal, $value:literal, $help:literal, $default:expr,
+        $($mode:ident)|+ => $field:ident = $parse:expr
+    ) => {
+        Flag {
+            name: $name,
+            modes: &[$(Mode::$mode),+],
+            value: $value,
+            help: $help,
+            default: $default,
+            apply: |command, text| {
+                let value = ($parse)(text)?;
+                match command {
+                    $(Command::$mode(args) => args.$field = value,)+
+                    _ => unreachable!("a flag is applied only in the modes of its row"),
+                }
+                Ok(())
+            },
+        }
+    };
+}
+
+/// Every flag of every mode.
+#[rustfmt::skip]
+pub const FLAGS: &[Flag] = &[
+    flag!("--minpts", "LB[..UB]", "MinPts value or range", Some(&"10..20"),
+        Batch => min_pts = min_pts_range),
+    flag!("--minpts", "K", "MinPts: the one value the scores are exact for", Some(&10),
+        TopN | Stream | Serve => min_pts = positive),
+    flag!("--n", "N", "result size: how many of the most outlying rows to report", Some(&10),
+        TopN => n = positive),
+    flag!("--aggregate", "AGG", "max | min | mean", Some(&"max"),
+        Batch => aggregate = one_of(&[("max", Aggregate::Max), ("min", Aggregate::Min),
+            ("mean", Aggregate::Mean)])),
+    flag!("--metric", "METRIC", "euclidean | manhattan | chebyshev | angular", Some(&"euclidean"),
+        Batch | TopN | Stream | Serve => metric = metric),
+    flag!("--index", "INDEX", "auto | scan | grid | kdtree | xtree | vafile | balltree; auto \
+        picks by dimensionality", Some(&"auto"),
+        Batch => index = one_of(&[("auto", IndexChoice::Auto), ("scan", IndexChoice::Scan),
+            ("grid", IndexChoice::Grid), ("kdtree", IndexChoice::KdTree),
+            ("xtree", IndexChoice::XTree), ("vafile", IndexChoice::VaFile),
+            ("balltree", IndexChoice::BallTree)])),
+    flag!("--index", "INDEX", "auto | scan | kdtree | balltree (tree leaves are the pruning \
+        partitions; scan = full-sweep reference)", Some(&"auto"),
+        TopN => index = one_of(&[("auto", IndexChoice::Auto), ("scan", IndexChoice::Scan),
+            ("kdtree", IndexChoice::KdTree), ("balltree", IndexChoice::BallTree)])),
+    flag!("--columns", "C1,C2,..", "project onto these columns (subspace analysis)", None,
+        Batch | TopN => columns = optional(column_indices)),
+    flag!("--columns", "N1,N2,..", "select header columns by NAME, in this order (the schema \
+        mapping; default: every column in header order); every selected field is validated as \
+        a finite number with a row/column-located error", None,
+        Ingest => columns = optional(column_names)),
+    flag!("--standardize", "", "z-score the columns before computing distances", None,
+        Batch | TopN => standardize = switch),
+    flag!("--threshold", "T", "only report objects with score > T", None,
+        Batch => threshold = optional(real)),
+    flag!("--threshold", "T", "alert when LOF > T (a positive finite number)", None,
+        Stream | Serve => threshold = optional(real)),
+    flag!("--top", "N", "only report the N highest scores", None,
+        Batch => top = optional(count)),
+    flag!("--explain", "N", "print full explanations for the top N objects (text report, in-RAM \
+        scoring)", Some(&0),
+        Batch => explain = count),
+    flag!("--threads", "N", "worker threads (results are identical at any N); 0 = every \
+        available core", Some(&0),
+        Batch | TopN => threads = threads),
+    flag!("--format", "FMT", "text | json (NDJSON, one record per row)", Some(&"text"),
+        Batch => format = one_of(&[("text", OutputFormat::Text), ("json", OutputFormat::Json)])),
+    flag!("--output", "FILE", "also write an id,score CSV to FILE", None,
+        Batch => output = optional(string)),
+    flag!("--table", "FILE", "cache the materialization: load FILE if present, else build and \
+        save it there", None,
+        Batch => table = optional(string)),
+    flag!("--memory-budget", "B", "out-of-core scoring: disk-spilled table segments; B bytes \
+        (k/m/g = KiB/MiB/GiB) bound the segment cache and the sweep's per-wave matrices; scores \
+        are bit-identical to the in-RAM path (no explanations, no table cache)", None,
+        Batch => memory_budget = optional(budget)),
+    flag!("--resume", "", "continue an interrupted load from its last checkpoint instead of \
+        starting over", None,
+        Ingest => resume = switch),
+    flag!("--capacity", "N", "sliding-window capacity (events)", Some(&512),
+        Stream | Serve => capacity = count),
+    flag!("--warmup", "N", "events buffered before scoring; default MinPts + 1", None,
+        Stream | Serve => warmup = optional(count)),
+    flag!("--landmark", "", "never evict (landmark window)", None,
+        Stream | Serve => landmark = switch),
+    flag!("--topk", "K", "alert when an event ranks in the window's top K (K >= 1)", None,
+        Stream | Serve => top_k = optional(count)),
+    flag!("--metrics", "", "print a final metrics snapshot (Prometheus text, with the core.ooc.* \
+        out-of-core and core.topn.* pruning counters) to stderr", None,
+        Batch | TopN | Stream | Serve => metrics = switch),
+    flag!("--listen", "ADDR", "bind address", Some(&"127.0.0.1:7878"),
+        Serve => listen = string),
+    flag!("--queue", "N", "in-flight event bound per worker; 0 = the default",
+        Some(&lof_serve::DEFAULT_QUEUE),
+        Serve => queue = count),
+    flag!("--workers", "N", "scoring worker threads; 0 = auto", Some(&0),
+        Serve => workers = count),
+    flag!("--tenants", "N", "maximum number of named windows; 0 = the default",
+        Some(&lof_serve::DEFAULT_MAX_TENANTS),
+        Serve => tenants = count),
+    flag!("--snapshot-dir", "DIR", "restore every *.lofw tenant snapshot in DIR at startup, and \
+        persist tenants there on `SNAPSHOT` / `DRAIN` (restart resumes scoring \
+        bit-identically)", None,
+        Serve => snapshot_dir = optional(string)),
+    flag!("--max-events-per-sec", "R", "default per-tenant admission rate (token bucket, burst = \
+        1s of R); tenants may override with `TENANT CREATE ... max_eps=R`", None,
+        Serve => max_events_per_sec = optional(count)),
+];
+
+// Value parsers: each turns a flag's text into its value or says why not.
+
+fn count<T: std::str::FromStr>(text: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    text.parse().map_err(|e| format!("{e}"))
+}
+
+fn positive(text: &str) -> Result<usize, String> {
+    match count(text)? {
+        0 => Err("must be >= 1".to_owned()),
+        n => Ok(n),
+    }
+}
+
+fn min_pts_range(text: &str) -> Result<(usize, usize), String> {
+    let Some((lb, ub)) = text.split_once("..") else {
+        return positive(text).map(|k| (k, k));
+    };
+    let (lb, ub) = (positive(lb)?, count(ub)?);
+    if lb > ub {
+        return Err(format!("invalid MinPts range {lb}..{ub}"));
+    }
+    Ok((lb, ub))
+}
+
+fn threads(text: &str) -> Result<usize, String> {
+    // `0` means auto-detect. Normalize it here: the core's
+    // `effective_threads` clamps 0 to 1 (serial), which is not what "use
+    // every core" callers intend.
+    count(text).map(|n| if n == 0 { default_threads() } else { n })
+}
+
+/// A float that orders against scores: NaN would make every comparison
+/// false and silently empty a report.
+fn real(text: &str) -> Result<f64, String> {
+    let value: f64 = text.parse().map_err(|e| format!("{e}"))?;
+    if value.is_nan() {
+        return Err("not a number".to_owned());
+    }
+    Ok(value)
+}
+
+fn string(text: &str) -> Result<String, String> {
+    Ok(text.to_owned())
+}
+
+fn switch(_: &str) -> Result<bool, String> {
+    Ok(true)
+}
+
+fn optional<T>(parse: fn(&str) -> Result<T, String>) -> impl Fn(&str) -> Result<Option<T>, String> {
+    move |text| parse(text).map(Some)
+}
+
+fn column_indices(list: &str) -> Result<Vec<usize>, String> {
+    list.split(',').map(|c| count(c.trim())).collect()
+}
+
+fn column_names(list: &str) -> Result<Vec<String>, String> {
+    let names: Vec<String> = list.split(',').map(|c| c.trim().to_owned()).collect();
+    if names.iter().any(String::is_empty) {
+        return Err("empty column name".to_owned());
+    }
+    Ok(names)
+}
+
+/// A parser that accepts the names of `choices`.
+fn one_of<T: Copy>(choices: &'static [(&'static str, T)]) -> impl Fn(&str) -> Result<T, String> {
+    move |name| {
+        let found = choices.iter().find(|(choice, _)| *choice == name);
+        found.map(|&(_, value)| value).ok_or_else(|| {
+            let names: Vec<&str> = choices.iter().map(|&(choice, _)| choice).collect();
+            format!("expected {}", names.join(" | "))
+        })
+    }
+}
+
+fn metric(name: &str) -> Result<MetricChoice, String> {
+    let all = [
+        MetricChoice::Euclidean,
+        MetricChoice::Manhattan,
+        MetricChoice::Chebyshev,
+        MetricChoice::Angular,
+    ];
+    all.into_iter().find(|m| m.tag() == name).ok_or_else(|| "unknown metric".to_owned())
+}
+
 /// Parses a byte budget with an optional `k`/`m`/`g` suffix (binary
 /// units), e.g. `64m` = 64 MiB.
-fn parse_budget(text: &str) -> Result<u64, String> {
+fn budget(text: &str) -> Result<u64, String> {
     let lower = text.trim().to_ascii_lowercase();
     let (digits, shift) = match lower.strip_suffix(['k', 'm', 'g']) {
         Some(rest) => match lower.as_bytes()[lower.len() - 1] {
@@ -315,32 +427,15 @@ fn parse_budget(text: &str) -> Result<u64, String> {
         },
         None => (lower.as_str(), 0),
     };
-    let base: u64 = digits.parse().map_err(|e| format!("bad --memory-budget '{text}': {e}"))?;
+    let base: u64 = digits.parse().map_err(|e| format!("{e}"))?;
     let bytes = base
         .checked_shl(shift)
         .filter(|b| *b >> shift == base)
-        .ok_or_else(|| format!("bad --memory-budget '{text}': overflows u64"))?;
+        .ok_or_else(|| "overflows u64".to_owned())?;
     if bytes == 0 {
-        return Err("--memory-budget must be positive".to_owned());
+        return Err("must be positive".to_owned());
     }
     Ok(bytes)
-}
-
-fn parse_min_pts(text: &str) -> Result<(usize, usize), String> {
-    if let Some((lb, ub)) = text.split_once("..") {
-        let lb: usize = lb.parse().map_err(|e| format!("bad MinPts lower bound: {e}"))?;
-        let ub: usize = ub.parse().map_err(|e| format!("bad MinPts upper bound: {e}"))?;
-        if lb == 0 || lb > ub {
-            return Err(format!("invalid MinPts range {lb}..{ub}"));
-        }
-        Ok((lb, ub))
-    } else {
-        let k: usize = text.parse().map_err(|e| format!("bad MinPts: {e}"))?;
-        if k == 0 {
-            return Err("MinPts must be >= 1".to_owned());
-        }
-        Ok((k, k))
-    }
 }
 
 /// One parsed invocation: classic batch scoring, the bound-driven top-n
@@ -362,6 +457,57 @@ pub enum Command {
     Serve(StreamArgs),
 }
 
+impl Command {
+    /// The mode's defaults.
+    fn new(mode: Mode) -> Command {
+        match mode {
+            Mode::Batch => Command::Batch(Config::default()),
+            Mode::TopN => Command::TopN(TopNArgs::default()),
+            Mode::Ingest => Command::Ingest(IngestArgs::default()),
+            Mode::Stream => Command::Stream(StreamArgs::default()),
+            Mode::Serve => Command::Serve(StreamArgs::default()),
+        }
+    }
+
+    /// Takes the mode's positional arguments.
+    fn paths(&mut self, paths: &[String]) -> Result<(), String> {
+        match (self, paths) {
+            (
+                Command::Batch(Config { input, .. }) | Command::TopN(TopNArgs { input, .. }),
+                [path],
+            ) => {
+                input.clone_from(path);
+            }
+            (Command::Batch(_) | Command::TopN(_), []) => {
+                return Err("missing input CSV path".to_owned())
+            }
+            (Command::Batch(_) | Command::TopN(_), more) => {
+                return Err(format!("expected one input path, got {}", more.len()))
+            }
+            (Command::Ingest(args), [input, output]) => {
+                args.input.clone_from(input);
+                args.output.clone_from(output);
+            }
+            (Command::Ingest(_), other) => {
+                return Err(format!(
+                    "ingest takes <INPUT.csv> <OUTPUT.lofd>, got {} paths",
+                    other.len()
+                ))
+            }
+            (Command::Stream(args), [path]) if path != "-" => args.input = Some(path.clone()),
+            (Command::Stream(_), [] | [_]) => {} // stdin, by default or as `-`
+            (Command::Stream(_), more) => {
+                return Err(format!("expected at most one input path, got {}", more.len()))
+            }
+            (Command::Serve(_), []) => {}
+            (Command::Serve(_), _) => {
+                return Err("serve mode reads from TCP, not a file".to_owned())
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Options of `lof ingest`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct IngestArgs {
@@ -373,46 +519,6 @@ pub struct IngestArgs {
     pub columns: Option<Vec<String>>,
     /// Continue an interrupted load from its last checkpoint.
     pub resume: bool,
-}
-
-/// Parses the flags of `lof ingest`.
-///
-/// # Errors
-///
-/// Returns a human-readable message for unknown flags, missing values, or
-/// missing input/output paths.
-pub fn parse_ingest_args(args: &[String]) -> Result<IngestArgs, String> {
-    let mut parsed = IngestArgs::default();
-    let mut iter = args.iter();
-    let mut positional: Vec<&String> = Vec::new();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--columns" => {
-                let list = iter.next().ok_or_else(|| "--columns requires a value".to_owned())?;
-                let names: Vec<String> = list.split(',').map(|c| c.trim().to_owned()).collect();
-                if names.iter().any(String::is_empty) {
-                    return Err(format!("bad --columns '{list}': empty column name"));
-                }
-                parsed.columns = Some(names);
-            }
-            "--resume" => parsed.resume = true,
-            flag if flag.starts_with("--") => return Err(format!("unknown ingest flag '{flag}'")),
-            _ => positional.push(arg),
-        }
-    }
-    match positional.as_slice() {
-        [input, output] => {
-            parsed.input = (*input).clone();
-            parsed.output = (*output).clone();
-        }
-        other => {
-            return Err(format!(
-                "ingest takes <INPUT.csv> <OUTPUT.lofd>, got {} paths",
-                other.len()
-            ))
-        }
-    }
-    Ok(parsed)
 }
 
 /// Options of `lof topn`.
@@ -427,9 +533,10 @@ pub struct TopNArgs {
     pub min_pts: usize,
     /// Distance metric.
     pub metric: MetricChoice,
-    /// Index substrate; `topn` supports `auto | scan | kdtree | balltree`
-    /// (the tree leaves are the engine's partitions; `scan` falls back to
-    /// the full-sweep reference).
+    /// Index substrate; `lof topn` accepts `auto | scan | kdtree |
+    /// balltree`. The tree leaves are the engine's partitions; an index
+    /// without leaf partitions (`scan`) falls back to the full-sweep
+    /// reference.
     pub index: IndexChoice,
     /// Project onto these columns (in order) before scoring.
     pub columns: Option<Vec<usize>>,
@@ -458,76 +565,6 @@ impl Default for TopNArgs {
     }
 }
 
-/// Parses the flags of `lof topn`.
-///
-/// # Errors
-///
-/// Returns a human-readable message for unknown flags, missing values,
-/// unparsable numbers, or an index substrate without partition support.
-pub fn parse_topn_args(args: &[String]) -> Result<TopNArgs, String> {
-    let mut parsed = TopNArgs::default();
-    let mut iter = args.iter();
-    let mut positional: Vec<&String> = Vec::new();
-
-    fn value<'a>(
-        flag: &str,
-        iter: &mut std::slice::Iter<'a, String>,
-    ) -> Result<&'a String, String> {
-        iter.next().ok_or_else(|| format!("{flag} requires a value"))
-    }
-    fn number(flag: &str, iter: &mut std::slice::Iter<'_, String>) -> Result<usize, String> {
-        value(flag, iter)?.parse().map_err(|e| format!("bad {flag}: {e}"))
-    }
-
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--n" => parsed.n = number("--n", &mut iter)?,
-            "--minpts" => {
-                parsed.min_pts = number("--minpts", &mut iter)?;
-                if parsed.min_pts == 0 {
-                    return Err("MinPts must be >= 1".to_owned());
-                }
-            }
-            "--metric" => parsed.metric = parse_metric(value("--metric", &mut iter)?)?,
-            "--index" => {
-                parsed.index = match value("--index", &mut iter)?.as_str() {
-                    "auto" => IndexChoice::Auto,
-                    "scan" => IndexChoice::Scan,
-                    "kdtree" => IndexChoice::KdTree,
-                    "balltree" => IndexChoice::BallTree,
-                    other => {
-                        return Err(format!(
-                            "topn needs a partition-capable index \
-                             (auto | scan | kdtree | balltree), not '{other}'"
-                        ))
-                    }
-                };
-            }
-            "--columns" => {
-                let list = value("--columns", &mut iter)?;
-                let cols: Result<Vec<usize>, _> =
-                    list.split(',').map(str::trim).map(str::parse).collect();
-                parsed.columns = Some(cols.map_err(|e| format!("bad --columns '{list}': {e}"))?);
-            }
-            "--standardize" => parsed.standardize = true,
-            "--threads" => {
-                let count = number("--threads", &mut iter)?;
-                parsed.threads = if count == 0 { default_threads() } else { count };
-            }
-            "--metrics" => parsed.metrics = true,
-            flag if flag.starts_with("--") => return Err(format!("unknown topn flag '{flag}'")),
-            _ => positional.push(arg),
-        }
-    }
-
-    match positional.as_slice() {
-        [input] => parsed.input = (*input).clone(),
-        [] => return Err("missing input CSV path".to_owned()),
-        more => return Err(format!("expected one input path, got {}", more.len())),
-    }
-    Ok(parsed)
-}
-
 /// Options shared by `lof stream` and `lof serve`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamArgs {
@@ -551,11 +588,12 @@ pub struct StreamArgs {
     /// Rolling top-k alert rule.
     pub top_k: Option<usize>,
     /// Job-queue bound per worker in serve mode (0 =
-    /// `lof_serve::DEFAULT_QUEUE`).
+    /// `lof_serve::DEFAULT_QUEUE`, the default).
     pub queue: usize,
     /// Scoring worker threads in serve mode (0 = auto).
     pub workers: usize,
-    /// Tenant-count ceiling in serve mode (0 = `lof_serve::DEFAULT_MAX_TENANTS`).
+    /// Tenant-count ceiling in serve mode (0 =
+    /// `lof_serve::DEFAULT_MAX_TENANTS`, the default).
     pub tenants: usize,
     /// Snapshot directory in serve mode: tenants are restored from it at
     /// startup and persisted to it on `SNAPSHOT` / `DRAIN`.
@@ -580,9 +618,9 @@ impl Default for StreamArgs {
             landmark: false,
             threshold: None,
             top_k: None,
-            queue: 0,
+            queue: lof_serve::DEFAULT_QUEUE,
             workers: 0,
-            tenants: 0,
+            tenants: lof_serve::DEFAULT_MAX_TENANTS,
             snapshot_dir: None,
             max_events_per_sec: None,
             metric: MetricChoice::Euclidean,
@@ -591,21 +629,42 @@ impl Default for StreamArgs {
     }
 }
 
-/// Parses a full command line: a leading `stream` / `serve` word selects a
-/// streaming mode, anything else is the classic batch invocation.
+/// Parses a full command line: a leading `topn` / `ingest` / `stream` /
+/// `serve` word selects that mode, anything else is the classic batch
+/// invocation. Every mode reads its flags from [`FLAGS`].
 ///
 /// # Errors
 ///
-/// Returns a human-readable message for unknown flags, missing values, or
-/// unparsable numbers.
+/// Returns a human-readable message for unknown flags, missing or
+/// invalid values, or the wrong number of paths.
 pub fn parse_command(args: &[String]) -> Result<Command, String> {
-    match args.first().map(String::as_str) {
-        Some("topn") => Ok(Command::TopN(parse_topn_args(&args[1..])?)),
-        Some("ingest") => Ok(Command::Ingest(parse_ingest_args(&args[1..])?)),
-        Some("stream") => Ok(Command::Stream(parse_stream_args(false, &args[1..])?)),
-        Some("serve") => Ok(Command::Serve(parse_stream_args(true, &args[1..])?)),
-        _ => Ok(Command::Batch(parse_args(args)?)),
+    let first = args.first().map(String::as_str);
+    let (mode, args) = match Mode::ALL.into_iter().find(|m| m.word().is_some() && m.word() == first)
+    {
+        Some(mode) => (mode, &args[1..]),
+        None => (Mode::Batch, args),
+    };
+    let mut command = Command::new(mode);
+    let mut paths = Vec::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if !arg.starts_with("--") {
+            paths.push(arg.clone());
+            continue;
+        }
+        let Some(flag) = FLAGS.iter().find(|f| f.name == arg && f.modes.contains(&mode)) else {
+            let word = mode.word().map(|w| format!("{w} ")).unwrap_or_default();
+            return Err(format!("unknown {word}flag '{arg}'"));
+        };
+        let value = if flag.value.is_empty() {
+            ""
+        } else {
+            args.next().ok_or_else(|| format!("{arg} requires a value"))?
+        };
+        (flag.apply)(&mut command, value).map_err(|e| format!("bad {arg} '{value}': {e}"))?;
     }
+    command.paths(&paths)?;
+    Ok(command)
 }
 
 /// Loads a scoring input by format sniffing: a `.lofd` magic opens the
@@ -624,87 +683,6 @@ pub fn load_input(path: &str) -> Result<Dataset, String> {
     } else {
         lof_data::csv::load_dataset(path).map_err(|e| e.to_string())
     }
-}
-
-fn parse_metric(name: &str) -> Result<MetricChoice, String> {
-    match name {
-        "euclidean" => Ok(MetricChoice::Euclidean),
-        "manhattan" => Ok(MetricChoice::Manhattan),
-        "chebyshev" => Ok(MetricChoice::Chebyshev),
-        "angular" => Ok(MetricChoice::Angular),
-        other => Err(format!("unknown metric '{other}'")),
-    }
-}
-
-/// Parses the flags of `lof stream` (`serve = false`) or `lof serve`
-/// (`serve = true`).
-///
-/// # Errors
-///
-/// Returns a human-readable message for unknown flags, missing values,
-/// unparsable numbers, or a positional input in serve mode.
-pub fn parse_stream_args(serve: bool, args: &[String]) -> Result<StreamArgs, String> {
-    let mut parsed = StreamArgs::default();
-    let mut iter = args.iter();
-    let mut positional: Vec<&String> = Vec::new();
-
-    fn value<'a>(
-        flag: &str,
-        iter: &mut std::slice::Iter<'a, String>,
-    ) -> Result<&'a String, String> {
-        iter.next().ok_or_else(|| format!("{flag} requires a value"))
-    }
-    fn number<T: std::str::FromStr<Err = std::num::ParseIntError>>(
-        flag: &str,
-        iter: &mut std::slice::Iter<'_, String>,
-    ) -> Result<T, String> {
-        value(flag, iter)?.parse().map_err(|e| format!("bad {flag}: {e}"))
-    }
-
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--minpts" => parsed.min_pts = number("--minpts", &mut iter)?,
-            "--capacity" => parsed.capacity = number("--capacity", &mut iter)?,
-            "--warmup" => parsed.warmup = Some(number("--warmup", &mut iter)?),
-            "--landmark" => parsed.landmark = true,
-            "--threshold" => {
-                parsed.threshold = Some(
-                    value("--threshold", &mut iter)?
-                        .parse()
-                        .map_err(|e| format!("bad --threshold: {e}"))?,
-                );
-            }
-            "--topk" => parsed.top_k = Some(number("--topk", &mut iter)?),
-            "--metric" => parsed.metric = parse_metric(value("--metric", &mut iter)?)?,
-            "--metrics" => parsed.metrics = true,
-            "--listen" if serve => parsed.listen = value("--listen", &mut iter)?.clone(),
-            "--queue" if serve => parsed.queue = number("--queue", &mut iter)?,
-            "--workers" if serve => parsed.workers = number("--workers", &mut iter)?,
-            "--tenants" if serve => parsed.tenants = number("--tenants", &mut iter)?,
-            "--snapshot-dir" if serve => {
-                parsed.snapshot_dir = Some(value("--snapshot-dir", &mut iter)?.clone());
-            }
-            "--max-events-per-sec" if serve => {
-                parsed.max_events_per_sec = Some(number("--max-events-per-sec", &mut iter)?);
-            }
-            flag if flag.starts_with("--") => {
-                let mode = if serve { "serve" } else { "stream" };
-                return Err(format!("unknown {mode} flag '{flag}'"));
-            }
-            _ => positional.push(arg),
-        }
-    }
-
-    match (serve, positional.as_slice()) {
-        (_, []) => {}
-        (false, [input]) if *input != "-" => parsed.input = Some((*input).clone()),
-        (false, [_dash]) => {} // explicit stdin
-        (false, more) => {
-            return Err(format!("expected at most one input path, got {}", more.len()))
-        }
-        (true, _) => return Err("serve mode reads from TCP, not a file".to_owned()),
-    }
-    Ok(parsed)
 }
 
 /// Builds the window configuration a [`StreamArgs`] describes. Validation
@@ -748,7 +726,10 @@ pub struct RunOutput {
     pub explanations: Vec<String>,
 }
 
-/// Runs the pipeline per `config` over an already-loaded dataset.
+/// Runs the pipeline per `config` over an already-loaded dataset. With a
+/// memory budget the neighborhood table is materialized as disk-spilled
+/// CSR segments under the byte budget and the `MinPts`-range scores are
+/// folded from them, bit-identical to the in-RAM pipeline at any budget.
 ///
 /// # Errors
 ///
@@ -762,154 +743,158 @@ pub fn run(config: &Config, raw: &Dataset) -> Result<RunOutput, String> {
             config.min_pts.1
         ));
     }
-    let projected = match &config.columns {
-        Some(columns) => raw.project(columns).map_err(|e| e.to_string())?,
-        None => raw.clone(),
-    };
-    let data = if config.standardize { standardize(&projected) } else { projected };
-
-    if config.memory_budget.is_some() {
-        return run_spilled(config, &data);
+    if config.memory_budget.is_some() && (config.explain > 0 || config.table.is_some()) {
+        return Err("explanations and the table cache need the in-RAM materialization; \
+             drop the memory budget to use them"
+            .to_owned());
     }
+    if config.explain > 0 && config.format == OutputFormat::Json {
+        return Err("explanations are part of the text report; the json format has none".to_owned());
+    }
+    let data = prepare(raw, config.columns.as_deref(), config.standardize)?;
+    let index = resolve_index(config.index, config.metric, data.dims(), false);
 
-    let detector = LofDetector::with_range(config.min_pts.0, config.min_pts.1)
-        .map_err(|e| e.to_string())?
-        .aggregate(config.aggregate)
-        .threads(config.threads);
-
-    let index = resolve_index(config, &data);
-    let cache = config.table.as_deref();
-    let threads = config.threads.max(1);
-    let (result, table) = match config.metric {
-        MetricChoice::Euclidean => score(&detector, &index, &data, Euclidean, cache, threads)?,
-        MetricChoice::Manhattan => score(&detector, &index, &data, Manhattan, cache, threads)?,
-        MetricChoice::Chebyshev => score(&detector, &index, &data, Chebyshev, cache, threads)?,
-        MetricChoice::Angular => score(&detector, &index, &data, Angular, cache, threads)?,
+    let (scores, mut report, explanations) = match config.memory_budget {
+        Some(budget) => {
+            let range =
+                MinPtsRange::new(config.min_pts.0, config.min_pts.1).map_err(|e| e.to_string())?;
+            let spill = Spill { range, aggregate: config.aggregate, budget: budget as usize };
+            let (scores, ranking) = on_index(config.metric, index, &data, spill)?;
+            (scores, ranking, Vec::new())
+        }
+        None => {
+            let detector = LofDetector::with_range(config.min_pts.0, config.min_pts.1)
+                .map_err(|e| e.to_string())?
+                .aggregate(config.aggregate)
+                .threads(config.threads);
+            let score = Score {
+                detector: &detector,
+                cache: config.table.as_deref(),
+                threads: config.threads.max(1),
+            };
+            let (result, table) = on_index(config.metric, index, &data, score)?;
+            let ranking = result.ranking();
+            let mut explanations = Vec::new();
+            for &(id, _) in ranking.iter().take(config.explain) {
+                let ex = explain(&data, &table, config.min_pts.1, id).map_err(|e| e.to_string())?;
+                explanations.push(ex.render(&data));
+            }
+            (result.scores(), ranking, explanations)
+        }
     };
-
-    let scores = result.scores();
-    let mut report = result.ranking();
     if let Some(t) = config.threshold {
         report.retain(|&(_, s)| s > t);
     }
     if let Some(top) = config.top {
         report.truncate(top);
     }
-
-    let mut explanations = Vec::new();
-    for &(id, _) in result.ranking().iter().take(config.explain) {
-        let ex = explain(&data, &table, config.min_pts.1, id).map_err(|e| e.to_string())?;
-        explanations.push(ex.render(&data));
-    }
     Ok(RunOutput { report, scores, explanations })
 }
 
-/// The out-of-core batch path (`--memory-budget`): materializes the
-/// neighborhood table as disk-spilled CSR segments under the byte budget
-/// and folds the `MinPts`-range scores incrementally. Bit-identical to
-/// the in-RAM pipeline at any budget.
-fn run_spilled(config: &Config, data: &Dataset) -> Result<RunOutput, String> {
-    let budget = config.memory_budget.expect("caller checked") as usize;
-    if config.explain > 0 {
-        return Err(
-            "--explain needs the in-RAM materialization; drop --memory-budget to use it".to_owned()
-        );
-    }
-    if config.table.is_some() {
-        return Err("--table caches an in-RAM materialization and cannot be combined with \
-             --memory-budget"
-            .to_owned());
-    }
-    let range = MinPtsRange::new(config.min_pts.0, config.min_pts.1).map_err(|e| e.to_string())?;
-
-    fn go<P: KnnProvider>(
-        provider: &P,
-        config: &Config,
-        range: MinPtsRange,
-        budget: usize,
-    ) -> Result<RunOutput, String> {
-        let table =
-            SpilledNeighborhoodTable::build(provider, range.ub(), budget, &std::env::temp_dir())
-                .map_err(|e| e.to_string())?;
-        let ooc = table.lof_range(range, config.aggregate).map_err(|e| e.to_string())?;
-        let mut report = ooc.ranking();
-        if let Some(t) = config.threshold {
-            report.retain(|&(_, s)| s > t);
-        }
-        if let Some(top) = config.top {
-            report.truncate(top);
-        }
-        Ok(RunOutput { report, scores: ooc.scores().to_vec(), explanations: Vec::new() })
-    }
-    fn on_index<M: Metric + Clone>(
-        config: &Config,
-        data: &Dataset,
-        metric: M,
-        range: MinPtsRange,
-        budget: usize,
-    ) -> Result<RunOutput, String> {
-        match resolve_index(config, data) {
-            IndexChoice::Scan => go(&LinearScan::new(data, metric), config, range, budget),
-            IndexChoice::Grid => go(&GridIndex::new(data, metric), config, range, budget),
-            IndexChoice::KdTree => go(&KdTree::new(data, metric), config, range, budget),
-            IndexChoice::XTree => go(&XTree::new(data, metric), config, range, budget),
-            IndexChoice::VaFile => go(&VaFile::new(data, metric), config, range, budget),
-            IndexChoice::BallTree => go(&BallTree::new(data, metric), config, range, budget),
-            IndexChoice::Auto => unreachable!("resolved before dispatch"),
-        }
-    }
-    match config.metric {
-        MetricChoice::Euclidean => on_index(config, data, Euclidean, range, budget),
-        MetricChoice::Manhattan => on_index(config, data, Manhattan, range, budget),
-        MetricChoice::Chebyshev => on_index(config, data, Chebyshev, range, budget),
-        MetricChoice::Angular => on_index(config, data, Angular, range, budget),
-    }
+/// Projects onto `columns` (if any), then z-scores (if asked).
+fn prepare(raw: &Dataset, columns: Option<&[usize]>, z_score: bool) -> Result<Dataset, String> {
+    let projected = match columns {
+        Some(columns) => raw.project(columns).map_err(|e| e.to_string())?,
+        None => raw.clone(),
+    };
+    Ok(if z_score { standardize(&projected) } else { projected })
 }
 
-/// Resolves `auto` to a concrete index for the data's dimensionality.
-fn resolve_index(config: &Config, data: &Dataset) -> IndexChoice {
-    match config.index {
-        IndexChoice::Auto => {
-            // Angular has no rectangle bound: only the ball tree prunes.
-            if config.metric == MetricChoice::Angular {
-                IndexChoice::BallTree
-            } else if data.dims() <= 3 {
-                IndexChoice::Grid
-            } else if data.dims() <= 12 {
-                IndexChoice::KdTree
-            } else {
-                IndexChoice::VaFile
-            }
-        }
+/// Resolves `auto` to a concrete index. Angular has no rectangle bound,
+/// so only the ball tree prunes under it; top-n needs leaf `partitions`,
+/// so it takes the kd-tree; otherwise the grid for d <= 3, the kd-tree
+/// for d <= 12 and the VA-file beyond.
+fn resolve_index(
+    choice: IndexChoice,
+    metric: MetricChoice,
+    dims: usize,
+    partitions: bool,
+) -> IndexChoice {
+    match choice {
+        IndexChoice::Auto if metric == MetricChoice::Angular => IndexChoice::BallTree,
+        IndexChoice::Auto if partitions || (4..=12).contains(&dims) => IndexChoice::KdTree,
+        IndexChoice::Auto if dims <= 3 => IndexChoice::Grid,
+        IndexChoice::Auto => IndexChoice::VaFile,
         concrete => concrete,
     }
 }
 
-fn score<M: Metric + Clone>(
-    detector: &LofDetector<Euclidean>,
-    index: &IndexChoice,
+/// An index whose leaves can serve as the top-n engine's partitions.
+trait Partitioned: PartitionSource + PartitionMetric {}
+
+impl<T: PartitionSource + PartitionMetric> Partitioned for T {}
+
+/// The index again, when its leaves can serve as top-n partitions.
+type Leaves<'a> = Option<&'a dyn Partitioned>;
+
+/// Code generic over the index substrate, run by [`on_index`].
+trait IndexVisitor {
+    type Output;
+    /// Runs with `index`.
+    fn visit<P: KnnProvider + Sync>(self, index: &P, leaves: Leaves<'_>) -> Self::Output;
+}
+
+/// Builds the index `choice` names (resolved, never `Auto`) over `data`
+/// under `metric` and runs `visitor` on it: the one place an
+/// `IndexChoice` becomes an index type.
+fn on_index<V: IndexVisitor>(
+    metric: MetricChoice,
+    choice: IndexChoice,
     data: &Dataset,
-    metric: M,
-    cache: Option<&str>,
+    visitor: V,
+) -> V::Output {
+    struct Build<'a, V> {
+        choice: IndexChoice,
+        data: &'a Dataset,
+        visitor: V,
+    }
+    impl<V: IndexVisitor> MetricVisitor for Build<'_, V> {
+        type Output = V::Output;
+        fn visit<M: Metric + Clone + 'static>(self, metric: M) -> V::Output {
+            let (data, visitor) = (self.data, self.visitor);
+            match self.choice {
+                IndexChoice::Scan => visitor.visit(&LinearScan::new(data, metric), None),
+                IndexChoice::Grid => visitor.visit(&GridIndex::new(data, metric), None),
+                IndexChoice::KdTree => {
+                    let tree = KdTree::new(data, metric);
+                    visitor.visit(&tree, Some(&tree))
+                }
+                IndexChoice::XTree => visitor.visit(&XTree::new(data, metric), None),
+                IndexChoice::VaFile => visitor.visit(&VaFile::new(data, metric), None),
+                IndexChoice::BallTree => {
+                    let tree = BallTree::new(data, metric);
+                    visitor.visit(&tree, Some(&tree))
+                }
+                IndexChoice::Auto => unreachable!("resolved before dispatch"),
+            }
+        }
+    }
+    metric.visit(Build { choice, data, visitor })
+}
+
+/// The in-RAM batch path: materialize (or load the cached table), then
+/// score the range.
+struct Score<'a> {
+    detector: &'a LofDetector<Euclidean>,
+    cache: Option<&'a str>,
     threads: usize,
-) -> Result<(OutlierResult, NeighborhoodTable), String> {
-    fn go<P: KnnProvider + Sync>(
-        detector: &LofDetector<Euclidean>,
-        provider: &P,
-        cache: Option<&str>,
-        threads: usize,
-    ) -> Result<(OutlierResult, NeighborhoodTable), String> {
-        let table = match cache {
+}
+
+impl IndexVisitor for Score<'_> {
+    type Output = Result<(OutlierResult, NeighborhoodTable), String>;
+
+    fn visit<P: KnnProvider + Sync>(self, provider: &P, _: Leaves<'_>) -> Self::Output {
+        let ub = self.detector.range().ub();
+        let table = match self.cache {
             Some(path) if std::path::Path::new(path).exists() => {
                 let table = NeighborhoodTable::load(path).map_err(|e| e.to_string())?;
-                if table.len() != provider.len() || table.max_k() < detector.range().ub() {
+                if table.len() != provider.len() || table.max_k() < ub {
                     return Err(format!(
                         "cached table '{path}' does not match this run \
-                         ({} objects @ max_k {}, need {} @ {})",
+                         ({} objects @ max_k {}, need {} @ {ub})",
                         table.len(),
                         table.max_k(),
                         provider.len(),
-                        detector.range().ub()
                     ));
                 }
                 table
@@ -917,25 +902,35 @@ fn score<M: Metric + Clone>(
             _ => {
                 // `build_table_parallel` falls back to the serial build at
                 // `threads == 1` and is byte-identical to it otherwise.
-                let table = build_table_parallel(provider, detector.range().ub(), threads)
-                    .map_err(|e| e.to_string())?;
-                if let Some(path) = cache {
+                let table =
+                    build_table_parallel(provider, ub, self.threads).map_err(|e| e.to_string())?;
+                if let Some(path) = self.cache {
                     table.save(path).map_err(|e| format!("cannot save table: {e}"))?;
                 }
                 table
             }
         };
-        let result = detector.detect_from_table(&table).map_err(|e| e.to_string())?;
+        let result = self.detector.detect_from_table(&table).map_err(|e| e.to_string())?;
         Ok((result, table))
     }
-    match index {
-        IndexChoice::Scan => go(detector, &LinearScan::new(data, metric), cache, threads),
-        IndexChoice::Grid => go(detector, &GridIndex::new(data, metric), cache, threads),
-        IndexChoice::KdTree => go(detector, &KdTree::new(data, metric), cache, threads),
-        IndexChoice::XTree => go(detector, &XTree::new(data, metric), cache, threads),
-        IndexChoice::VaFile => go(detector, &VaFile::new(data, metric), cache, threads),
-        IndexChoice::BallTree => go(detector, &BallTree::new(data, metric), cache, threads),
-        IndexChoice::Auto => unreachable!("resolved before dispatch"),
+}
+
+/// The out-of-core batch path: scores in id order and their ranking.
+struct Spill {
+    range: MinPtsRange,
+    aggregate: Aggregate,
+    budget: usize,
+}
+
+impl IndexVisitor for Spill {
+    type Output = Result<(Vec<f64>, Vec<(usize, f64)>), String>;
+
+    fn visit<P: KnnProvider + Sync>(self, provider: &P, _: Leaves<'_>) -> Self::Output {
+        let dir = std::env::temp_dir();
+        let table = SpilledNeighborhoodTable::build(provider, self.range.ub(), self.budget, &dir)
+            .map_err(|e| e.to_string())?;
+        let ooc = table.lof_range(self.range, self.aggregate).map_err(|e| e.to_string())?;
+        Ok((ooc.scores().to_vec(), ooc.ranking()))
     }
 }
 
@@ -970,56 +965,36 @@ pub fn run_topn(args: &TopNArgs, raw: &Dataset) -> Result<TopNOutput, String> {
             args.min_pts
         ));
     }
-    let projected = match &args.columns {
-        Some(columns) => raw.project(columns).map_err(|e| e.to_string())?,
-        None => raw.clone(),
-    };
-    let data = if args.standardize { standardize(&projected) } else { projected };
-
+    let data = prepare(raw, args.columns.as_deref(), args.standardize)?;
     let engine = TopNEngine::new(args.min_pts, args.n).with_threads(args.threads);
-    let index = match args.index {
-        // Angular has no rectangle bound, so its envelopes are vacuous on
-        // a kd-tree; the ball tree at least prunes the k-NN refinement.
-        IndexChoice::Auto if args.metric == MetricChoice::Angular => IndexChoice::BallTree,
-        IndexChoice::Auto => IndexChoice::KdTree,
-        concrete => concrete,
-    };
-    match args.metric {
-        MetricChoice::Euclidean => topn_on_index(&engine, index, &data, Euclidean),
-        MetricChoice::Manhattan => topn_on_index(&engine, index, &data, Manhattan),
-        MetricChoice::Chebyshev => topn_on_index(&engine, index, &data, Chebyshev),
-        MetricChoice::Angular => topn_on_index(&engine, index, &data, Angular),
-    }
+    let index = resolve_index(args.index, args.metric, data.dims(), true);
+    on_index(args.metric, index, &data, TopN { engine: &engine })
 }
 
-fn topn_on_index<M: Metric + Clone>(
-    engine: &TopNEngine,
-    index: IndexChoice,
-    data: &Dataset,
-    metric: M,
-) -> Result<TopNOutput, String> {
-    fn go<P>(engine: &TopNEngine, provider: &P) -> Result<TopNOutput, String>
-    where
-        P: KnnProvider + PartitionSource + PartitionMetric + Sync,
-    {
-        let partitions = provider.partitions();
-        let result = engine.run(provider, &partitions).map_err(|e| e.to_string())?;
+/// The top-n path: the engine over tree leaves, or the full-sweep
+/// reference on the scan.
+struct TopN<'a> {
+    engine: &'a TopNEngine,
+}
+
+impl IndexVisitor for TopN<'_> {
+    type Output = Result<TopNOutput, String>;
+
+    fn visit<P: KnnProvider + Sync>(self, provider: &P, leaves: Leaves<'_>) -> Self::Output {
+        let Some(tree) = leaves else {
+            let report = topn_reference(provider, self.engine.min_pts(), self.engine.n())
+                .map_err(|e| e.to_string())?;
+            return Ok(TopNOutput { report, threshold: None, stats: None });
+        };
+        let result = self
+            .engine
+            .run_with_metric(provider, tree.partition_metric(), &tree.partitions())
+            .map_err(|e| e.to_string())?;
         Ok(TopNOutput {
             report: result.ranking,
             threshold: Some(result.threshold),
             stats: Some(result.stats),
         })
-    }
-    match index {
-        IndexChoice::Scan => {
-            let scan = LinearScan::new(data, metric);
-            let report =
-                topn_reference(&scan, engine.min_pts(), engine.n()).map_err(|e| e.to_string())?;
-            Ok(TopNOutput { report, threshold: None, stats: None })
-        }
-        IndexChoice::KdTree => go(engine, &KdTree::new(data, metric)),
-        IndexChoice::BallTree => go(engine, &BallTree::new(data, metric)),
-        other => Err(format!("index '{other:?}' has no partition support for topn")),
     }
 }
 
@@ -1033,9 +1008,11 @@ pub fn render_report(report: &[(usize, f64)]) -> String {
     out
 }
 
-/// Usage text.
-pub fn usage() -> &'static str {
-    "usage: lof [OPTIONS] <INPUT.csv|INPUT.lofd>
+/// Usage text: the modes, each mode's options rendered from [`FLAGS`],
+/// and the in-band requests of the streaming modes.
+pub fn usage() -> String {
+    let mut out = String::from(
+        "usage: lof [OPTIONS] <INPUT.csv|INPUT.lofd>
        lof topn [OPTIONS] <INPUT.csv|INPUT.lofd>
        lof ingest [OPTIONS] <INPUT.csv> <OUTPUT.lofd>
        lof stream [OPTIONS] [INPUT]
@@ -1053,96 +1030,66 @@ memory. Stream mode scores line-delimited events (CSV row, JSON array,
 or {\"point\": [...]}) from a file or stdin through a sliding window;
 serve mode does the same over TCP. Both emit one NDJSON record per
 event.
-
-batch options:
-  --minpts LB[..UB]   MinPts value or range             [default: 10..20]
-  --aggregate AGG     max | min | mean                  [default: max]
-  --metric METRIC     euclidean | manhattan | chebyshev | angular
-  --index INDEX       auto | scan | grid | kdtree | xtree | vafile | balltree
-  --columns C1,C2,..  project onto these columns (subspace analysis)
-  --standardize       z-score the columns before computing distances
-  --threshold T       only report objects with score > T
-  --top N             only report the N highest scores
-  --explain N         print full explanations for the top N objects
-  --threads N         worker threads (materialization and scoring both
-                      parallelize; results are identical at any N);
-                      0 = auto-detect every available core
-                                                        [default: all cores]
-  --format FMT        text | json (NDJSON, one record per row)
-                                                        [default: text]
-  --output FILE       also write an id,score CSV to FILE
-  --table FILE        cache the materialization: load FILE if present,
-                      else build and save it there
-  --memory-budget B   out-of-core scoring: disk-spilled table segments;
-                      B bytes (k/m/g = KiB/MiB/GiB) bound the segment
-                      cache and the sweep's per-wave matrices; scores
-                      are bit-identical to the in-RAM path (not
-                      combinable with --explain or --table)
-  --metrics           print a final metrics snapshot (Prometheus text,
-                      including the core.ooc.* out-of-core counters) to
-                      stderr
-
-topn options:
-  --n N               result size                       [default: 10]
-  --minpts K          the MinPts the scores are exact for
-                                                        [default: 10]
-  --metric METRIC     euclidean | manhattan | chebyshev | angular
-  --index INDEX       auto | scan | kdtree | balltree (tree leaves are
-                      the pruning partitions; scan = full-sweep
-                      reference)                        [default: auto]
-  --columns C1,C2,..  project onto these columns (subspace analysis)
-  --standardize       z-score the columns before computing distances
-  --threads N         refinement workers; 0 = auto      [default: all cores]
-  --metrics           print a final metrics snapshot (Prometheus text,
-                      including the core.topn.* pruning counters) to
-                      stderr
-
-ingest options:
-  --columns N1,N2,..  select header columns by NAME, in this order (the
-                      schema mapping; default: every column in header
-                      order); every selected field is validated as a
-                      finite number with a row/column-located error
-  --resume            continue an interrupted load from its last
-                      checkpoint instead of starting over
-
-stream / serve options:
-  --minpts K          MinPts of the window model        [default: 10]
-  --capacity N        sliding-window capacity (events)  [default: 512]
-  --warmup N          events buffered before scoring    [default: minpts+1]
-  --landmark          never evict (landmark window)
-  --threshold T       alert when LOF > T
-  --topk K            alert when an event ranks in the window's top K
-  --metric METRIC     euclidean | manhattan | chebyshev | angular
-  --metrics           print a final metrics snapshot (Prometheus text)
-                      to stderr; serve mode also answers in-band
-                      `GET /metrics[.json]` requests on any connection
-  --listen ADDR       serve only: bind address          [default: 127.0.0.1:7878]
-  --queue N           serve only: in-flight event bound per worker
-                                                        [default: 1024]
-  --workers N         serve only: scoring worker threads; 0 = auto
-                                                        [default: auto]
-  --tenants N         serve only: maximum number of named windows
-                                                        [default: 64]
-  --snapshot-dir DIR  serve only: restore every *.lofw tenant snapshot
-                      in DIR at startup, and persist tenants there on
-                      `SNAPSHOT` / `DRAIN` (restart resumes scoring
-                      bit-identically)
-  --max-events-per-sec R
-                      serve only: default per-tenant admission rate
-                      (token bucket, burst = 1s of R); tenants may
-                      override with `TENANT CREATE ... max_eps=R`
-
+",
+    );
+    for mode in Mode::ALL {
+        let _ = writeln!(out, "\n{}", mode.heading());
+        for flag in FLAGS.iter().filter(|f| f.modes.contains(&mode)) {
+            write_flag(&mut out, flag);
+        }
+    }
+    out.push_str(
+        "
 Stream and serve connections also answer in-band `GET /topn N` (or bare
 `/topn N`) requests with a `{\"type\":\"topn\",...}` record ranking the
-window's current members by LOF, most outlying first.
+window's current members by LOF, most outlying first. Serve connections
+answer `GET /metrics[.json]` with the server's metrics registry.
 
 Serve mode multiplexes every connection onto one event-loop thread and
 scores on a worker pool. Connections start attached to the `default`
 tenant; `TENANT CREATE/ATTACH/LIST/DROP`, `SNAPSHOT [name]`, and `DRAIN`
 manage named windows over the wire. `DRAIN` stops accepting, flushes
-in-flight work, snapshots every tenant (with --snapshot-dir), acks, and
-shuts the server down cleanly.
-"
+in-flight work, snapshots every tenant (with a snapshot directory),
+acks, and shuts the server down cleanly.
+",
+    );
+    out
+}
+
+/// Width of the flag column of [`usage`], and of the whole line.
+const LABEL: usize = 20;
+const WIDTH: usize = 78;
+
+/// One option of [`usage`]: the flag and its value placeholder, then the
+/// help (and default) wrapped beside it.
+fn write_flag(out: &mut String, flag: &Flag) {
+    let mut help = flag.help.to_owned();
+    if let Some(default) = flag.default {
+        let _ = write!(help, " [default: {default}]");
+    }
+    let label = format!("{} {}", flag.name, flag.value);
+    let label = label.trim_end();
+    let indent = " ".repeat(LABEL + 2);
+    let mut pad = if label.len() < LABEL {
+        let _ = write!(out, "  {label:<LABEL$}");
+        String::new()
+    } else {
+        let _ = writeln!(out, "  {label}");
+        indent.clone()
+    };
+    let mut line = String::new();
+    for word in help.split_whitespace() {
+        if !line.is_empty() && line.len() + 1 + word.len() > WIDTH - LABEL - 2 {
+            let _ = writeln!(out, "{pad}{line}");
+            pad.clone_from(&indent);
+            line.clear();
+        }
+        if !line.is_empty() {
+            line.push(' ');
+        }
+        line.push_str(word);
+    }
+    let _ = writeln!(out, "{pad}{line}");
 }
 
 #[cfg(test)]
@@ -1151,6 +1098,32 @@ mod tests {
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| (*s).to_owned()).collect()
+    }
+
+    /// `parse_command` with `word` in front of `list`.
+    fn parse_mode(word: &str, list: &[String]) -> Result<Command, String> {
+        parse_command(&[vec![word.to_owned()], list.to_vec()].concat())
+    }
+
+    fn parse_args(list: &[String]) -> Result<Config, String> {
+        parse_command(list).map(|c| if let Command::Batch(c) = c { c } else { panic!("{c:?}") })
+    }
+
+    fn parse_topn_args(list: &[String]) -> Result<TopNArgs, String> {
+        parse_mode("topn", list).map(|c| if let Command::TopN(c) = c { c } else { panic!("{c:?}") })
+    }
+
+    fn parse_ingest_args(list: &[String]) -> Result<IngestArgs, String> {
+        let parsed = parse_mode("ingest", list);
+        parsed.map(|c| if let Command::Ingest(c) = c { c } else { panic!("{c:?}") })
+    }
+
+    fn parse_stream_args(serve: bool, list: &[String]) -> Result<StreamArgs, String> {
+        let parsed = parse_mode(if serve { "serve" } else { "stream" }, list);
+        parsed.map(|c| match c {
+            Command::Stream(c) | Command::Serve(c) => c,
+            other => panic!("{other:?}"),
+        })
     }
 
     #[test]
@@ -1211,6 +1184,7 @@ mod tests {
         assert!(parse_args(&args(&["--minpts", "abc", "a.csv"])).is_err());
         assert!(parse_args(&args(&["--aggregate", "median", "a.csv"])).is_err());
         assert!(parse_args(&args(&["--threshold"])).is_err());
+        assert!(parse_args(&args(&["--threshold", "nan", "a.csv"])).is_err());
     }
 
     #[test]
@@ -1486,6 +1460,25 @@ mod tests {
             assert!(parse_stream_args(serve, &args(&["--shards", "4"])).is_err());
             assert!(parse_stream_args(serve, &args(&["--deferred"])).is_err());
         }
+        // Alert rules that could never mean what they say: NaN fails to
+        // parse, the rest fail the window's validation.
+        assert!(parse_stream_args(false, &args(&["--threshold", "nan"])).is_err());
+        for rule in [["--threshold", "-1"], ["--threshold", "inf"], ["--topk", "0"]] {
+            let parsed = parse_stream_args(true, &args(&rule)).unwrap();
+            assert!(stream_window_config(&parsed).validate().is_err(), "{rule:?}");
+        }
+    }
+
+    #[test]
+    fn shown_defaults_are_the_parsed_defaults() {
+        for flag in FLAGS {
+            let Some(default) = flag.default else { continue };
+            for &mode in flag.modes {
+                let mut command = Command::new(mode);
+                (flag.apply)(&mut command, &default.to_string()).unwrap();
+                assert_eq!(command, Command::new(mode), "{} in {mode:?}", flag.name);
+            }
+        }
     }
 
     #[test]
@@ -1537,6 +1530,7 @@ mod tests {
         assert!(parse_topn_args(&args(&["--bogus", "a.csv"])).is_err());
         assert!(parse_topn_args(&args(&["--n"])).is_err());
         assert!(parse_topn_args(&args(&["a.csv", "b.csv"])).is_err());
+        assert!(parse_topn_args(&args(&["--n", "0", "a.csv"])).is_err());
     }
 
     #[test]
@@ -1666,6 +1660,9 @@ mod tests {
         };
         assert!(run(&Config { explain: 1, ..base.clone() }, &data).is_err());
         assert!(run(&Config { table: Some("t.lofm".into()), ..base.clone() }, &data).is_err());
+        // Explanations only render in the text report.
+        let json = Config { explain: 1, format: OutputFormat::Json, memory_budget: None, ..base };
+        assert!(run(&json, &data).is_err());
     }
 
     #[test]

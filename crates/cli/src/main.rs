@@ -2,21 +2,14 @@
 
 use lof_cli::{
     load_input, parse_command, render_json_report, render_report, run, run_topn,
-    stream_window_config, usage, Command, Config, IngestArgs, MetricChoice, OutputFormat,
+    stream_window_config, usage, Command, Config, IngestArgs, MetricVisitor, OutputFormat,
     StreamArgs, TopNArgs,
 };
-use lof_core::{Angular, Chebyshev, Euclidean, Manhattan, Metric};
+use lof_core::Metric;
 use lof_serve::{Quotas, ServeConfig, TenantSpec};
 use lof_stream::{serve, SlidingWindowLof, StreamStats};
 use std::io::{BufRead, BufReader};
 use std::process::ExitCode;
-
-/// Which streaming front end to run after the window is built.
-#[derive(Clone, Copy)]
-enum StreamMode {
-    Stdin,
-    Tcp,
-}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -38,8 +31,8 @@ fn main() -> ExitCode {
         Command::Batch(config) => run_batch(&config),
         Command::TopN(topn) => run_topn_mode(&topn),
         Command::Ingest(ingest) => run_ingest_mode(&ingest),
-        Command::Stream(stream) => dispatch_streaming(&stream, StreamMode::Stdin),
-        Command::Serve(stream) => dispatch_streaming(&stream, StreamMode::Tcp),
+        Command::Stream(args) => args.metric.visit(Streaming { args: &args, serve: false }),
+        Command::Serve(args) => args.metric.visit(Streaming { args: &args, serve: true }),
     }
 }
 
@@ -66,7 +59,7 @@ fn run_ingest_mode(args: &IngestArgs) -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}");
             if !args.resume {
-                eprintln!("(a partial output, if any, can be continued with --resume)");
+                eprintln!("(a partial output, if any, can be resumed: see `lof --help`)");
             }
             ExitCode::FAILURE
         }
@@ -153,26 +146,26 @@ fn run_batch(config: &Config) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Monomorphizes the streaming modes over the chosen metric (the window
-/// fixes its metric type at construction).
-fn dispatch_streaming(args: &StreamArgs, mode: StreamMode) -> ExitCode {
-    match args.metric {
-        MetricChoice::Euclidean => run_streaming(args, Euclidean, mode),
-        MetricChoice::Manhattan => run_streaming(args, Manhattan, mode),
-        MetricChoice::Chebyshev => run_streaming(args, Chebyshev, mode),
-        MetricChoice::Angular => run_streaming(args, Angular, mode),
+/// `lof stream` or `lof serve` over the chosen metric (the window fixes
+/// its metric type at construction).
+struct Streaming<'a> {
+    args: &'a StreamArgs,
+    serve: bool,
+}
+
+impl MetricVisitor for Streaming<'_> {
+    type Output = ExitCode;
+
+    fn visit<M: Metric + Clone + 'static>(self, metric: M) -> ExitCode {
+        if self.serve {
+            run_serve_mode(self.args, metric)
+        } else {
+            run_stream_mode(self.args, metric)
+        }
     }
 }
 
-fn run_streaming<M: Metric + Clone + 'static>(
-    args: &StreamArgs,
-    metric: M,
-    mode: StreamMode,
-) -> ExitCode {
-    match mode {
-        StreamMode::Tcp => return run_serve_mode(args, metric),
-        StreamMode::Stdin => {}
-    }
+fn run_stream_mode<M: Metric>(args: &StreamArgs, metric: M) -> ExitCode {
     let window = match SlidingWindowLof::new(stream_window_config(args), metric) {
         Ok(window) => window,
         Err(e) => {
@@ -180,10 +173,6 @@ fn run_streaming<M: Metric + Clone + 'static>(
             return ExitCode::FAILURE;
         }
     };
-    run_stream_mode(args, window)
-}
-
-fn run_stream_mode<M: Metric>(args: &StreamArgs, window: SlidingWindowLof<M>) -> ExitCode {
     let input: Box<dyn BufRead> = match &args.input {
         Some(path) => match std::fs::File::open(path) {
             Ok(file) => Box::new(BufReader::new(file)),

@@ -55,6 +55,16 @@ pub enum LofError {
     /// A partition passed to the Theorem 2 bounds is invalid (empty part,
     /// overlapping parts, or parts not covering the neighborhood).
     InvalidPartition(String),
+    /// A column index outside `0..columns` (e.g. in a projection).
+    UnknownColumn {
+        /// The offending column index.
+        column: usize,
+        /// Number of columns the data has.
+        columns: usize,
+    },
+    /// A streaming alert rule that cannot mean what it says: a threshold
+    /// that is not a positive finite number, or a top-k of 0.
+    InvalidAlertRule(String),
 }
 
 impl fmt::Display for LofError {
@@ -84,6 +94,10 @@ impl fmt::Display for LofError {
                 write!(f, "object id {id} out of range for dataset of {dataset_size} objects")
             }
             LofError::InvalidPartition(msg) => write!(f, "invalid neighborhood partition: {msg}"),
+            LofError::UnknownColumn { column, columns } => {
+                write!(f, "column {column} is out of range for data with {columns} columns")
+            }
+            LofError::InvalidAlertRule(msg) => write!(f, "{msg}"),
         }
     }
 }

@@ -231,15 +231,15 @@ impl Dataset {
     ///
     /// # Errors
     ///
-    /// Returns [`LofError::DimensionMismatch`] when a column index is out of
-    /// range or `columns` is empty.
+    /// Returns [`LofError::UnknownColumn`] when a column index is out of
+    /// range, [`LofError::DimensionMismatch`] when `columns` is empty.
     pub fn project(&self, columns: &[usize]) -> Result<Dataset> {
         if columns.is_empty() {
             return Err(LofError::DimensionMismatch { expected: self.dims, found: 0 });
         }
         for &c in columns {
             if c >= self.dims {
-                return Err(LofError::DimensionMismatch { expected: self.dims, found: c });
+                return Err(LofError::UnknownColumn { column: c, columns: self.dims });
             }
         }
         let mut out = Dataset::with_capacity(columns.len(), self.len());
@@ -390,7 +390,10 @@ mod tests {
         let dup = ds.project(&[0, 0, 2]).unwrap();
         assert_eq!(dup.point(0), &[1.0, 1.0, 3.0]);
         assert!(ds.project(&[]).is_err());
-        assert!(ds.project(&[3]).is_err());
+        assert_eq!(
+            ds.project(&[0, 3]).unwrap_err(),
+            LofError::UnknownColumn { column: 3, columns: 3 }
+        );
     }
 
     #[test]

@@ -61,13 +61,7 @@ impl TenantSpec {
                         }
                     }
                 }
-                "threshold" => {
-                    let t: f64 = parse_num(key, value)?;
-                    if !t.is_finite() || t <= 0.0 {
-                        return Err(format!("threshold must be a positive finite number, got {t}"));
-                    }
-                    config.threshold = Some(t);
-                }
+                "threshold" => config.threshold = Some(parse_num(key, value)?),
                 "topk" => config.top_k = Some(parse_num(key, value)?),
                 "max_points" => quotas.max_points = Some(parse_num(key, value)?),
                 "max_eps" => quotas.max_events_per_sec = Some(parse_num(key, value)?),
@@ -197,6 +191,7 @@ mod tests {
             ("policy", "ring"),
             ("threshold", "-1"),
             ("threshold", "inf"),
+            ("topk", "0"),
             ("frobnicate", "1"),
         ];
         for (key, value) in cases {
@@ -207,6 +202,9 @@ mod tests {
             )
             .expect_err("must reject");
             assert!(!err.is_empty());
+            if *key == "threshold" {
+                assert!(err.contains("threshold must be a positive finite number"), "{err}");
+            }
         }
         // The retired engine keys are plain unknown parameters now.
         for key in ["shards", "deferred"] {

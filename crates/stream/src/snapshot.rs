@@ -595,5 +595,13 @@ mod tests {
         let mut snap = sample();
         snap.config.min_pts = 0;
         assert!(WindowSnapshot::from_bytes(&snap.to_bytes()).is_err());
+        // So are alert rules that older writers accepted.
+        for (threshold, top_k) in [(Some(-1.0), None), (Some(f64::NAN), None), (None, Some(0))] {
+            let mut snap = sample();
+            snap.config.threshold = threshold;
+            snap.config.top_k = top_k;
+            let err = WindowSnapshot::from_bytes(&snap.to_bytes()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        }
     }
 }

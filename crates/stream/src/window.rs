@@ -110,13 +110,17 @@ impl StreamConfig {
 
     /// Checks the invariants the window needs: `min_pts >= 1`,
     /// `capacity > min_pts + 1` (room to evict while neighborhoods stay
-    /// defined), `warmup` within `min_pts + 1 ..= capacity`.
+    /// defined), `warmup` within `min_pts + 1 ..= capacity`, a threshold
+    /// that is a positive finite number and a top-k of at least 1. Every
+    /// front end (`lof stream`, `lof serve`, `TENANT CREATE`, snapshot
+    /// restore) checks its window through here.
     ///
     /// # Errors
     ///
     /// Returns [`LofError::InvalidMinPts`] when the window could never hold
     /// a defined neighborhood, [`LofError::InvalidRange`] when the warm-up
-    /// falls outside the valid band.
+    /// falls outside the valid band, [`LofError::InvalidAlertRule`] for an
+    /// alert rule that could never mean what it says.
     pub fn validate(&self) -> Result<()> {
         if self.min_pts == 0 || self.capacity <= self.min_pts + 1 {
             return Err(LofError::InvalidMinPts {
@@ -126,6 +130,14 @@ impl StreamConfig {
         }
         if self.warmup <= self.min_pts || self.warmup > self.capacity {
             return Err(LofError::InvalidRange { lb: self.warmup, ub: self.capacity });
+        }
+        if let Some(t) = self.threshold.filter(|t| !t.is_finite() || *t <= 0.0) {
+            return Err(LofError::InvalidAlertRule(format!(
+                "threshold must be a positive finite number, got {t}"
+            )));
+        }
+        if self.top_k == Some(0) {
+            return Err(LofError::InvalidAlertRule("top-k must be >= 1, got 0".to_owned()));
         }
         Ok(())
     }
@@ -714,6 +726,12 @@ mod tests {
         assert!(SlidingWindowLof::new(StreamConfig::new(5, 6), Euclidean).is_err());
         assert!(SlidingWindowLof::new(StreamConfig::new(3, 10).warmup(2), Euclidean).is_err());
         assert!(SlidingWindowLof::new(StreamConfig::new(3, 10).warmup(11), Euclidean).is_err());
+        for t in [-1.0, 0.0, f64::NAN, f64::INFINITY] {
+            let config = StreamConfig::new(3, 10).threshold(t);
+            assert!(matches!(config.validate(), Err(LofError::InvalidAlertRule(_))), "{t}");
+        }
+        let config = StreamConfig::new(3, 10).top_k(0);
+        assert!(matches!(config.validate(), Err(LofError::InvalidAlertRule(_))));
     }
 
     #[test]

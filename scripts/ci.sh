@@ -70,6 +70,20 @@ echo "== observability: serve metrics smoke =="
 # few events, and check the in-band GET /metrics answer carries the
 # serve counters in Prometheus text form.
 cargo build --release -q -p lof-cli
+
+echo "== release smoke: every mode answers --help and names itself on an unknown flag =="
+# All five modes parse from one flag table; each must still print the
+# help and reject a flag it does not know with its own wording.
+for mode in "" topn ingest stream serve; do
+  ./target/release/lof $mode --help > /dev/null
+  if ./target/release/lof $mode --bogus 2> /tmp/lof_ci_bogus.err; then
+    echo "lof $mode --bogus exited 0"; exit 1
+  fi
+  grep -q "^error: unknown ${mode:+$mode }flag '--bogus'" /tmp/lof_ci_bogus.err \
+    || { echo "lof $mode --bogus: wrong message"; cat /tmp/lof_ci_bogus.err; exit 1; }
+done
+echo "mode smoke OK"
+
 ./target/release/lof serve --listen 127.0.0.1:0 --minpts 2 --capacity 16 --metrics \
   2>/tmp/lof_ci_serve.err &
 SERVE_PID=$!

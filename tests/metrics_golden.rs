@@ -20,7 +20,7 @@ fn golden_registry() -> MetricsRegistry {
     registry.counter("serve.events_in").add(41);
     registry.counter("alerts.fired").add(3);
     registry.counter("core.incremental.cascade_depth").add(27);
-    registry.counter("stream.shard.border_repairs").add(9);
+    registry.counter("stream.evictions").add(9);
     let g = registry.gauge("window.occupancy");
     g.set(512.0);
     registry.gauge("edge.pos_inf").set(f64::INFINITY);
